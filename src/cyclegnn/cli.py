@@ -311,10 +311,10 @@ def _load_model(checkpoint_path: str) -> tuple[nn.ModelConfig, nn.ModelParams, d
     arrays, extra = load_checkpoint(checkpoint_path)
     if "config" not in extra:
         raise CliError(f"checkpoint {checkpoint_path} lacks a model config")
-    raw = dict(extra["config"])
-    raw["node_field_cards"] = tuple(raw["node_field_cards"])
-    raw["edge_field_cards"] = tuple(raw["edge_field_cards"])
-    config = nn.ModelConfig(**raw)
+    try:
+        config = nn.ModelConfig(**extra["config"])
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"checkpoint {checkpoint_path} has an invalid model config: {exc}") from None
     params = nn.init_params(config, seed=0)
     nn.load_arrays(params, arrays)
     return config, params, extra

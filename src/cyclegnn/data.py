@@ -233,8 +233,9 @@ class BatchedGraph:
 def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max: int = 1) -> BatchedGraph:
     """Merge graphs into one disjoint union with node ids offset per graph.
 
-    ``k_max`` >= 2 additionally builds the exact-distance neighbor index per
-    component. Labels, when given, are split into a zero-filled matrix and an
+    ``k_max`` >= 2 additionally offsets every component's memoised
+    exact-distance shells (see :func:`build_khop_index`) into one neighbor
+    index. Labels, when given, are split into a zero-filled matrix and an
     observation mask.
     """
     if not graphs:
@@ -245,43 +246,22 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
     node_feats = np.concatenate([g.node_feats for g in graphs], axis=0)
     graph_ids = np.repeat(np.arange(len(graphs), dtype=np.int64), counts)
 
-    src_parts, dst_parts, feat_parts = [], [], []
-    for g, off in zip(graphs, offsets):
-        if g.num_edges == 0:
-            continue
-        u = g.edges[:, 0] + off
-        v = g.edges[:, 1] + off
-        # (dst=u, src=v) then (dst=v, src=u), interleaved per edge
-        dst_parts.append(np.stack([u, v], axis=1).reshape(-1))
-        src_parts.append(np.stack([v, u], axis=1).reshape(-1))
-        feat_parts.append(np.repeat(g.edge_feats, 2, axis=0))
-    num_edge_fields = graphs[0].edge_feats.shape[1]
-    arc_dst = np.concatenate(dst_parts) if dst_parts else np.zeros(0, dtype=np.int64)
-    arc_src = np.concatenate(src_parts) if src_parts else np.zeros(0, dtype=np.int64)
-    arc_edge_feats = (
-        np.concatenate(feat_parts, axis=0)
-        if feat_parts
-        else np.zeros((0, num_edge_fields), dtype=np.int64)
-    )
+    edges = np.concatenate([g.edges for g in graphs]) + np.repeat(offsets, [g.num_edges for g in graphs])[:, None]
+    # (dst=u, src=v) then (dst=v, src=u), interleaved per edge
+    arc_dst = edges.reshape(-1)
+    arc_src = edges[:, ::-1].reshape(-1)
+    arc_edge_feats = np.repeat(np.concatenate([g.edge_feats for g in graphs]), 2, axis=0)
 
     khop = None
     if k_max >= 2:
-        per_k_dst: list[list[np.ndarray]] = [[] for _ in range(k_max)]
-        per_k_src: list[list[np.ndarray]] = [[] for _ in range(k_max)]
-        for g, off in zip(graphs, offsets):
-            local = build_khop_index(g, k_max)
-            for k in range(k_max):
-                d, s = local.pairs[k]
-                per_k_dst[k].append(d + off)
-                per_k_src[k].append(s + off)
-        pairs = tuple(
-            (
-                np.concatenate(per_k_dst[k]) if per_k_dst[k] else np.zeros(0, dtype=np.int64),
-                np.concatenate(per_k_src[k]) if per_k_src[k] else np.zeros(0, dtype=np.int64),
-            )
-            for k in range(k_max)
-        )
-        khop = KHopIndex(num_nodes=total, k_max=k_max, pairs=pairs)
+        shells = [build_khop_index(g, k_max).pairs for g in graphs]
+        pairs = []
+        for k in range(k_max):
+            shift = np.repeat(offsets, [p[k][0].size for p in shells])
+            dst = np.concatenate([p[k][0] for p in shells]) + shift
+            src = np.concatenate([p[k][1] for p in shells]) + shift
+            pairs.append((dst, src))
+        khop = KHopIndex(num_nodes=total, k_max=k_max, pairs=tuple(pairs))
 
     label_matrix = mask = None
     if labels is not None:

@@ -71,7 +71,8 @@ class KHopIndex:
     """For every node, the nodes at shortest-path distance exactly k, k=1..k_max.
 
     ``pairs[k-1]`` is a pair of aligned int arrays (dst, src): node ``src`` is
-    at distance k from node ``dst``. Both are sorted by dst then src.
+    at distance k from node ``dst``. Both are int64 and sorted by dst then
+    src; arrays from :func:`build_khop_index` are shared, hence read-only.
     """
 
     num_nodes: int
@@ -104,22 +105,31 @@ def bfs_distances(g: LabeledGraph, start: int) -> np.ndarray:
 
 
 def build_khop_index(g: LabeledGraph, k_max: int) -> KHopIndex:
-    """Group every node's BFS shells into per-distance (dst, src) index arrays."""
+    """Per-distance (dst, src) index arrays of every node's exact-distance shells.
+
+    Built once per graph and memoised on it at the deepest ``k_max`` requested
+    so far; every call shares those read-only arrays, a smaller ``k_max`` a
+    prefix of them. All sources expand at once over a dense n x n reach
+    matrix, so a build holds O(n^2) transient memory.
+    """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    dst_lists: list[list[int]] = [[] for _ in range(k_max)]
-    src_lists: list[list[int]] = [[] for _ in range(k_max)]
-    for i in range(g.num_nodes):
-        dist = bfs_distances(g, i)
-        for k in range(1, k_max + 1):
-            shell = np.nonzero(dist == k)[0]
-            dst_lists[k - 1].extend([i] * shell.size)
-            src_lists[k - 1].extend(shell.tolist())
-    pairs = tuple(
-        (np.asarray(d, dtype=np.int64), np.asarray(s, dtype=np.int64))
-        for d, s in zip(dst_lists, src_lists)
-    )
-    return KHopIndex(num_nodes=g.num_nodes, k_max=k_max, pairs=pairs)
+    pairs = getattr(g, "_khop_pairs", ())
+    if len(pairs) < k_max:
+        n = g.num_nodes
+        adj = np.zeros((n, n), dtype=np.float32)
+        adj[g.edges[:, 0], g.edges[:, 1]] = adj[g.edges[:, 1], g.edges[:, 0]] = 1.0
+        reached = frontier = np.eye(n, dtype=bool)
+        pairs = ()
+        for _ in range(k_max):
+            frontier = (frontier @ adj > 0) & ~reached
+            reached = reached | frontier
+            shell = np.nonzero(frontier)  # row-major: sorted by dst then src
+            for arr in shell:
+                arr.setflags(write=False)
+            pairs += (shell,)
+        object.__setattr__(g, "_khop_pairs", pairs)
+    return KHopIndex(num_nodes=g.num_nodes, k_max=k_max, pairs=pairs[:k_max])
 
 
 def enumerate_simple_cycles(g: LabeledGraph, max_len: int) -> list[tuple[int, ...]]:

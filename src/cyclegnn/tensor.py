@@ -555,6 +555,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         shape = tuple(entry["shape"])
         nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
         code = _DTYPE_CODES[np.dtype(dtype)]
+        if offset + nbytes > len(blob):
+            raise ValueError(f"checkpoint data truncated in {path}.bin at tensor {entry['name']!r}")
         arr = np.frombuffer(blob[offset : offset + nbytes], dtype=code).astype(dtype).reshape(shape)
         arrays[entry["name"]] = arr
         offset += nbytes

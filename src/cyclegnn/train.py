@@ -210,7 +210,8 @@ def train_model(
 
     Deterministic for a fixed seed. Returns the selected parameters (best
     validation epoch when patience > 0, otherwise the final epoch) and the
-    per-epoch history.
+    per-epoch history. Raises ValueError, naming the epoch and batch, as soon
+    as a step's loss or a batchnorm running variance is not finite.
     """
     if len(train_set) == 0:
         raise ValueError("empty training split")
@@ -220,6 +221,7 @@ def train_model(
     shuffle_rng = np.random.default_rng(shuffle_seq)
     drop_rng = np.random.default_rng(drop_seq)
     k_max = config.required_radius
+    norms = norm_states(params)
 
     history: list[EpochRecord] = []
     best_metric = -np.inf
@@ -229,10 +231,16 @@ def train_model(
         order = shuffle_rng.permutation(len(train_set))
         loss_sum = 0.0
         observed_sum = 0.0
-        for idx in _batches(len(train_set), train_config.batch_size, order):
+        for step, idx in enumerate(_batches(len(train_set), train_config.batch_size, order), start=1):
             batch = collate([train_set.graphs[i] for i in idx], train_set.labels[idx], k_max)
             logits = model_forward(config, params, batch, TRAIN, drop_rng)
             loss = bce_with_logits_masked(logits, batch.labels, batch.label_mask)
+            # Overflowing activations can leave the loss finite while the
+            # batch variance, and so the eval path, is already inf.
+            if not (np.isfinite(loss.data) and all(np.isfinite(s.running_var).all() for s in norms)):
+                raise ValueError(
+                    f"training diverged at epoch {epoch}, batch {step}: non-finite loss or batchnorm variance"
+                )
             opt.zero_grad()
             backward(loss)
             opt.step()

@@ -116,6 +116,26 @@ class TestTrain:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_divergence_exits_one_with_one_line_error(self, tmp_path, trained, capsys):
+        _, data, _ = trained
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["train", "--data", data, "--out", str(tmp_path / "x"), "--conv", "gine+",
+                         "--radius", "2", "--layers", "2", "--hidden", "8", "--dropout", "0.0",
+                         "--epochs", "2", "--batch-size", "16", "--replicates", "1", "--lr", "1e6"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: training diverged at epoch ")
+        assert ", batch " in err
+        assert not os.path.exists(str(tmp_path / "x.ckpt"))
+
+
+def copy_checkpoint(prefix, tmp_path):
+    dest = str(tmp_path / "copy.ckpt")
+    for suffix in ("", ".bin"):
+        with open(prefix + ".ckpt" + suffix, "rb") as src, open(dest + suffix, "wb") as out:
+            out.write(src.read())
+    return dest
+
 
 class TestEval:
     def test_eval_twice_identical_file(self, trained, tmp_path):
@@ -148,6 +168,29 @@ class TestEval:
                      "--out", str(tmp_path / "r.tsv")])
         assert code == 1
         assert "do not match" in capsys.readouterr().err
+
+    def test_unknown_checkpoint_config_key_errors(self, trained, tmp_path, capsys):
+        _, data, prefix = trained
+        ckpt = copy_checkpoint(prefix, tmp_path)
+        manifest = json.load(open(ckpt))
+        manifest["extra"]["config"]["bogus"] = 1
+        with open(ckpt, "w") as fh:
+            json.dump(manifest, fh)
+        code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ckpt in err and "bogus" in err
+
+    def test_truncated_checkpoint_data_errors(self, trained, tmp_path, capsys):
+        _, data, prefix = trained
+        ckpt = copy_checkpoint(prefix, tmp_path)
+        blob = open(ckpt + ".bin", "rb").read()
+        with open(ckpt + ".bin", "wb") as fh:
+            fh.write(blob[:-6])
+        code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ckpt + ".bin" in err and "truncated" in err
 
 
 class TestCounterexample:

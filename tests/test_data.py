@@ -240,6 +240,20 @@ class TestCollate:
                     assert got == local.neighbors(i, k)
             offset += g.num_nodes
 
+    def test_edgeless_batch_has_empty_typed_arcs_and_shells(self):
+        graphs = [
+            LabeledGraph(num_nodes=n, node_feats=np.zeros((n, 2)), edges=np.zeros((0, 2)), edge_feats=np.zeros((0, 3)))
+            for n in (1, 4, 2)
+        ]
+        batch = collate(graphs, None, k_max=3)
+        assert batch.arc_edge_feats.shape == (0, 3)
+        for arr in (batch.arc_src, batch.arc_dst):
+            assert arr.shape == (0,) and arr.dtype == np.int64
+        assert batch.khop.k_max == 3
+        for dst, src in batch.khop.pairs:
+            for arr in (dst, src):
+                assert arr.shape == (0,) and arr.dtype == np.int64
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             collate([])

@@ -105,6 +105,18 @@ class TestBfs:
                     assert d[v] <= d[u] + 1 and d[u] <= d[v] + 1
 
 
+def khop_by_bfs(g: LabeledGraph, k_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Reference shells from one BFS per node, in dst-then-src order."""
+    pairs = [([], []) for _ in range(k_max)]
+    for i in range(g.num_nodes):
+        dist = bfs_distances(g, i)
+        for k in range(1, k_max + 1):
+            shell = np.nonzero(dist == k)[0]
+            pairs[k - 1][0].extend([i] * shell.size)
+            pairs[k - 1][1].extend(shell.tolist())
+    return [(np.asarray(d, dtype=np.int64), np.asarray(s, dtype=np.int64)) for d, s in pairs]
+
+
 class TestKHopIndex:
     def test_c6_shells(self):
         idx = build_khop_index(gen_cycle_union([6]), 3)
@@ -143,13 +155,47 @@ class TestKHopIndex:
 
     def test_agrees_with_bfs_distances_exhaustively(self):
         rng = np.random.default_rng(2)
+        graphs = [plain(1, []), plain(5, [])]  # edgeless
         for _ in range(25):
-            g = random_graph(rng, int(rng.integers(2, 31)))
-            idx = build_khop_index(g, 3)
-            for i in range(g.num_nodes):
-                d = bfs_distances(g, i)
-                for k in range(1, 4):
-                    assert set(idx.neighbors(i, k)) == set(np.nonzero(d == k)[0])
+            graphs.append(random_graph(rng, int(rng.integers(2, 31))))
+        for _ in range(5):
+            graphs.append(random_graph(rng, int(rng.integers(4, 16)), p=0.05))  # isolated nodes
+            a, b = random_graph(rng, 6), random_graph(rng, 9)
+            graphs.append(plain(15, np.concatenate([a.edges, b.edges + 6])))  # disconnected
+        for g in graphs:
+            for k_max in (1, 3, g.num_nodes + 2):  # the last lies beyond the diameter
+                idx = build_khop_index(g, k_max)
+                assert idx.k_max == k_max and len(idx.pairs) == k_max
+                for (dst, src), (want_dst, want_src) in zip(idx.pairs, khop_by_bfs(g, k_max)):
+                    assert dst.dtype == src.dtype == np.int64
+                    np.testing.assert_array_equal(dst, want_dst)
+                    np.testing.assert_array_equal(src, want_src)
+
+    def test_shallower_request_returns_prefix_of_memoised_shells(self):
+        g = random_graph(np.random.default_rng(4), 12)
+        deep = build_khop_index(g, 3)
+        shallow = build_khop_index(g, 2)
+        again = build_khop_index(g, 3)
+        assert shallow.k_max == 2 and len(shallow.pairs) == 2 and again.k_max == 3
+        for got, want in zip(shallow.pairs + again.pairs, deep.pairs[:2] + deep.pairs):
+            assert got[0] is want[0] and got[1] is want[1]
+
+    def test_deeper_request_rebuilds_like_a_fresh_graph(self):
+        g = random_graph(np.random.default_rng(5), 12)
+        build_khop_index(g, 2)
+        grown = build_khop_index(g, 3)
+        fresh = build_khop_index(plain(g.num_nodes, g.edges), 3)
+        assert grown.k_max == 3
+        for (dst, src), (want_dst, want_src) in zip(grown.pairs, fresh.pairs):
+            np.testing.assert_array_equal(dst, want_dst)
+            np.testing.assert_array_equal(src, want_src)
+
+    def test_shared_shells_are_read_only(self):
+        idx = build_khop_index(gen_cycle_union([6]), 2)
+        for dst, src in idx.pairs:
+            for arr in (dst, src):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
 
 
 class TestSimpleCycles:
