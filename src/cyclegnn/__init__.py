@@ -20,7 +20,6 @@ from .nn import (
     CONV_NAIVE_GINE_PLUS,
     ModelConfig,
     ModelParams,
-    clone_params,
     forward_node_embeddings,
     gcn_conv,
     gine_conv,
@@ -61,6 +60,7 @@ from .train import (
     prc_auc,
     roc_auc,
     run_replicates,
+    train_epoch,
     train_model,
 )
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import nn, synth, train as training
 from .data import Dataset, collate, load_dataset, random_split, save_dataset
 from .graph import make_counterexample_pair
-from .tensor import TRAIN, Adam, backward, bce_with_logits_masked, load_checkpoint, save_checkpoint
+from .tensor import Adam, load_checkpoint, save_checkpoint
 
 
 class CliError(Exception):
@@ -246,64 +246,52 @@ def _model_config(options: dict, dataset: Dataset) -> nn.ModelConfig:
 
 def cmd_train(runspec: RunSpec) -> int:
     o = runspec.options
-    if o["replicates"] < 1:
-        raise CliError("replicates must be at least 1")
     dataset = load_dataset(o["data"])
     config = _model_config(o, dataset)
     train_set, valid_set, test_set = random_split(dataset, o["split"], o["seed"])
+    metric_key = "test_" + o["metric"]
+    runs = []  # (seed, test report, params, history) per replicate
 
-    rows = []
-    per_task_values: dict[str, list[float]] = {}
-    first_history = None
-    first_params = None
-    for r in range(o["replicates"]):
+    def run(seed: int) -> dict[str, float | None]:
         tc = training.TrainConfig(
             epochs=o["epochs"],
             batch_size=o["batch_size"],
             learning_rate=o["lr"],
             patience=o["patience"],
             metric=o["metric"],
-            seed=o["seed"] + r,
-            replicates=o["replicates"],
+            seed=seed,
         )
         params, history = training.train_model(config, train_set, valid_set, tc)
         report = training.evaluate(config, params, test_set, o["metric"])
-        rows.append((r, tc.seed, report.macro, report.loss))
-        for name, value in zip(report.task_names, report.per_task):
-            if value is not None:
-                per_task_values.setdefault(name, []).append(value)
-        if r == 0:
-            first_history, first_params = history, params
+        runs.append((seed, report, params, history))
+        per_task = {"task." + name: value for name, value in zip(report.task_names, report.per_task)}
+        return {metric_key: report.macro, "test_loss": report.loss, **per_task}
 
-    ckpt_path = o["out"] + ".ckpt"
+    summary = training.run_replicates(run, o["seed"], o["replicates"])
+    _, _, params, history = runs[0]
     save_checkpoint(
-        nn.named_arrays(first_params),
-        ckpt_path,
+        nn.named_arrays(params),
+        o["out"] + ".ckpt",
         extra={"config": dataclasses.asdict(config), "runspec": runspec.header()},
     )
     hist_lines = ["epoch\ttrain_loss\tvalid_metric"]
-    hist_lines += [f"{h.epoch}\t{_fmt(h.train_loss)}\t{_fmt(h.valid_metric)}" for h in first_history]
+    hist_lines += [f"{h.epoch}\t{_fmt(h.train_loss)}\t{_fmt(h.valid_metric)}" for h in history]
     _write_table(o["out"] + ".history.tsv", runspec, hist_lines)
 
-    macros = np.asarray([r[2] for r in rows], dtype=np.float64)
-    losses = np.asarray([r[3] for r in rows], dtype=np.float64)
-    std = lambda v: float(v.std(ddof=1)) if v.size > 1 else 0.0
-    summary = ["replicate\tseed\ttest_" + o["metric"] + "\ttest_loss"]
-    summary += [f"{r}\t{s}\t{_fmt(m)}\t{_fmt(l)}" for r, s, m, l in rows]
-    summary.append("# aggregate")
-    summary.append("quantity\tmean\tstd")
-    summary.append(f"test_{o['metric']}\t{_fmt(macros.mean())}\t{_fmt(std(macros))}")
-    summary.append(f"test_loss\t{_fmt(losses.mean())}\t{_fmt(std(losses))}")
-    summary.append("# per-task")
-    summary.append("task\tmean\tstd")
-    for name in dataset.manifest.task_names:
-        values = np.asarray(per_task_values.get(name, []), dtype=np.float64)
-        if values.size:
-            summary.append(f"{name}\t{_fmt(values.mean())}\t{_fmt(std(values))}")
-        else:
-            summary.append(f"{name}\tundefined\tundefined")
-    _write_table(o["out"] + ".summary.tsv", runspec, summary)
-    print(f"test_{o['metric']} = {macros.mean():.4f} +- {std(macros):.4f} over {len(rows)} replicate(s)")
+    def aggregate_row(name: str, key: str) -> str:
+        if summary[key] is None:
+            return f"{name}\tundefined\tundefined"
+        return f"{name}\t{_fmt(summary[key][0])}\t{_fmt(summary[key][1])}"
+
+    lines = ["replicate\tseed\t" + metric_key + "\ttest_loss"]
+    lines += [f"{r}\t{seed}\t{_fmt(rep.macro)}\t{_fmt(rep.loss)}" for r, (seed, rep, _, _) in enumerate(runs)]
+    lines += ["# aggregate", "quantity\tmean\tstd"]
+    lines += [aggregate_row(metric_key, metric_key), aggregate_row("test_loss", "test_loss")]
+    lines += ["# per-task", "task\tmean\tstd"]
+    lines += [aggregate_row(name, "task." + name) for name in dataset.manifest.task_names]
+    _write_table(o["out"] + ".summary.tsv", runspec, lines)
+    mean, std = summary[metric_key]
+    print(f"{metric_key} = {mean:.4f} +- {std:.4f} over {len(runs)} replicate(s)")
     return 0
 
 
@@ -416,18 +404,8 @@ def cmd_bench(runspec: RunSpec) -> int:
         opt = Adam(nn.parameters(params))
         rng = np.random.default_rng(o["seed"])
         start = time.perf_counter()
-        for _ in range(o["epochs"]):
-            for lo in range(0, len(dataset), o["batch_size"]):
-                idx = np.arange(lo, min(lo + o["batch_size"], len(dataset)))
-                batch = collate([dataset.graphs[i] for i in idx], dataset.labels[idx], config.required_radius)
-                loss = bce_with_logits_masked(
-                    nn.model_forward(config, params, batch, TRAIN, rng),
-                    batch.labels,
-                    batch.label_mask,
-                )
-                opt.zero_grad()
-                backward(loss)
-                opt.step()
+        for epoch in range(1, o["epochs"] + 1):
+            training.train_epoch(config, params, opt, dataset, None, o["batch_size"], rng, epoch)
         seconds = (time.perf_counter() - start) / o["epochs"]
         count = nn.param_count(config)
         if conv == "gine":

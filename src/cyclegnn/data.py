@@ -123,16 +123,22 @@ def save_dataset(dataset: Dataset, path: str, header: dict | None = None) -> Non
 def load_dataset(path: str) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
-    Malformed records are reported with their line number; feature values are
-    checked against the manifest cardinalities.
+    A malformed manifest is reported with its path, malformed records with
+    their line number; feature values are checked against the manifest
+    cardinalities.
     """
-    with open(_manifest_path(path), "r", encoding="ascii") as fh:
+    manifest_path = _manifest_path(path)
+    with open(manifest_path, "r", encoding="ascii") as fh:
         raw = json.load(fh)
-    manifest = DatasetManifest(
-        node_field_cardinalities=tuple(raw["node_field_cardinalities"]),
-        edge_field_cardinalities=tuple(raw["edge_field_cardinalities"]),
-        task_names=tuple(raw["task_names"]),
-    )
+    expected = {"node_field_cardinalities": int, "edge_field_cardinalities": int, "task_names": str}
+    for key, kind in expected.items():
+        values = raw.get(key) if isinstance(raw, dict) else None
+        if not isinstance(values, list) or not all(type(v) is kind for v in values):
+            raise ValueError(f"dataset manifest {manifest_path}: {key!r} must be a list of {kind.__name__}")
+    try:
+        manifest = DatasetManifest(**{key: tuple(raw[key]) for key in expected})
+    except ValueError as exc:
+        raise ValueError(f"dataset manifest {manifest_path}: {exc}") from None
     graphs: list[LabeledGraph] = []
     rows: list[list[float]] = []
     with open(path, "r", encoding="ascii") as fh:

@@ -479,39 +479,3 @@ def load_arrays(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:
         state.running_var = arrays[name.replace("running_mean", "running_var")].astype(
             state.running_var.dtype
         ).copy()
-
-
-def clone_params(params: ModelParams) -> ModelParams:
-    """Deep copy of all parameter tensors and batchnorm states."""
-
-    def ct(t: Tensor) -> Tensor:
-        return Tensor(t.data.copy(), requires_grad=t.requires_grad)
-
-    def cl(p: LinearParams) -> LinearParams:
-        return LinearParams(ct(p.weight), ct(p.bias))
-
-    def cn(p: NormParams) -> NormParams:
-        return NormParams(ct(p.gamma), ct(p.beta), p.state.copy())
-
-    def cm(p: MlpParams) -> MlpParams:
-        return MlpParams(cl(p.lin_in), cn(p.norm), cl(p.lin_out))
-
-    layers = []
-    for layer in params.layers:
-        layers.append(
-            LayerParams(
-                edge_tables=[ct(t) for t in layer.edge_tables],
-                norm=cn(layer.norm),
-                mlp=cm(layer.mlp) if layer.mlp is not None else None,
-                eps=[ct(e) for e in layer.eps] if layer.eps is not None else None,
-                lin=cl(layer.lin) if layer.lin is not None else None,
-                vn=VirtualNodeParams(ct(layer.vn.eps), cm(layer.vn.mlp))
-                if layer.vn is not None
-                else None,
-            )
-        )
-    return ModelParams(
-        node_tables=[ct(t) for t in params.node_tables],
-        layers=layers,
-        classifier=cl(params.classifier),
-    )

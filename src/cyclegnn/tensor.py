@@ -327,9 +327,6 @@ class BatchNormState:
     def initial(cls, width: int, dtype=np.float32) -> "BatchNormState":
         return cls(np.zeros(width, dtype=dtype), np.ones(width, dtype=dtype))
 
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(self.running_mean.copy(), self.running_var.copy())
-
     def reset(self) -> None:
         self.running_mean = np.zeros_like(self.running_mean)
         self.running_var = np.ones_like(self.running_var)
@@ -534,23 +531,39 @@ def save_checkpoint(arrays: Mapping[str, np.ndarray], path: str, extra: dict | N
         fh.write(bytes(blob))
 
 
+def _valid_entry(entry) -> bool:
+    """A manifest tensor entry: a string name, a known dtype and a shape of
+    non-negative ints."""
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and entry.get("dtype") in _DTYPE_NAMES
+        and isinstance(entry.get("shape"), list)
+        and all(type(d) is int and d >= 0 for d in entry["shape"])
+    )
+
+
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Returns the named arrays (in manifest order) and the manifest's ``extra``
-    dict.
+    dict. A malformed manifest or a data file of the wrong size raises
+    ValueError naming the file.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint manifest not found: {path}")
     with open(path, "r", encoding="ascii") as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "cyclegnn-checkpoint-v1":
+    if not isinstance(manifest, dict) or manifest.get("format") != "cyclegnn-checkpoint-v1":
         raise ValueError(f"unrecognized checkpoint format in {path}")
+    entries = manifest.get("tensors")
+    if not isinstance(entries, list) or not all(_valid_entry(e) for e in entries):
+        raise ValueError(f"malformed tensor list in checkpoint manifest {path}")
     with open(path + ".bin", "rb") as fh:
         blob = fh.read()
     arrays: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in manifest["tensors"]:
+    for entry in entries:
         dtype = _DTYPE_NAMES[entry["dtype"]]
         shape = tuple(entry["shape"])
         nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize

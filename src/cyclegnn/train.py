@@ -12,10 +12,11 @@ from .data import Dataset, collate
 from .nn import (
     ModelConfig,
     ModelParams,
-    clone_params,
     forward_node_embeddings,
     init_params,
+    load_arrays,
     model_forward,
+    named_arrays,
     norm_states,
     parameters,
 )
@@ -95,11 +96,10 @@ class TrainConfig:
     patience: int = 20
     metric: str = METRIC_ROC
     seed: int = 0
-    replicates: int = 5
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.patience < 0 or self.replicates < 1:
-            raise ValueError("epochs and batch_size must be >= 1, patience and replicates >= 0/1")
+        if self.epochs < 1 or self.batch_size < 1 or self.patience < 0:
+            raise ValueError("epochs and batch_size must be >= 1 and patience >= 0")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
 
@@ -122,10 +122,13 @@ class EvalReport:
     loss: float
 
 
-def _batches(n: int, size: int, order=None):
-    idx = np.arange(n) if order is None else order
-    for start in range(0, n, size):
-        yield idx[start : start + size]
+def _batches(dataset: Dataset, k_max: int, size: int, order=None):
+    """Yield (indices, collated batch) over ``dataset`` in ``order``
+    (default: dataset order), ``size`` graphs at a time."""
+    idx = np.arange(len(dataset)) if order is None else order
+    for start in range(0, len(dataset), size):
+        chunk = idx[start : start + size]
+        yield chunk, collate([dataset.graphs[i] for i in chunk], dataset.labels[chunk], k_max)
 
 
 def predict_logits(
@@ -133,8 +136,7 @@ def predict_logits(
 ) -> np.ndarray:
     """Eval-mode logits for every graph, batched for memory."""
     out = np.zeros((len(dataset), config.num_tasks))
-    for idx in _batches(len(dataset), batch_size):
-        batch = collate([dataset.graphs[i] for i in idx], None, config.required_radius)
+    for idx, batch in _batches(dataset, config.required_radius, batch_size):
         out[idx] = model_forward(config, params, batch, EVAL).data
     return out
 
@@ -194,10 +196,44 @@ def recalibrate_norm_stats(
         state.reset()
     for state in states:
         state.recording = True
-        for idx in _batches(len(dataset), batch_size):
-            batch = collate([dataset.graphs[i] for i in idx], None, config.required_radius)
+        for _, batch in _batches(dataset, config.required_radius, batch_size):
             forward_node_embeddings(config, params, batch, RECAL)
         state.recording = False
+
+
+def train_epoch(
+    config: ModelConfig,
+    params: ModelParams,
+    opt: Adam,
+    dataset: Dataset,
+    order,
+    batch_size: int,
+    rng: np.random.Generator,
+    epoch: int,
+) -> float:
+    """One pass of Adam steps over ``dataset`` in ``order`` (None: dataset
+    order), with dropout drawn from ``rng``. Returns the mean loss per
+    observed label. Raises ValueError, naming ``epoch`` and the batch, as
+    soon as a step's loss or a batchnorm running variance is not finite."""
+    norms = norm_states(params)
+    loss_sum = 0.0
+    observed_sum = 0.0
+    for step, (_, batch) in enumerate(_batches(dataset, config.required_radius, batch_size, order), start=1):
+        logits = model_forward(config, params, batch, TRAIN, rng)
+        loss = bce_with_logits_masked(logits, batch.labels, batch.label_mask)
+        # Overflowing activations can leave the loss finite while the
+        # batch variance, and so the eval path, is already inf.
+        if not (np.isfinite(loss.data) and all(np.isfinite(s.running_var).all() for s in norms)):
+            raise ValueError(
+                f"training diverged at epoch {epoch}, batch {step}: non-finite loss or batchnorm variance"
+            )
+        opt.zero_grad()
+        backward(loss)
+        opt.step()
+        n_observed = float(batch.label_mask.sum())
+        loss_sum += float(loss.data) * n_observed
+        observed_sum += n_observed
+    return loss_sum / max(observed_sum, 1.0)
 
 
 def train_model(
@@ -210,8 +246,8 @@ def train_model(
 
     Deterministic for a fixed seed. Returns the selected parameters (best
     validation epoch when patience > 0, otherwise the final epoch) and the
-    per-epoch history. Raises ValueError, naming the epoch and batch, as soon
-    as a step's loss or a batchnorm running variance is not finite.
+    per-epoch history. Raises ValueError as :func:`train_epoch` does when
+    training diverges.
     """
     if len(train_set) == 0:
         raise ValueError("empty training split")
@@ -220,61 +256,50 @@ def train_model(
     shuffle_seq, drop_seq = np.random.SeedSequence(train_config.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seq)
     drop_rng = np.random.default_rng(drop_seq)
-    k_max = config.required_radius
-    norms = norm_states(params)
 
     history: list[EpochRecord] = []
     best_metric = -np.inf
-    best_params: ModelParams | None = None
+    best_arrays: dict[str, np.ndarray] | None = None
     stale = 0
     for epoch in range(1, train_config.epochs + 1):
         order = shuffle_rng.permutation(len(train_set))
-        loss_sum = 0.0
-        observed_sum = 0.0
-        for step, idx in enumerate(_batches(len(train_set), train_config.batch_size, order), start=1):
-            batch = collate([train_set.graphs[i] for i in idx], train_set.labels[idx], k_max)
-            logits = model_forward(config, params, batch, TRAIN, drop_rng)
-            loss = bce_with_logits_masked(logits, batch.labels, batch.label_mask)
-            # Overflowing activations can leave the loss finite while the
-            # batch variance, and so the eval path, is already inf.
-            if not (np.isfinite(loss.data) and all(np.isfinite(s.running_var).all() for s in norms)):
-                raise ValueError(
-                    f"training diverged at epoch {epoch}, batch {step}: non-finite loss or batchnorm variance"
-                )
-            opt.zero_grad()
-            backward(loss)
-            opt.step()
-            n_observed = float(batch.label_mask.sum())
-            loss_sum += float(loss.data) * n_observed
-            observed_sum += n_observed
-        train_loss = loss_sum / max(observed_sum, 1.0)
+        train_loss = train_epoch(
+            config, params, opt, train_set, order, train_config.batch_size, drop_rng, epoch
+        )
         report = evaluate(config, params, valid_set, train_config.metric)
         history.append(EpochRecord(epoch=epoch, train_loss=train_loss, valid_metric=report.macro))
         if train_config.patience > 0:
             if np.isfinite(report.macro) and report.macro > best_metric:
                 best_metric = report.macro
-                best_params = clone_params(params)
+                best_arrays = {name: arr.copy() for name, arr in named_arrays(params).items()}
                 stale = 0
             else:
                 stale += 1
                 if stale >= train_config.patience:
                     break
-    selected = best_params if train_config.patience > 0 and best_params is not None else params
-    recalibrate_norm_stats(config, selected, train_set)
-    return selected, history
+    if best_arrays is not None:
+        load_arrays(params, best_arrays)
+    recalibrate_norm_stats(config, params, train_set)
+    return params, history
+
+
+def _mean_std(values) -> tuple[float, float] | None:
+    """Mean and sample std of the values that are not None (std 0 for one
+    value), or None when no value is left."""
+    kept = np.asarray([v for v in values if v is not None], dtype=np.float64)
+    if kept.size == 0:
+        return None
+    return float(kept.mean()), float(kept.std(ddof=1)) if kept.size > 1 else 0.0
 
 
 def run_replicates(
-    run_fn: Callable[[int], dict[str, float]], seed: int, count: int = 5
-) -> dict[str, tuple[float, float]]:
+    run_fn: Callable[[int], dict[str, float | None]], seed: int, count: int = 5
+) -> dict[str, tuple[float, float] | None]:
     """Run ``run_fn`` with seeds seed..seed+count-1 and aggregate each reported
-    value as (mean, sample std); a single replicate reports std 0."""
+    value as (mean, sample std) over the replicates that report it (not
+    None); a single value has std 0, and a key no replicate reports maps to
+    None."""
     if count < 1:
         raise ValueError("replicate count must be >= 1")
     results = [run_fn(seed + i) for i in range(count)]
-    summary: dict[str, tuple[float, float]] = {}
-    for key in results[0]:
-        values = np.asarray([r[key] for r in results], dtype=np.float64)
-        std = float(values.std(ddof=1)) if count > 1 else 0.0
-        summary[key] = (float(values.mean()), std)
-    return summary
+    return {key: _mean_std([r[key] for r in results]) for key in results[0]}

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from cyclegnn.cli import main
-from cyclegnn.data import load_dataset, save_dataset
-from cyclegnn.synth import gen_cycle_union
+from cyclegnn.data import load_dataset, random_split, save_dataset
+from cyclegnn.nn import ModelConfig
+from cyclegnn.synth import gen_cycle_union, gen_synthetic_dataset
+from cyclegnn.train import TrainConfig, evaluate, train_model
 from cyclegnn.data import Dataset
 import cyclegnn.data as data_mod
 
@@ -128,6 +130,98 @@ class TestTrain:
         assert ", batch " in err
         assert not os.path.exists(str(tmp_path / "x.ckpt"))
 
+    def test_malformed_dataset_manifest_exits_one_with_one_line(self, trained, tmp_path, capsys):
+        _, data, _ = trained
+        copy = str(tmp_path / "d.jsonl")
+        for suffix in ("", ".manifest.json"):
+            with open(data + suffix) as src, open(copy + suffix, "w") as out:
+                out.write(src.read())
+        manifest = json.load(open(copy + ".manifest.json"))
+        del manifest["task_names"]
+        with open(copy + ".manifest.json", "w") as fh:
+            json.dump(manifest, fh)
+        code = main(["train", "--data", copy, "--out", str(tmp_path / "x"), "--conv", "gine"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and copy + ".manifest.json" in err and "task_names" in err
+
+
+class TestReplicateSummary:
+    """A multi-replicate summary aggregates the replicates it lists."""
+
+    FLAGS = {"conv": "gine+", "radius": 2, "layers": 2, "hidden": 8, "epochs": 3, "batch_size": 16,
+             "patience": 2, "seed": 4}
+
+    @pytest.fixture(scope="class")
+    def summary(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("replicates")
+        dataset = gen_synthetic_dataset("random-multitask", 60, seed=3)
+        dataset.labels[dataset.labels[:, 0] == 1.0, 0] = 0.0  # task_0 has no positives
+        data = str(root / "d.jsonl")
+        save_dataset(dataset, data)
+        argv = ["train", "--data", data, "--out", str(root / "run"), "--replicates", "3"]
+        for name, value in self.FLAGS.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        assert main(argv) == 0
+        sections = {}
+        name = "replicates"
+        for line in open(str(root / "run.summary.tsv")).read().splitlines()[2:]:
+            if line.startswith("# "):
+                name = line[2:]
+            elif not line.startswith("quantity\t") and not line.startswith("task\t"):
+                key, *values = line.split("\t")
+                sections.setdefault(name, {})[key] = values
+        return dataset, sections
+
+    def replicate_reports(self, dataset):
+        o = self.FLAGS
+        train_set, valid_set, test_set = random_split(dataset, (0.8, 0.1, 0.1), o["seed"])
+        config = ModelConfig(
+            conv_type=o["conv"], node_field_cards=dataset.manifest.node_field_cardinalities,
+            edge_field_cards=dataset.manifest.edge_field_cardinalities,
+            num_tasks=dataset.manifest.num_tasks, hidden=o["hidden"], num_layers=o["layers"],
+            radius=o["radius"],
+        )
+        reports = []
+        for seed in range(o["seed"], o["seed"] + 3):
+            tc = TrainConfig(epochs=o["epochs"], batch_size=o["batch_size"], patience=o["patience"], seed=seed)
+            params, _ = train_model(config, train_set, valid_set, tc)
+            reports.append(evaluate(config, params, test_set))
+        return reports
+
+    @staticmethod
+    def mean_std(values):
+        values = np.asarray(values)
+        return [f"{values.mean():.6g}", f"{values.std(ddof=1):.6g}"]
+
+    def test_aggregate_rows_are_mean_and_sample_std_of_replicate_rows(self, summary):
+        _, sections = summary
+        rows = list(sections["replicates"].values())
+        assert len(rows) == 3
+        for column, key in ((1, "test_roc"), (2, "test_loss")):
+            values = np.asarray([float(r[column]) for r in rows])  # printed to 6 significant digits
+            mean, std = (float(v) for v in sections["aggregate"][key])
+            assert mean == pytest.approx(values.mean(), rel=1e-5)
+            assert std == pytest.approx(values.std(ddof=1), rel=1e-5, abs=1e-5)
+
+    def test_rows_match_replicates_rerun_through_the_library(self, summary):
+        dataset, sections = summary
+        reports = self.replicate_reports(dataset)
+        rows = sections["replicates"]
+        assert [rows[str(r)][1] for r in range(3)] == [f"{rep.macro:.6g}" for rep in reports]
+        assert sections["aggregate"]["test_roc"] == self.mean_std([rep.macro for rep in reports])
+        assert sections["aggregate"]["test_loss"] == self.mean_std([rep.loss for rep in reports])
+        per_task = sections["per-task"]
+        assert list(per_task) == list(dataset.manifest.task_names)
+        assert per_task["task_0"] == ["undefined", "undefined"]
+        defined = 0
+        for t, name in enumerate(dataset.manifest.task_names[1:], start=1):
+            values = [rep.per_task[t] for rep in reports]
+            if values[0] is not None:
+                defined += 1
+                assert per_task[name] == self.mean_std(values)
+        assert defined >= 1
+
 
 def copy_checkpoint(prefix, tmp_path):
     dest = str(tmp_path / "copy.ckpt")
@@ -191,6 +285,18 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and ckpt + ".bin" in err and "truncated" in err
+
+    def test_malformed_checkpoint_manifest_exits_one_with_one_line(self, trained, tmp_path, capsys):
+        _, data, prefix = trained
+        ckpt = copy_checkpoint(prefix, tmp_path)
+        manifest = json.load(open(ckpt))
+        del manifest["tensors"][1]["dtype"]
+        with open(ckpt, "w") as fh:
+            json.dump(manifest, fh)
+        code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and ckpt in err
 
 
 class TestCounterexample:

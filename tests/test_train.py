@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from cyclegnn.data import combine_datasets, random_split
-from cyclegnn.nn import ModelConfig, init_params, parameters
+from cyclegnn.data import collate
+from cyclegnn.nn import ModelConfig, init_params, model_forward, parameters
 from cyclegnn.synth import gen_synthetic_dataset
-from cyclegnn.tensor import Tensor, bce_with_logits_masked
+from cyclegnn.tensor import TRAIN, Adam, Tensor, bce_with_logits_masked
 from cyclegnn.train import (
     TrainConfig,
     evaluate,
@@ -13,6 +14,7 @@ from cyclegnn.train import (
     report_from_logits,
     roc_auc,
     run_replicates,
+    train_epoch,
     train_model,
 )
 
@@ -245,6 +247,35 @@ class TestTrainModel:
             np.testing.assert_array_equal(a.data, b.data)
 
 
+class TestTrainEpoch:
+    def test_returns_loss_weighted_by_observed_labels(self, small_cycle_splits):
+        train_set, _, _ = small_cycle_splits
+        data = train_set.subset(range(40))
+        data.labels[::3] = np.nan  # batches differ in how many labels they observe
+        cfg = quick_config()
+        params = init_params(cfg, 0)
+        opt = Adam(parameters(params), lr=0.0)  # parameters stay fixed
+        order = np.arange(len(data))[::-1]
+        mean_loss = train_epoch(cfg, params, opt, data, order, 16, np.random.default_rng(0), 1)
+        total = observed = 0.0
+        for start in range(0, len(data), 16):
+            idx = order[start : start + 16]
+            batch = collate([data.graphs[i] for i in idx], data.labels[idx], cfg.required_radius)
+            loss = bce_with_logits_masked(model_forward(cfg, params, batch, TRAIN), batch.labels, batch.label_mask)
+            total += float(loss.data) * batch.label_mask.sum()
+            observed += batch.label_mask.sum()
+        assert mean_loss == pytest.approx(total / observed, rel=1e-6)
+
+    def test_divergence_names_epoch_and_batch(self, small_cycle_splits):
+        train_set, _, _ = small_cycle_splits
+        cfg = quick_config()
+        params = init_params(cfg, 0)
+        params.classifier.weight.data[:] = np.inf
+        opt = Adam(parameters(params))
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged at epoch 7, batch 1"):
+            train_epoch(cfg, params, opt, train_set, None, 32, np.random.default_rng(0), 7)
+
+
 class TestEvaluate:
     def test_side_effect_free(self, small_cycle_splits):
         train_set, valid_set, _ = small_cycle_splits
@@ -318,3 +349,12 @@ class TestRunReplicates:
         seen = []
         run_replicates(lambda seed: (seen.append(seed), {"m": 0.0})[1], seed=10, count=3)
         assert seen == [10, 11, 12]
+
+    def test_none_values_are_skipped(self):
+        values = iter([0.2, None, 0.4])
+        summary = run_replicates(lambda seed: {"m": next(values)}, seed=0, count=3)
+        assert summary["m"] == pytest.approx((0.3, 0.14142135623730953))
+
+    def test_key_without_values_aggregates_to_none(self):
+        summary = run_replicates(lambda seed: {"m": None, "n": 1.0}, seed=0, count=2)
+        assert summary == {"m": None, "n": (1.0, 0.0)}
