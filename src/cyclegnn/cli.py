@@ -249,6 +249,9 @@ def cmd_train(runspec: RunSpec) -> int:
     dataset = load_dataset(o["data"])
     config = _model_config(o, dataset)
     train_set, valid_set, test_set = random_split(dataset, o["split"], o["seed"])
+    for name, part in (("train", train_set), ("valid", valid_set), ("test", test_set)):
+        if len(part) == 0:
+            raise CliError(f"the {name} split of {o['data']} is empty; use more graphs or a larger --split")
     metric_key = "test_" + o["metric"]
     runs = []  # (seed, test report, params, history) per replicate
 
@@ -391,6 +394,7 @@ def cmd_counterexample(runspec: RunSpec) -> int:
 
 def cmd_bench(runspec: RunSpec) -> int:
     o = runspec.options
+    training.TrainConfig(epochs=o["epochs"], batch_size=o["batch_size"], seed=o["seed"])  # rejects values < 1
     dataset = load_dataset(o["data"])
     configs = [("gine", 1)] + [("gine+", k) for k in o["radii"]]
     rows = []

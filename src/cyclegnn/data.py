@@ -129,7 +129,10 @@ def load_dataset(path: str) -> Dataset:
     """
     manifest_path = _manifest_path(path)
     with open(manifest_path, "r", encoding="ascii") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"dataset manifest {manifest_path} is not valid JSON: {exc}") from None
     expected = {"node_field_cardinalities": int, "edge_field_cardinalities": int, "task_names": str}
     for key, kind in expected.items():
         values = raw.get(key) if isinstance(raw, dict) else None

@@ -41,6 +41,7 @@ CONV_NAIVE_GINE_PLUS = "naive-gine+"
 CONV_GINE_PLUS = "gine+"
 CONV_TYPES = (CONV_GCN, CONV_GINE, CONV_NAIVE_GINE_PLUS, CONV_GINE_PLUS)
 _WIDE_CONVS = (CONV_NAIVE_GINE_PLUS, CONV_GINE_PLUS)
+_RUNNING_STATS = ("running_mean", "running_var")  # checkpoint suffixes of a batchnorm's state
 
 
 @dataclass(frozen=True)
@@ -241,22 +242,6 @@ def virtual_node_update(
     return add(h_hat, gather_rows(new_state, batch.graph_ids)), new_state
 
 
-def _check_batch(config: ModelConfig, batch: BatchedGraph) -> None:
-    if batch.node_feats.shape[1] != len(config.node_field_cards):
-        raise ValueError("batch node fields do not match the model config")
-    if batch.arc_edge_feats.shape[1] != len(config.edge_field_cards):
-        raise ValueError("batch edge fields do not match the model config")
-    for f, card in enumerate(config.node_field_cards):
-        if batch.num_nodes and int(batch.node_feats[:, f].max()) >= card:
-            raise ValueError(f"node field {f} exceeds configured cardinality {card}")
-    for f, card in enumerate(config.edge_field_cards):
-        if batch.arc_edge_feats.shape[0] and int(batch.arc_edge_feats[:, f].max()) >= card:
-            raise ValueError(f"edge field {f} exceeds configured cardinality {card}")
-    need = config.required_radius
-    if need >= 2 and (batch.khop is None or batch.khop.k_max < need):
-        raise ValueError(f"model radius {need} needs a batch collated with k_max >= {need}")
-
-
 def forward_node_embeddings(
     config: ModelConfig,
     params: ModelParams,
@@ -267,9 +252,11 @@ def forward_node_embeddings(
     """Run the embedding layer and all conv blocks; returns [h0, ..., hL].
 
     Block l applies: convolution, batchnorm, relu (omitted in the last
-    block), dropout, then the optional virtual-node update.
+    block), dropout, then the optional virtual-node update. A batch whose
+    feature fields, feature values or neighbor-index depth do not fit the
+    model raises ValueError before any batchnorm state changes: the
+    embedding lookups and the wide-kernel depth check come first in layer 1.
     """
-    _check_batch(config, batch)
     if mode == TRAIN and config.dropout > 0.0 and rng is None:
         raise ValueError("train mode with dropout needs an rng")
     h = embedding_sum(params.node_tables, batch.node_feats)
@@ -311,15 +298,9 @@ def model_forward(
     return linear(params.classifier, pooled)
 
 
-def graph_embeddings(
-    config: ModelConfig,
-    params: ModelParams,
-    batch: BatchedGraph,
-    mode: str = EVAL,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Mean-pooled graph representations before the classifier."""
-    history = forward_node_embeddings(config, params, batch, mode, rng)
+def graph_embeddings(config: ModelConfig, params: ModelParams, batch: BatchedGraph) -> np.ndarray:
+    """Eval-mode mean-pooled graph representations before the classifier."""
+    history = forward_node_embeddings(config, params, batch, EVAL)
     return segment_mean(history[-1], batch.graph_ids, batch.num_graphs).data
 
 
@@ -403,7 +384,7 @@ def _named_mlp(prefix: str, p: MlpParams, params: dict, buffers: dict) -> None:
     params[f"{prefix}.lin_in.bias"] = p.lin_in.bias
     params[f"{prefix}.norm.gamma"] = p.norm.gamma
     params[f"{prefix}.norm.beta"] = p.norm.beta
-    buffers[f"{prefix}.norm.running_mean"] = p.norm.state
+    buffers[f"{prefix}.norm"] = p.norm.state
     params[f"{prefix}.lin_out.weight"] = p.lin_out.weight
     params[f"{prefix}.lin_out.bias"] = p.lin_out.bias
 
@@ -426,7 +407,7 @@ def _named_entries(params: ModelParams) -> tuple[dict[str, Tensor], dict[str, Ba
                 named[f"layer{l}.conv.eps{k}"] = e
         named[f"layer{l}.norm.gamma"] = layer.norm.gamma
         named[f"layer{l}.norm.beta"] = layer.norm.beta
-        states[f"layer{l}.norm.running_mean"] = layer.norm.state
+        states[f"layer{l}.norm"] = layer.norm.state
         if layer.vn is not None:
             named[f"layer{l}.vn.eps"] = layer.vn.eps
             _named_mlp(f"layer{l}.vn.mlp", layer.vn.mlp, named, states)
@@ -450,21 +431,20 @@ def parameters(params: ModelParams) -> list[Tensor]:
 
 
 def named_arrays(params: ModelParams) -> dict[str, np.ndarray]:
-    """Parameters plus batchnorm running statistics, for checkpointing."""
+    """Parameters plus batchnorm running statistics ('{norm}.running_mean',
+    '{norm}.running_var'), for checkpointing."""
     named, states = _named_entries(params)
     out: dict[str, np.ndarray] = {name: t.data for name, t in named.items()}
-    for name, state in states.items():
-        out[name] = state.running_mean
-        out[name.replace("running_mean", "running_var")] = state.running_var
+    for prefix, state in states.items():
+        for stat in _RUNNING_STATS:
+            out[f"{prefix}.{stat}"] = getattr(state, stat)
     return out
 
 
 def load_arrays(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:
     """Copy checkpoint arrays into an initialized parameter structure."""
     named, states = _named_entries(params)
-    expected = set(named) | {
-        name for s in states for name in (s, s.replace("running_mean", "running_var"))
-    }
+    expected = set(named) | {f"{prefix}.{stat}" for prefix in states for stat in _RUNNING_STATS}
     if expected != set(arrays):
         missing = sorted(expected - set(arrays))[:3]
         extra = sorted(set(arrays) - expected)[:3]
@@ -474,8 +454,6 @@ def load_arrays(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:
         if arr.shape != tensor.data.shape:
             raise ValueError(f"{name}: checkpoint shape {arr.shape} != model shape {tensor.data.shape}")
         tensor.data = arr.astype(tensor.data.dtype).copy()
-    for name, state in states.items():
-        state.running_mean = arrays[name].astype(state.running_mean.dtype).copy()
-        state.running_var = arrays[name.replace("running_mean", "running_var")].astype(
-            state.running_var.dtype
-        ).copy()
+    for prefix, state in states.items():
+        for stat in _RUNNING_STATS:
+            setattr(state, stat, arrays[f"{prefix}.{stat}"].astype(getattr(state, stat).dtype).copy())

@@ -22,6 +22,11 @@ RECAL = "recal"  # eval-mode behavior while normalizer statistics are rebuilt
 _DTYPE_CODES = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
 _DTYPE_NAMES = {"float32": np.float32, "float64": np.float64}
 
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
+
 
 def _check_mode(mode: str) -> None:
     if mode not in (TRAIN, EVAL, RECAL):
@@ -207,23 +212,31 @@ def pow_const(x: Tensor, exponent: float) -> Tensor:
     return _result(data, (x,), backward)
 
 
-def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
-    data = x.data.sum(axis=axis, keepdims=keepdims)
+    data = x.data.sum(axis=axis)
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         _accumulate(x, np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=False))
 
     return _result(np.asarray(data), (x,), backward)
 
 
-def tmean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
     count = x.data.size if axis is None else x.data.shape[axis]
     scale = np.asarray(1.0 / count, dtype=x.data.dtype)
-    return mul(tsum(x, axis=axis, keepdims=keepdims), Tensor(scale))
+    return mul(tsum(x, axis=axis), Tensor(scale))
+
+
+def _scatter_add(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum rows of ``values`` into ``n`` buckets by ``ids``; empty buckets are
+    zero. The one scatter behind segment sums and gather/embedding gradients."""
+    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
+    np.add.at(out, ids, values)
+    return out
 
 
 def gather_rows(x: Tensor, index) -> Tensor:
@@ -233,9 +246,7 @@ def gather_rows(x: Tensor, index) -> Tensor:
     data = x.data[idx]
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
-        _accumulate(x, gx)
+        _accumulate(x, _scatter_add(idx, g, x.data.shape[0]))
 
     return _result(data, (x,), backward)
 
@@ -263,9 +274,7 @@ def embedding_sum(tables: Sequence[Tensor], index) -> Tensor:
     def backward(g):
         for f, table in enumerate(tables):
             if table.requires_grad:
-                gt = np.zeros_like(table.data)
-                np.add.at(gt, idx[:, f], g)
-                _accumulate(table, gt)
+                _accumulate(table, _scatter_add(idx[:, f], g, table.data.shape[0]))
 
     return _result(data, tuple(tables), backward)
 
@@ -276,8 +285,7 @@ def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     ids = np.asarray(segment_ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
         raise ValueError("segment id out of range")
-    data = np.zeros((num_segments,) + values.data.shape[1:], dtype=values.data.dtype)
-    np.add.at(data, ids, values.data)
+    data = _scatter_add(ids, values.data, num_segments)
 
     def backward(g):
         _accumulate(values, g[ids])
@@ -313,7 +321,7 @@ class BatchNormState:
     """Running statistics for one batchnorm; not trainable parameters.
 
     The optional float64 accumulators support rebuilding exact population
-    statistics at fixed parameters (see ``batchnorm`` with ``momentum=None``).
+    statistics at fixed parameters (see ``batchnorm`` in recal mode).
     """
 
     running_mean: np.ndarray
@@ -352,18 +360,10 @@ class BatchNormState:
         self.running_var = var.astype(self.running_var.dtype)
 
 
-def batchnorm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    state: BatchNormState,
-    mode: str,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
-    """Normalize over axis 0. Train mode uses batch statistics and updates
-    ``state`` with an exponential running average; eval mode uses the running
-    statistics only.
+def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: str) -> Tensor:
+    """Normalize over axis 0 with eps 1e-5. Train mode uses batch statistics
+    and updates ``state`` with an exponential running average of momentum
+    0.1; eval mode uses the running statistics only.
 
     Recal mode behaves like eval, except that a state flagged ``recording``
     first pools the incoming rows into exact float64 population statistics
@@ -379,14 +379,14 @@ def batchnorm(
         mu = tmean(x, axis=0)
         centered = x - mu
         var = tmean(mul(centered, centered), axis=0)
-        state.running_mean = (1.0 - momentum) * state.running_mean + momentum * mu.data
-        state.running_var = (1.0 - momentum) * state.running_var + momentum * var.data
-        inv = pow_const(var + _as_tensor(np.asarray(eps, dtype=x.data.dtype)), -0.5)
+        state.running_mean = (1.0 - _BN_MOMENTUM) * state.running_mean + _BN_MOMENTUM * mu.data
+        state.running_var = (1.0 - _BN_MOMENTUM) * state.running_var + _BN_MOMENTUM * var.data
+        inv = pow_const(var + _as_tensor(np.asarray(_BN_EPS, dtype=x.data.dtype)), -0.5)
         normalized = mul(centered, inv)
     else:
         if mode == RECAL and state.recording:
             state.accumulate(x.data)
-        inv = (1.0 / np.sqrt(state.running_var + eps)).astype(x.data.dtype)
+        inv = (1.0 / np.sqrt(state.running_var + _BN_EPS)).astype(x.data.dtype)
         mean = state.running_mean.astype(x.data.dtype, copy=False)
         normalized = mul(x - Tensor(mean), Tensor(inv))
     return add(mul(normalized, gamma), beta)
@@ -440,19 +440,12 @@ def backward(loss: Tensor) -> None:
 
 
 class Adam:
-    """Adam with bias correction, updating parameters in place."""
+    """Adam with bias correction, betas (0.9, 0.999) and eps 1e-8, updating
+    parameters in place."""
 
-    def __init__(
-        self,
-        params: Sequence[Tensor],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -463,18 +456,19 @@ class Adam:
 
     def step(self) -> None:
         self.step_count += 1
+        beta1, beta2 = _ADAM_BETAS
         t = self.step_count
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
 
 
 def gradcheck(f: Callable[[], Tensor], params: Sequence[Tensor], step: float = 1e-5) -> float:
@@ -553,7 +547,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     if not os.path.exists(path):
         raise FileNotFoundError(f"checkpoint manifest not found: {path}")
     with open(path, "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"checkpoint manifest {path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "cyclegnn-checkpoint-v1":
         raise ValueError(f"unrecognized checkpoint format in {path}")
     entries = manifest.get("tensors")

@@ -26,6 +26,15 @@ METRIC_ROC = "roc"
 METRIC_PRC = "prc"
 METRICS = (METRIC_ROC, METRIC_PRC)
 
+_EVAL_BATCH = 256
+_RECAL_BATCH = 512  # the float64 accumulation order of recalibrated statistics depends on it
+
+
+def _tie_ends(sorted_scores: np.ndarray) -> np.ndarray:
+    """One past the last position of each run of equal values in a sorted
+    array."""
+    return np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1, sorted_scores.size)
+
 
 def roc_auc(scores, labels) -> float | None:
     """Probability that a random positive outranks a random negative, with
@@ -37,15 +46,10 @@ def roc_auc(scores, labels) -> float | None:
     if pos == 0 or neg == 0:
         return None
     order = np.argsort(s, kind="stable")
+    ends = _tie_ends(s[order])
+    starts = np.append(0, ends[:-1])
     ranks = np.empty(s.size, dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * ((i + 1) + (j + 1))  # midrank, 1-based
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * ((starts + 1) + ends), ends - starts)  # midrank, 1-based
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - pos * (pos + 1) / 2.0) / (pos * neg)
 
@@ -61,23 +65,11 @@ def prc_auc(scores, labels) -> float | None:
     if total_pos == 0:
         return None
     order = np.argsort(-s, kind="stable")
-    sorted_s = s[order]
-    sorted_y = y[order]
-    ap = 0.0
-    tp = fp = 0
-    prev_tp = 0
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        tp += int((sorted_y[i : j + 1] == 1).sum())
-        fp += int((sorted_y[i : j + 1] == 0).sum())
-        precision = tp / (tp + fp)
-        ap += (tp - prev_tp) / total_pos * precision
-        prev_tp = tp
-        i = j + 1
-    return ap
+    ends = _tie_ends(s[order]) - 1
+    tp = np.cumsum(y[order] == 1)[ends]
+    fp = np.cumsum(y[order] == 0)[ends]
+    terms = np.diff(tp, prepend=0) / total_pos * (tp / (tp + fp))
+    return float(np.cumsum(terms)[-1])  # adds in threshold order; np.sum's pairwise order differs
 
 
 _METRIC_FUNCS = {METRIC_ROC: roc_auc, METRIC_PRC: prc_auc}
@@ -92,7 +84,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 64
     learning_rate: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
     patience: int = 20
     metric: str = METRIC_ROC
     seed: int = 0
@@ -131,12 +122,10 @@ def _batches(dataset: Dataset, k_max: int, size: int, order=None):
         yield chunk, collate([dataset.graphs[i] for i in chunk], dataset.labels[chunk], k_max)
 
 
-def predict_logits(
-    config: ModelConfig, params: ModelParams, dataset: Dataset, batch_size: int = 256
-) -> np.ndarray:
+def predict_logits(config: ModelConfig, params: ModelParams, dataset: Dataset) -> np.ndarray:
     """Eval-mode logits for every graph, batched for memory."""
     out = np.zeros((len(dataset), config.num_tasks))
-    for idx, batch in _batches(dataset, config.required_radius, batch_size):
+    for idx, batch in _batches(dataset, config.required_radius, _EVAL_BATCH):
         out[idx] = model_forward(config, params, batch, EVAL).data
     return out
 
@@ -167,20 +156,14 @@ def report_from_logits(
 
 
 def evaluate(
-    config: ModelConfig,
-    params: ModelParams,
-    dataset: Dataset,
-    metric: str = METRIC_ROC,
-    batch_size: int = 256,
+    config: ModelConfig, params: ModelParams, dataset: Dataset, metric: str = METRIC_ROC
 ) -> EvalReport:
     """Side-effect-free eval-mode scoring with per-task missing-label masks."""
-    logits = predict_logits(config, params, dataset, batch_size)
+    logits = predict_logits(config, params, dataset)
     return report_from_logits(logits, dataset.labels, dataset.manifest.task_names, metric)
 
 
-def recalibrate_norm_stats(
-    config: ModelConfig, params: ModelParams, dataset: Dataset, batch_size: int = 512
-) -> None:
+def recalibrate_norm_stats(config: ModelConfig, params: ModelParams, dataset: Dataset) -> None:
     """Rebuild every batchnorm's running statistics at fixed parameters.
 
     The exponential averages tracked during optimization lag behind parameter
@@ -196,7 +179,7 @@ def recalibrate_norm_stats(
         state.reset()
     for state in states:
         state.recording = True
-        for _, batch in _batches(dataset, config.required_radius, batch_size):
+        for _, batch in _batches(dataset, config.required_radius, _RECAL_BATCH):
             forward_node_embeddings(config, params, batch, RECAL)
         state.recording = False
 
@@ -252,7 +235,7 @@ def train_model(
     if len(train_set) == 0:
         raise ValueError("empty training split")
     params = init_params(config, train_config.seed)
-    opt = Adam(parameters(params), lr=train_config.learning_rate, betas=train_config.betas)
+    opt = Adam(parameters(params), lr=train_config.learning_rate)
     shuffle_seq, drop_seq = np.random.SeedSequence(train_config.seed).spawn(2)
     shuffle_rng = np.random.default_rng(shuffle_seq)
     drop_rng = np.random.default_rng(drop_seq)

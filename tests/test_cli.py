@@ -145,6 +145,28 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and copy + ".manifest.json" in err and "task_names" in err
 
+    def test_dataset_manifest_not_json_exits_one_naming_it(self, trained, tmp_path, capsys):
+        _, data, _ = trained
+        copy = str(tmp_path / "d.jsonl")
+        for suffix in ("", ".manifest.json"):
+            with open(data + suffix) as src, open(copy + suffix, "w") as out:
+                out.write(src.read())
+        with open(copy + ".manifest.json", "r+") as fh:
+            fh.truncate(40)
+        code = main(["train", "--data", copy, "--out", str(tmp_path / "x"), "--conv", "gine"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and copy + ".manifest.json" in err and "not valid JSON" in err
+
+    def test_empty_split_exits_one_naming_it(self, tmp_path, capsys):
+        data = str(tmp_path / "d.jsonl")
+        save_dataset(gen_synthetic_dataset("random-multitask", 8, seed=3), data)
+        code = main(["train", "--data", data, "--out", str(tmp_path / "x"), "--conv", "gine"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "valid split" in err and "empty" in err
+        assert not os.path.exists(str(tmp_path / "x.ckpt"))
+
 
 class TestReplicateSummary:
     """A multi-replicate summary aggregates the replicates it lists."""
@@ -298,6 +320,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and ckpt in err
 
+    def test_checkpoint_manifest_not_json_exits_one_naming_it(self, trained, tmp_path, capsys):
+        _, data, prefix = trained
+        ckpt = copy_checkpoint(prefix, tmp_path)
+        with open(ckpt, "r+") as fh:
+            fh.truncate(40)
+        code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ckpt in err and "not valid JSON" in err
+
 
 class TestCounterexample:
     def test_c6_run_reports_small_and_large_discrepancies(self, cycle_file, tmp_path, capsys):
@@ -346,6 +378,17 @@ class TestBench:
         out = capsys.readouterr().out
         last = [l for l in out.splitlines() if l.startswith("gine+\t3")][0].split("\t")
         assert int(last[3]) == 2 * 3 * 8  # layers * radius * hidden
+
+    @pytest.mark.parametrize("flag", ["--epochs", "--batch-size"])
+    def test_zero_epochs_or_batch_size_exits_one(self, tmp_path, capsys, flag):
+        data = str(tmp_path / "d.jsonl")
+        run(["gen", "--task", "min-cycle-class", "--size", "9", "--seed", "2", "--out", data])
+        capsys.readouterr()  # drop the gen summary
+        code = main(["bench", "--data", data, "--radii", "2", "--layers", "2", "--hidden", "8", flag, "0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert flag[2:].replace("-", "_") in captured.err
 
 
 class TestConfigFile:

@@ -20,6 +20,7 @@ from cyclegnn.nn import (
     model_forward,
     naive_gineplus_conv,
     named_parameters,
+    norm_states,
     param_count,
     parameters,
     virtual_node_update,
@@ -359,6 +360,29 @@ class TestModelForward:
         params = init_params(cfg, 21)
         with pytest.raises(ValueError, match="rng"):
             model_forward(cfg, params, collate([plain(2, [(0, 1)])]), TRAIN)
+
+    @pytest.mark.parametrize(
+        "fault", ["node_field_count", "edge_field_count", "node_value", "edge_value", "khop_depth"]
+    )
+    def test_bad_batch_rejected_before_batchnorm_state_changes(self, fault):
+        wide = fault == "khop_depth"
+        cfg = make_config("gine+" if wide else "gine", radius=3 if wide else 1)  # cards (3,), (2,)
+        params = init_params(cfg, 23)
+        node_cards = (3, 3) if fault == "node_field_count" else (3,)
+        edge_cards = (2, 2) if fault == "edge_field_count" else (2,)
+        ring = [(i, (i + 1) % 6) for i in range(6)]
+        g = features_graph(np.random.default_rng(24), 6, ring, node_cards, edge_cards)
+        if fault == "node_value":
+            g.node_feats[2, 0] = 3
+        if fault == "edge_value":
+            g.edge_feats[4, 0] = 2
+        batch = collate([g], None, k_max=2 if wide else 1)
+        before = [(s.running_mean.copy(), s.running_var.copy()) for s in norm_states(params)]
+        with pytest.raises(ValueError):
+            model_forward(cfg, params, batch, TRAIN)
+        for (mean, var), state in zip(before, norm_states(params)):
+            np.testing.assert_array_equal(state.running_mean, mean)
+            np.testing.assert_array_equal(state.running_var, var)
 
 
 class TestLocality:
