@@ -47,6 +47,7 @@ from .tensor import (
     embedding_sum,
     gradcheck,
     load_checkpoint,
+    no_grad,
     relu,
     save_checkpoint,
     segment_mean,

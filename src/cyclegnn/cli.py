@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, synth, train as training
+from ._atomic import atomic_open
 from .data import Dataset, collate, load_dataset, random_split, save_dataset
 from .graph import make_counterexample_pair
-from .tensor import Adam, load_checkpoint, save_checkpoint
+from .tensor import Adam, load_checkpoint, no_grad, save_checkpoint
 
 
 class CliError(Exception):
@@ -207,7 +208,7 @@ def _write_table(path: str | None, runspec: RunSpec, lines: list[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="ascii") as fh:
+        with atomic_open(path) as fh:
             fh.write(text)
 
 
@@ -359,7 +360,8 @@ def cmd_counterexample(runspec: RunSpec) -> int:
         )
         params = nn.init_params(config, o["seed"], dtype=np.float64)
         batch = collate([graph], None, config.required_radius)
-        return [t.data for t in nn.forward_node_embeddings(config, params, batch, "eval")]
+        with no_grad():
+            return [t.data for t in nn.forward_node_embeddings(config, params, batch, "eval")]
 
     n = g.num_nodes
     gine_disc = 0.0

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._atomic import atomic_open
 from .graph import KHopIndex, LabeledGraph, build_khop_index
 
 MISSING = math.nan
@@ -96,9 +97,10 @@ def save_dataset(dataset: Dataset, path: str, header: dict | None = None) -> Non
     """Write one JSON record per graph plus a sidecar manifest file.
 
     An optional ``header`` dict is written as a leading '#' comment line and
-    recorded in the manifest.
+    recorded in the manifest. Each file is replaced whole, the records first,
+    so a manifest on disk never describes a partly written record file.
     """
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         if header is not None:
             fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
         for g, row in zip(dataset.graphs, dataset.labels):
@@ -115,7 +117,7 @@ def save_dataset(dataset: Dataset, path: str, header: dict | None = None) -> Non
     }
     if header is not None:
         manifest["header"] = header
-    with open(_manifest_path(path), "w", encoding="ascii") as fh:
+    with atomic_open(_manifest_path(path)) as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -125,7 +127,8 @@ def load_dataset(path: str) -> Dataset:
 
     A malformed manifest is reported with its path, malformed records with
     their line number; feature values are checked against the manifest
-    cardinalities.
+    cardinalities, once per graph, and a violation names the path and the
+    graph's index.
     """
     manifest_path = _manifest_path(path)
     with open(manifest_path, "r", encoding="ascii") as fh:
@@ -164,15 +167,14 @@ def load_dataset(path: str) -> Dataset:
                 row = [MISSING if x is None else float(x) for x in record["labels"]]
             except (KeyError, IndexError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            try:
-                _check_features(g, manifest, "record")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if len(row) != manifest.num_tasks:
                 raise ValueError(f"{path}:{lineno}: expected {manifest.num_tasks} labels, got {len(row)}")
             graphs.append(g)
             rows.append(row)
-    return Dataset(graphs, np.asarray(rows, dtype=np.float64).reshape(len(graphs), -1), manifest)
+    try:
+        return Dataset(graphs, np.asarray(rows, dtype=np.float64).reshape(len(graphs), -1), manifest)
+    except ValueError as exc:
+        raise ValueError(f"dataset {path}: {exc}") from None
 
 
 def random_split(

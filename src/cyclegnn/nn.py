@@ -30,6 +30,7 @@ from .tensor import (
     gather_rows,
     matmul,
     mul,
+    no_grad,
     relu,
     segment_mean,
     segment_sum,
@@ -299,9 +300,11 @@ def model_forward(
 
 
 def graph_embeddings(config: ModelConfig, params: ModelParams, batch: BatchedGraph) -> np.ndarray:
-    """Eval-mode mean-pooled graph representations before the classifier."""
-    history = forward_node_embeddings(config, params, batch, EVAL)
-    return segment_mean(history[-1], batch.graph_ids, batch.num_graphs).data
+    """Eval-mode mean-pooled graph representations before the classifier;
+    records no tape."""
+    with no_grad():
+        history = forward_node_embeddings(config, params, batch, EVAL)
+        return segment_mean(history[-1], batch.graph_ids, batch.num_graphs).data
 
 
 def _mlp_param_count(hidden: int) -> int:

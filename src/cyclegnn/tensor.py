@@ -3,17 +3,24 @@
 A Tensor wraps a numpy array and remembers, for results of primitive
 operations, which tensors produced it and how to push gradients back to
 them. ``backward(loss)`` runs reverse accumulation over that record.
-Training code uses float32; gradient checking should use float64.
+Inside ``with no_grad():`` nothing is recorded: results carry no parents, no
+backward closure and ``requires_grad`` False, so a forward that is never
+differentiated (scoring, statistics recalibration) frees each intermediate
+as soon as it is used. Training code uses float32; gradient checking should
+use float64.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
+
+from ._atomic import atomic_open
 
 TRAIN = "train"
 EVAL = "eval"
@@ -26,6 +33,8 @@ _BN_MOMENTUM = 0.1
 _BN_EPS = 1e-5
 _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
+
+_recording = True  # False inside no_grad()
 
 
 def _check_mode(mode: str) -> None:
@@ -99,11 +108,24 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape for the operations run inside the block. Nests, and
+    restores the previous state on exit, also when the block raises."""
+    global _recording
+    previous = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _recording and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = parents
         out._backward = backward
@@ -233,9 +255,18 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
 
 def _scatter_add(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """Sum rows of ``values`` into ``n`` buckets by ``ids``; empty buckets are
-    zero. The one scatter behind segment sums and gather/embedding gradients."""
+    zero. The one scatter behind segment sums and gather/embedding gradients.
+
+    Rows are stably sorted by bucket, so the summation order does not depend
+    on the machine's sort kernel, and each bucket's run is summed by one
+    ``np.add.reduceat``, which adds pairwise; float sums can differ from
+    sequential accumulation by rounding."""
     out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
-    np.add.at(out, ids, values)
+    if ids.size:
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+        out[sorted_ids[starts]] = np.add.reduceat(values[order], starts, axis=0)
     return out
 
 
@@ -504,25 +535,25 @@ def save_checkpoint(arrays: Mapping[str, np.ndarray], path: str, extra: dict | N
     """Write named float arrays as a text manifest plus a raw little-endian blob.
 
     The manifest at ``path`` lists names, shapes and precisions in order; the
-    values go to ``path + ".bin"``. Round-trips are bit-exact.
+    values go to ``path + ".bin"``. Round-trips are bit-exact. Each file is
+    replaced whole, the data file first, so a manifest on disk never
+    describes a partly written data file.
     """
     entries = []
-    blob = bytearray()
-    for name, arr in arrays.items():
-        arr = np.asarray(arr)
-        code = _DTYPE_CODES.get(arr.dtype)
-        if code is None:
-            raise ValueError(f"checkpoint tensors must be float32/float64, got {arr.dtype} for {name!r}")
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": arr.dtype.name})
-        blob.extend(np.ascontiguousarray(arr).astype(code, copy=False).tobytes())
+    with atomic_open(path + ".bin", "wb") as fh:
+        for name, arr in arrays.items():
+            arr = np.asarray(arr)
+            code = _DTYPE_CODES.get(arr.dtype)
+            if code is None:
+                raise ValueError(f"checkpoint tensors must be float32/float64, got {arr.dtype} for {name!r}")
+            entries.append({"name": name, "shape": list(arr.shape), "dtype": arr.dtype.name})
+            fh.write(np.ascontiguousarray(arr).astype(code, copy=False).tobytes())
     manifest = {"format": "cyclegnn-checkpoint-v1", "tensors": entries}
     if extra:
         manifest["extra"] = extra
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path) as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    with open(path + ".bin", "wb") as fh:
-        fh.write(bytes(blob))
 
 
 def _valid_entry(entry) -> bool:

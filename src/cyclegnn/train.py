@@ -20,7 +20,7 @@ from .nn import (
     norm_states,
     parameters,
 )
-from .tensor import EVAL, RECAL, TRAIN, Adam, Tensor, backward, bce_with_logits_masked
+from .tensor import EVAL, RECAL, TRAIN, Adam, Tensor, backward, bce_with_logits_masked, no_grad
 
 METRIC_ROC = "roc"
 METRIC_PRC = "prc"
@@ -123,10 +123,11 @@ def _batches(dataset: Dataset, k_max: int, size: int, order=None):
 
 
 def predict_logits(config: ModelConfig, params: ModelParams, dataset: Dataset) -> np.ndarray:
-    """Eval-mode logits for every graph, batched for memory."""
+    """Eval-mode logits for every graph, batched for memory; records no tape."""
     out = np.zeros((len(dataset), config.num_tasks))
-    for idx, batch in _batches(dataset, config.required_radius, _EVAL_BATCH):
-        out[idx] = model_forward(config, params, batch, EVAL).data
+    with no_grad():
+        for idx, batch in _batches(dataset, config.required_radius, _EVAL_BATCH):
+            out[idx] = model_forward(config, params, batch, EVAL).data
     return out
 
 
@@ -172,16 +173,18 @@ def recalibrate_norm_stats(config: ModelConfig, params: ModelParams, dataset: Da
     layer. Normalizers are therefore recalibrated one at a time, in network
     order, each recording exact population statistics of its input while the
     data propagates through the eval path of the already-recalibrated ones.
-    The result is a self-consistent eval forward; deterministic, no rng.
+    The result is a self-consistent eval forward; deterministic, no rng, and
+    no tape is recorded.
     """
     states = norm_states(params)
     for state in states:
         state.reset()
-    for state in states:
-        state.recording = True
-        for _, batch in _batches(dataset, config.required_radius, _RECAL_BATCH):
-            forward_node_embeddings(config, params, batch, RECAL)
-        state.recording = False
+    with no_grad():
+        for state in states:
+            state.recording = True
+            for _, batch in _batches(dataset, config.required_radius, _RECAL_BATCH):
+                forward_node_embeddings(config, params, batch, RECAL)
+            state.recording = False
 
 
 def train_epoch(

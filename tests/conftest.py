@@ -1,5 +1,9 @@
-import numpy as np
+import errno
 
+import numpy as np
+import pytest
+
+from cyclegnn import _atomic
 from cyclegnn.graph import LabeledGraph
 
 
@@ -29,3 +33,32 @@ def permute_graph(g: LabeledGraph, perm: np.ndarray) -> LabeledGraph:
         edges=perm[g.edges] if g.num_edges else g.edges,
         edge_feats=g.edge_feats,
     )
+
+
+class _HalfWriter:
+    """A file that stores half of each write, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.fixture
+def fill_disk(monkeypatch):
+    """Call the returned function to make every later output-file write
+    fail midway."""
+
+    def fill():
+        monkeypatch.setattr(_atomic, "open", lambda *a, **k: _HalfWriter(open(*a, **k)), raising=False)
+
+    return fill

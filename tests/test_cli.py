@@ -269,6 +269,17 @@ class TestEval:
         body = open(out).read()
         assert "has_small_cycle\t" in body and "macro\t" in body and "loss\t" in body
 
+    def test_failed_report_write_keeps_the_previous_report(self, trained, tmp_path, capsys, fill_disk):
+        _, data, prefix = trained
+        out = str(tmp_path / "r.tsv")
+        argv = ["eval", "--checkpoint", prefix + ".ckpt", "--data", data, "--out", out]
+        assert run(argv) == 0
+        before = open(out, "rb").read()
+        fill_disk()
+        assert run(argv + ["--metric", "prc"]) == 1
+        assert "No space left" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["r.tsv"] and open(out, "rb").read() == before
+
     def test_missing_checkpoint_errors(self, trained, tmp_path, capsys):
         _, data, _ = trained
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"), "--data", data,

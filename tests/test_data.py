@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -99,8 +100,18 @@ class TestSaveLoad:
         manifest = json.load(open(manifest_path))
         manifest["node_field_cardinalities"] = [1, 1]
         json.dump(manifest, open(manifest_path, "w"))
-        with pytest.raises(ValueError, match="node field"):
+        with pytest.raises(ValueError, match="node field") as info:
             load_dataset(path)
+        assert str(info.value).startswith(f"dataset {path}: graph 0: ")
+
+    def test_failed_write_keeps_the_previous_files(self, tmp_path, fill_disk):
+        path = str(tmp_path / "d.jsonl")
+        save_dataset(small_dataset(n=2), path)
+        before = {name: open(tmp_path / name, "rb").read() for name in os.listdir(tmp_path)}
+        fill_disk()
+        with pytest.raises(OSError, match="No space left"):
+            save_dataset(small_dataset(n=5, seed=1), path, header={"command": "gen"})
+        assert {name: open(tmp_path / name, "rb").read() for name in os.listdir(tmp_path)} == before
 
     def test_header_line_is_skipped(self, tmp_path):
         d = small_dataset(n=2)

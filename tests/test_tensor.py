@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from cyclegnn.tensor import (
     gather_rows,
     gradcheck,
     load_checkpoint,
+    _scatter_add,
     matmul,
+    mul,
+    no_grad,
     relu,
     save_checkpoint,
     segment_mean,
@@ -127,6 +131,69 @@ class TestSegmentOps:
         ids = [0, 1, 1, 2, 0, 2]
         assert gradcheck(lambda: tsum(segment_sum(v, ids, 3) ** 2.0), [v]) < 1e-6
         assert gradcheck(lambda: tsum(segment_mean(v, ids, 4) ** 2.0), [v]) < 1e-6
+
+
+class TestScatterAdd:
+    """_scatter_add against the sequential np.add.at it replaced."""
+
+    CASES = {
+        "empty ids, n > 0": (np.zeros(0, dtype=np.int64), (3,), 4),
+        "leading, interior and trailing empty buckets": (np.array([1, 3, 3, 1, 5, 3]), (), 7),
+        "unsorted duplicates, 2-d": (np.array([4, 0, 2, 0, 4, 4, 1, 2]), (5,), 5),
+        "one bucket": (np.zeros(9, dtype=np.int64), (2,), 1),
+    }
+
+    @staticmethod
+    def reference(ids, values, n):
+        out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
+        np.add.at(out, ids, values)
+        return out
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_integer_values_sum_exactly(self, case, dtype):
+        ids, row_shape, n = self.CASES[case]
+        values = np.random.default_rng(0).integers(-50, 50, size=(ids.size,) + row_shape).astype(dtype)
+        out = _scatter_add(ids, values, n)
+        assert out.dtype == dtype and out.shape == (n,) + row_shape
+        np.testing.assert_array_equal(out, self.reference(ids, values, n))
+
+    @pytest.mark.parametrize("row_shape", [(), (16,)])
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_float_values_match_within_rounding(self, row_shape, dtype, tol):
+        rng = np.random.default_rng(1)
+        n = 50
+        ids = rng.integers(0, n - 2, size=3000) + 1  # buckets 0 and n-1 stay empty
+        values = rng.normal(size=(ids.size,) + row_shape).astype(dtype)
+        out = _scatter_add(ids, values, n)
+        assert out.dtype == dtype
+        np.testing.assert_allclose(out, self.reference(ids, values, n), rtol=tol, atol=tol)
+        assert not out[[0, n - 1]].any()
+
+
+class TestNoGrad:
+    def test_records_nothing_and_restores_recording(self):
+        w = t64([1.0, 2.0], grad=True)
+        with no_grad():
+            out = mul(w, w)
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        taped = mul(w, w)
+        assert taped.requires_grad and taped._parents == (w, w)
+
+    def test_nested_blocks_keep_the_outer_state(self):
+        w = t64([1.0], grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not mul(w, w).requires_grad
+        assert mul(w, w).requires_grad
+
+    def test_recording_resumes_after_an_exception(self):
+        w = t64([1.0], grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                raise RuntimeError("boom")
+        assert mul(w, w).requires_grad
 
 
 class TestGatherEmbedding:
@@ -340,3 +407,12 @@ class TestCheckpoint:
     def test_non_float_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_checkpoint({"x": np.array([1, 2])}, str(tmp_path / "x.ckpt"))
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, fill_disk):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint({"w": np.ones((2, 3), dtype=np.float32)}, path)
+        before = {name: open(tmp_path / name, "rb").read() for name in os.listdir(tmp_path)}
+        fill_disk()
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint({"w": np.zeros((4, 3), dtype=np.float32)}, path)
+        assert {name: open(tmp_path / name, "rb").read() for name in os.listdir(tmp_path)} == before

@@ -1,14 +1,19 @@
+import contextlib
+
 import numpy as np
 import pytest
 
+import cyclegnn.nn as nn_mod
+import cyclegnn.train as train_mod
 from cyclegnn.data import combine_datasets, random_split
 from cyclegnn.data import collate
-from cyclegnn.nn import ModelConfig, init_params, model_forward, parameters
+from cyclegnn.nn import ModelConfig, graph_embeddings, init_params, model_forward, named_arrays, parameters
 from cyclegnn.synth import gen_synthetic_dataset
-from cyclegnn.tensor import TRAIN, Adam, Tensor, bce_with_logits_masked
+from cyclegnn.tensor import TRAIN, Adam, Tensor, backward, bce_with_logits_masked
 from cyclegnn.train import (
     TrainConfig,
     evaluate,
+    predict_logits,
     prc_auc,
     recalibrate_norm_stats,
     report_from_logits,
@@ -327,6 +332,71 @@ class TestEvaluate:
         assert report.per_task[1] is None  # no auxiliary labels in the validation split
         assert report.per_task[0] is not None
         assert report.macro == report.per_task[0]
+
+
+# scorer -> (module whose no_grad it uses, the forward it calls there, a run
+# returning its output)
+SCORERS = {
+    "predict_logits": (train_mod, "model_forward", predict_logits),
+    "recalibrate_norm_stats": (train_mod, "forward_node_embeddings", recalibrate_norm_stats),
+    "graph_embeddings": (
+        nn_mod,
+        "forward_node_embeddings",
+        lambda cfg, p, ds: graph_embeddings(cfg, p, collate(ds.graphs, None, cfg.required_radius)),
+    ),
+}
+
+
+class TestScoringRecordsNoTape:
+    @staticmethod
+    def score(name, monkeypatch, small_cycle_splits):
+        """Run one scorer on fresh parameters; returns its output, the
+        parameters with their running statistics, and the tensors its
+        forward returned."""
+        module, forward, run = SCORERS[name]
+        seen = []
+        original = getattr(module, forward)
+
+        def keep(*args, **kwargs):
+            out = original(*args, **kwargs)
+            seen.extend(out if isinstance(out, list) else [out])
+            return out
+
+        monkeypatch.setattr(module, forward, keep)
+        cfg = ModelConfig("gine+", (1,), (1,), 1, hidden=8, num_layers=2, radius=2, virtual_node=True)
+        params = init_params(cfg, 0)
+        out = run(cfg, params, small_cycle_splits[1])
+        return out, params, seen
+
+    @pytest.mark.parametrize("name", SCORERS)
+    def test_no_tensor_is_taped_and_no_gradient_moves(self, name, monkeypatch, small_cycle_splits):
+        _, params, seen = self.score(name, monkeypatch, small_cycle_splits)
+        assert seen and all(not t.requires_grad and t._parents == () and t._backward is None for t in seen)
+        assert not any(p.grad.any() for p in parameters(params))
+
+    @pytest.mark.parametrize("name", SCORERS)
+    def test_bitwise_equal_to_the_taped_forward(self, name, monkeypatch, small_cycle_splits):
+        out, params, _ = self.score(name, monkeypatch, small_cycle_splits)
+        monkeypatch.setattr(SCORERS[name][0], "no_grad", contextlib.nullcontext)
+        taped_out, taped_params, taped = self.score(name, monkeypatch, small_cycle_splits)
+        assert all(t._parents for t in taped)  # the comparison ran with a tape
+        assert (out is None and taped_out is None) or out.tobytes() == taped_out.tobytes()
+        arrays, taped_arrays = named_arrays(params), named_arrays(taped_params)
+        assert all(arrays[k].tobytes() == taped_arrays[k].tobytes() for k in arrays)
+
+    def test_training_step_after_scoring_fills_every_gradient(self, small_cycle_splits):
+        train_set, valid_set, _ = small_cycle_splits
+        cfg = quick_config(conv="gine")
+        batch = collate(train_set.graphs[:32], train_set.labels[:32], cfg.required_radius)
+        grads = []
+        for score_first in (True, False):
+            params = init_params(cfg, 0)
+            if score_first:
+                evaluate(cfg, params, valid_set)
+            backward(bce_with_logits_masked(model_forward(cfg, params, batch, TRAIN), batch.labels, batch.label_mask))
+            grads.append([p.grad for p in parameters(params)])
+        assert all(g.any() for g in grads[0])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*grads))
 
 
 class TestRunReplicates:
