@@ -4,6 +4,7 @@ disjoint-union batches with per-distance neighbor indices."""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -85,8 +86,13 @@ class Dataset:
         return len(self.graphs)
 
     def subset(self, indices) -> "Dataset":
+        """The graphs and label rows at ``indices``; not checked again, since
+        this dataset's graphs and labels already were."""
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset([self.graphs[i] for i in idx], self.labels[idx], self.manifest)
+        part = copy.copy(self)
+        part.graphs = [self.graphs[i] for i in idx]
+        part.labels = self.labels[idx]
+        return part
 
 
 def _manifest_path(path: str) -> str:

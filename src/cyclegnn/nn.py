@@ -307,29 +307,11 @@ def graph_embeddings(config: ModelConfig, params: ModelParams, batch: BatchedGra
         return segment_mean(history[-1], batch.graph_ids, batch.num_graphs).data
 
 
-def _mlp_param_count(hidden: int) -> int:
-    h2 = 2 * hidden
-    return hidden * h2 + h2 + 2 * h2 + h2 * hidden + hidden
-
-
 def param_count(config: ModelConfig) -> int:
     """Exact number of trainable scalars (batchnorm scale/shift included,
-    running statistics excluded)."""
-    h = config.hidden
-    total = sum(c * h for c in config.node_field_cards)
-    per_layer = sum(c * h for c in config.edge_field_cards)  # edge embeddings
-    per_layer += 2 * h  # block norm
-    if config.conv_type == CONV_GCN:
-        per_layer += h * h + h
-    else:
-        per_layer += _mlp_param_count(h)
-        eps_vectors = 1 if config.conv_type == CONV_GINE else config.radius + 1
-        per_layer += eps_vectors * h
-    if config.virtual_node:
-        per_layer += h + _mlp_param_count(h)
-    total += config.num_layers * per_layer
-    total += h * config.num_tasks + config.num_tasks
-    return total
+    running statistics excluded), counted on the model ``init_params``
+    builds."""
+    return sum(t.data.size for t in parameters(init_params(config, seed=0)))
 
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:

@@ -65,9 +65,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -79,26 +76,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
 
     def __neg__(self):
         return mul(self, _as_tensor(np.asarray(-1.0, dtype=self.data.dtype)))
 
     def __sub__(self, other):
         return add(self, -_as_tensor(other))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other), -self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __pow__(self, exponent: float):
         return pow_const(self, exponent)
@@ -351,44 +336,19 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
 class BatchNormState:
     """Running statistics for one batchnorm; not trainable parameters.
 
-    The optional float64 accumulators support rebuilding exact population
-    statistics at fixed parameters (see ``batchnorm`` in recal mode).
+    ``pool`` is None except while ``recalibrate_norm_stats`` rebuilds this
+    normalizer's statistics: then it is a list that recal-mode ``batchnorm``
+    appends each input's float64 column sums, column sums of squares and row
+    count to.
     """
 
     running_mean: np.ndarray
     running_var: np.ndarray
-    recording: bool = False
-    acc_sum: np.ndarray | None = None
-    acc_sumsq: np.ndarray | None = None
-    acc_count: int = 0
+    pool: list | None = None
 
     @classmethod
     def initial(cls, width: int, dtype=np.float32) -> "BatchNormState":
         return cls(np.zeros(width, dtype=dtype), np.ones(width, dtype=dtype))
-
-    def reset(self) -> None:
-        self.running_mean = np.zeros_like(self.running_mean)
-        self.running_var = np.ones_like(self.running_var)
-        self.recording = False
-        self.acc_sum = None
-        self.acc_sumsq = None
-        self.acc_count = 0
-
-    def accumulate(self, x: np.ndarray) -> None:
-        """Pool rows into the population-statistics accumulators and refresh
-        the running statistics from everything pooled so far."""
-        if self.acc_sum is None:
-            self.acc_sum = np.zeros(x.shape[1], dtype=np.float64)
-            self.acc_sumsq = np.zeros(x.shape[1], dtype=np.float64)
-            self.acc_count = 0
-        x64 = x.astype(np.float64)
-        self.acc_sum += x64.sum(axis=0)
-        self.acc_sumsq += (x64 * x64).sum(axis=0)
-        self.acc_count += x.shape[0]
-        mean = self.acc_sum / self.acc_count
-        var = np.maximum(self.acc_sumsq / self.acc_count - mean * mean, 0.0)
-        self.running_mean = mean.astype(self.running_mean.dtype)
-        self.running_var = var.astype(self.running_var.dtype)
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: str) -> Tensor:
@@ -396,12 +356,10 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mod
     and updates ``state`` with an exponential running average of momentum
     0.1; eval mode uses the running statistics only.
 
-    Recal mode behaves like eval, except that a state flagged ``recording``
-    first pools the incoming rows into exact float64 population statistics
-    and refreshes its running statistics from them. Rebuilding statistics one
-    normalizer at a time under eval-mode propagation makes the eval path
-    self-consistent even on columns whose variance is zero, where the
-    eval normalizer would otherwise amplify stale-mean error by 1/sqrt(eps).
+    Recal mode behaves like eval, except that a state whose ``pool`` is a
+    list first appends the input's float64 column sums, column sums of
+    squares and row count to it; ``recalibrate_norm_stats`` turns the pool
+    into exact population statistics.
     """
     _check_mode(mode)
     if x.data.shape[0] == 0:
@@ -415,8 +373,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mod
         inv = pow_const(var + _as_tensor(np.asarray(_BN_EPS, dtype=x.data.dtype)), -0.5)
         normalized = mul(centered, inv)
     else:
-        if mode == RECAL and state.recording:
-            state.accumulate(x.data)
+        if mode == RECAL and state.pool is not None:
+            x64 = x.data.astype(np.float64)
+            state.pool.append((x64.sum(axis=0), (x64 * x64).sum(axis=0), x.data.shape[0]))
         inv = (1.0 / np.sqrt(state.running_var + _BN_EPS)).astype(x.data.dtype)
         mean = state.running_mean.astype(x.data.dtype, copy=False)
         normalized = mul(x - Tensor(mean), Tensor(inv))

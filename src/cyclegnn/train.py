@@ -171,20 +171,27 @@ def recalibrate_norm_stats(config: ModelConfig, params: ModelParams, dataset: Da
     drift, and on features whose within-batch variance is near zero the
     eval-mode normalizer amplifies that lag by 1/sqrt(eps), compounding per
     layer. Normalizers are therefore recalibrated one at a time, in network
-    order, each recording exact population statistics of its input while the
-    data propagates through the eval path of the already-recalibrated ones.
-    The result is a self-consistent eval forward; deterministic, no rng, and
-    no tape is recorded.
+    order (the order of ``norm_states``): each pools exact float64 statistics
+    of its input over one pass while the data propagates through the eval
+    path of the already-recalibrated ones. Nothing needs resetting first,
+    because during a normalizer's pass nothing downstream of it is read. The
+    result is a self-consistent eval forward; deterministic, no rng, and no
+    tape is recorded. Raises ValueError on an empty dataset.
     """
-    states = norm_states(params)
-    for state in states:
-        state.reset()
+    if len(dataset) == 0:
+        raise ValueError("recalibration needs a non-empty dataset")
     with no_grad():
-        for state in states:
-            state.recording = True
+        for state in norm_states(params):
+            state.pool = []
             for _, batch in _batches(dataset, config.required_radius, _RECAL_BATCH):
                 forward_node_embeddings(config, params, batch, RECAL)
-            state.recording = False
+            col_sums, col_sumsqs, rows = zip(*state.pool)
+            state.pool = None
+            count = sum(rows)
+            mean = sum(col_sums) / count  # sum() adds in batch order, so the float64 result is reproducible
+            state.running_mean = mean.astype(state.running_mean.dtype)
+            var = np.maximum(sum(col_sumsqs) / count - mean * mean, 0.0)
+            state.running_var = var.astype(state.running_var.dtype)
 
 
 def train_epoch(

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import cyclegnn.data as data_mod
 from cyclegnn.data import (
     Dataset,
     DatasetManifest,
@@ -151,6 +152,18 @@ class TestRandomSplit:
             tr, va, te = random_split(d, (float(f[0]), float(f[1]), float(f[2])), seed=trial)
             assert len(tr) + len(va) + len(te) == 17
             assert len(va) == int(f[1] * 17) and len(te) == int(f[2] * 17)
+
+    def test_parts_are_not_checked_again(self, monkeypatch):
+        d = gen_synthetic_dataset("random-multitask", 200, seed=0)
+        calls = []
+        monkeypatch.setattr(data_mod, "_check_features", lambda *args: calls.append(args))
+        parts = random_split(d, seed=5)
+        assert calls == []
+        for part in parts:
+            rows = [next(i for i, g in enumerate(d.graphs) if g is h) for h in part.graphs]
+            assert part.manifest is d.manifest
+            np.testing.assert_array_equal(part.labels, d.labels[rows])
+        assert d.subset([]).labels.shape == (0, d.manifest.num_tasks)
 
     def test_too_small_dataset_rejected(self):
         d = small_dataset(n=2)

@@ -6,6 +6,7 @@ import pytest
 
 from cyclegnn.tensor import (
     EVAL,
+    RECAL,
     TRAIN,
     Adam,
     BatchNormState,
@@ -281,6 +282,21 @@ class TestBatchnorm:
         batchnorm(x, t64([1.0]), t64([0.0]), state, TRAIN)
         np.testing.assert_allclose(state.running_mean, [0.1])  # 0.9*0 + 0.1*1
         np.testing.assert_allclose(state.running_var, [1.0 * 0.9 + 0.1 * 1.0])
+
+    def test_recal_mode_pools_float64_sums_and_normalizes_as_eval(self):
+        state = BatchNormState(np.array([1.0, 0.0], np.float32), np.array([4.0, 1.0], np.float32))
+        x = Tensor(np.array([[1.5, 2.0], [3.0, -1.0], [0.1, 0.0]], np.float32))
+        gamma, beta = Tensor(np.array([2.0, 1.0], np.float32)), Tensor(np.array([0.5, 0.0], np.float32))
+        expected = batchnorm(x, gamma, beta, state, EVAL).data.tobytes()
+        assert batchnorm(x, gamma, beta, state, RECAL).data.tobytes() == expected  # no pool: plain eval
+        state.pool = []
+        assert batchnorm(x, gamma, beta, state, RECAL).data.tobytes() == expected
+        x64 = x.data.astype(np.float64)
+        ((col_sum, col_sumsq, rows),) = state.pool
+        assert col_sum.dtype == col_sumsq.dtype == np.float64 and rows == 3
+        assert col_sum.tobytes() == x64.sum(axis=0).tobytes()
+        assert col_sumsq.tobytes() == (x64 * x64).sum(axis=0).tobytes()
+        assert state.running_mean.tolist() == [1.0, 0.0] and state.running_var.tolist() == [4.0, 1.0]
 
     def test_gradcheck_train_mode(self):
         rng = np.random.default_rng(7)

@@ -7,7 +7,15 @@ import cyclegnn.nn as nn_mod
 import cyclegnn.train as train_mod
 from cyclegnn.data import combine_datasets, random_split
 from cyclegnn.data import collate
-from cyclegnn.nn import ModelConfig, graph_embeddings, init_params, model_forward, named_arrays, parameters
+from cyclegnn.nn import (
+    ModelConfig,
+    graph_embeddings,
+    init_params,
+    model_forward,
+    named_arrays,
+    norm_states,
+    parameters,
+)
 from cyclegnn.synth import gen_synthetic_dataset
 from cyclegnn.tensor import TRAIN, Adam, Tensor, backward, bce_with_logits_masked
 from cyclegnn.train import (
@@ -332,6 +340,51 @@ class TestEvaluate:
         assert report.per_task[1] is None  # no auxiliary labels in the validation split
         assert report.per_task[0] is not None
         assert report.macro == report.per_task[0]
+
+
+class TestRecalibrateNormStats:
+    @pytest.mark.parametrize("conv, virtual_node", [("gine+", True), ("gcn", False)])
+    def test_running_stats_are_population_stats_of_the_eval_inputs(self, conv, virtual_node, monkeypatch):
+        monkeypatch.setattr(train_mod, "_RECAL_BATCH", 7)  # several batches per pass
+        ds = gen_synthetic_dataset("random-multitask", 40, seed=2)
+        m = ds.manifest
+        cfg = ModelConfig(
+            conv,
+            m.node_field_cardinalities,
+            m.edge_field_cardinalities,
+            m.num_tasks,
+            hidden=8,
+            num_layers=2,
+            radius=2,
+            virtual_node=virtual_node,
+        )
+        params = init_params(cfg, 0)
+        rng = np.random.default_rng(3)
+        for state in norm_states(params):  # stale statistics, far from the population ones
+            state.running_mean = rng.normal(size=state.running_mean.shape).astype(np.float32)
+            state.running_var = rng.uniform(0.1, 5.0, size=state.running_var.shape).astype(np.float32)
+        recalibrate_norm_stats(cfg, params, ds)
+
+        seen: dict[int, list[np.ndarray]] = {}
+        original = nn_mod.batchnorm
+
+        def spy(x, gamma, beta, state, mode):
+            seen.setdefault(id(state), []).append(x.data.astype(np.float64))
+            return original(x, gamma, beta, state, mode)
+
+        monkeypatch.setattr(nn_mod, "batchnorm", spy)
+        predict_logits(cfg, params, ds)
+        states = norm_states(params)
+        assert set(seen) == {id(s) for s in states}
+        for state in states:
+            x = np.concatenate(seen[id(state)])
+            np.testing.assert_allclose(state.running_mean, x.mean(axis=0), rtol=1e-5)
+            np.testing.assert_allclose(state.running_var, x.var(axis=0), rtol=1e-4)
+
+    def test_empty_dataset_rejected(self, small_cycle_splits):
+        cfg = quick_config()
+        with pytest.raises(ValueError, match="non-empty"):
+            recalibrate_norm_stats(cfg, init_params(cfg, 0), small_cycle_splits[0].subset([]))
 
 
 # scorer -> (module whose no_grad it uses, the forward it calls there, a run
