@@ -144,9 +144,12 @@ class RunSpec:
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
+            try:
+                stripped = line.decode("ascii").strip()
+            except UnicodeDecodeError as exc:
+                raise CliError(f"{path}:{lineno}: {exc}") from None
             if not stripped or stripped.startswith("#"):
                 continue
             if "=" not in stripped:

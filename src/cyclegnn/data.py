@@ -140,7 +140,7 @@ def load_dataset(path: str) -> Dataset:
     with open(manifest_path, "r", encoding="ascii") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"dataset manifest {manifest_path} is not valid JSON: {exc}") from None
     expected = {"node_field_cardinalities": int, "edge_field_cardinalities": int, "task_names": str}
     for key, kind in expected.items():
@@ -153,12 +153,12 @@ def load_dataset(path: str) -> Dataset:
         raise ValueError(f"dataset manifest {manifest_path}: {exc}") from None
     graphs: list[LabeledGraph] = []
     rows: list[list[float]] = []
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             try:
+                line = line.decode("ascii").strip()
+                if not line or line.startswith("#"):
+                    continue
                 record = json.loads(line)
                 num_nodes = len(record["nodes"])
                 nodes = np.asarray(record["nodes"], dtype=np.int64)
@@ -278,7 +278,7 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
             dst = np.concatenate([p[k][0] for p in shells]) + shift
             src = np.concatenate([p[k][1] for p in shells]) + shift
             pairs.append((dst, src))
-        khop = KHopIndex(num_nodes=total, k_max=k_max, pairs=tuple(pairs))
+        khop = KHopIndex(tuple(pairs))
 
     label_matrix = mask = None
     if labels is not None:

@@ -62,9 +62,6 @@ class LabeledGraph:
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u] if 0 <= u < self.num_nodes else False
-
 
 @dataclass(frozen=True)
 class KHopIndex:
@@ -73,11 +70,14 @@ class KHopIndex:
     ``pairs[k-1]`` is a pair of aligned int arrays (dst, src): node ``src`` is
     at distance k from node ``dst``. Both are int64 and sorted by dst then
     src; arrays from :func:`build_khop_index` are shared, hence read-only.
+    The depth ``k_max`` is the number of shells.
     """
 
-    num_nodes: int
-    k_max: int
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    @property
+    def k_max(self) -> int:
+        return len(self.pairs)
 
     def neighbors(self, node: int, k: int) -> list[int]:
         if not 1 <= k <= self.k_max:
@@ -129,7 +129,7 @@ def build_khop_index(g: LabeledGraph, k_max: int) -> KHopIndex:
                 arr.setflags(write=False)
             pairs += (shell,)
         object.__setattr__(g, "_khop_pairs", pairs)
-    return KHopIndex(num_nodes=g.num_nodes, k_max=k_max, pairs=pairs[:k_max])
+    return KHopIndex(pairs[:k_max])
 
 
 def enumerate_simple_cycles(g: LabeledGraph, max_len: int) -> list[tuple[int, ...]]:
@@ -165,43 +165,17 @@ def enumerate_simple_cycles(g: LabeledGraph, max_len: int) -> list[tuple[int, ..
     return cycles
 
 
-def wl_refine(g: LabeledGraph, iterations: int) -> list[np.ndarray]:
-    """Color refinement: returns node colors for iterations 0..iterations.
+def _wl_labels(g: LabeledGraph, iterations: int) -> list[list[str]]:
+    """Canonical node labels for iterations 0..iterations of color refinement.
 
-    Iteration 0 colors nodes by their feature vectors. Each step recodes
-    (own color, sorted neighbor colors) injectively through an interned
-    dictionary, so partitions only ever refine.
-    """
-    if iterations < 0:
-        raise ValueError("iterations must be non-negative")
-    intern: dict[tuple, int] = {}
-    colors = np.empty(g.num_nodes, dtype=np.int64)
-    for i in range(g.num_nodes):
-        colors[i] = intern.setdefault(tuple(g.node_feats[i]), len(intern))
-    history = [colors]
-    adj = g.adjacency
-    for _ in range(iterations):
-        intern = {}
-        prev = history[-1]
-        nxt = np.empty(g.num_nodes, dtype=np.int64)
-        for i in range(g.num_nodes):
-            signature = (int(prev[i]), tuple(sorted(int(prev[j]) for j in adj[i])))
-            nxt[i] = intern.setdefault(signature, len(intern))
-        history.append(nxt)
-    return history
-
-
-def wl_graph_hash(g: LabeledGraph, iterations: int) -> str:
-    """Digest of the refined color histogram, comparable across graphs.
-
-    Node labels are canonical strings (feature tuples, then per-iteration
-    digests of own label plus sorted neighbor labels), so two graphs that
-    color refinement cannot distinguish hash identically, independent of
-    node numbering.
+    Iteration 0 labels are the feature tuples; each later label is a digest of
+    the node's own label plus its sorted neighbor labels. Labels depend on no
+    node numbering, so they compare across graphs.
     """
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
     labels = ["f" + ",".join(map(str, g.node_feats[i])) for i in range(g.num_nodes)]
+    history = [labels]
     adj = g.adjacency
     for _ in range(iterations):
         labels = [
@@ -210,7 +184,33 @@ def wl_graph_hash(g: LabeledGraph, iterations: int) -> str:
             ).hexdigest()
             for i in range(g.num_nodes)
         ]
-    return hashlib.sha256("\n".join(sorted(labels)).encode()).hexdigest()
+        history.append(labels)
+    return history
+
+
+def wl_refine(g: LabeledGraph, iterations: int) -> list[np.ndarray]:
+    """Color refinement: returns node colors for iterations 0..iterations.
+
+    Each iteration's canonical labels (see :func:`wl_graph_hash`) are numbered
+    by first appearance in node order. Iteration 0 colors nodes by their
+    feature vectors; each step splits nodes whose own color or multiset of
+    neighbor colors differ, so partitions only ever refine.
+    """
+    history = []
+    for labels in _wl_labels(g, iterations):
+        intern: dict[str, int] = {}
+        history.append(np.asarray([intern.setdefault(s, len(intern)) for s in labels], dtype=np.int64))
+    return history
+
+
+def wl_graph_hash(g: LabeledGraph, iterations: int) -> str:
+    """Digest of the refined color histogram, comparable across graphs.
+
+    Hashes the sorted canonical labels of the last iteration, so two graphs
+    that color refinement cannot distinguish hash identically, independent of
+    node numbering.
+    """
+    return hashlib.sha256("\n".join(sorted(_wl_labels(g, iterations)[-1])).encode()).hexdigest()
 
 
 def make_counterexample_pair(g: LabeledGraph, edge: tuple[int, int]) -> LabeledGraph:
@@ -218,32 +218,22 @@ def make_counterexample_pair(g: LabeledGraph, edge: tuple[int, int]) -> LabeledG
 
     The result has two feature-identical copies of ``g`` where edge (i, j)
     and its copy (i', j') are replaced by the crossings (i, j') and (i', j),
-    keeping the original edge features. When ``g`` contains a cycle, 1-hop
+    keeping the original edge features. Edge rows keep their order: the first
+    copy's edges, then the second's. When ``g`` contains a cycle, 1-hop
     convolutions give every node and both of its copies identical embeddings,
-    so the pair is indistinguishable from two plain copies.
+    so the pair is indistinguishable from two plain copies. Raises ValueError
+    when (i, j) is not an edge of ``g``.
     """
     i, j = edge
-    if not g.has_edge(i, j):
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    crossed = ((u == i) & (v == j)) | ((u == j) & (v == i))
+    if not crossed.any():
         raise ValueError(f"edge ({i}, {j}) not present")
     n = g.num_nodes
-    new_edges = []
-    new_feats = []
-    match = lambda u, v: (u == i and v == j) or (u == j and v == i)
-    for (u, v), feats in zip(g.edges.tolist(), g.edge_feats):
-        if match(u, v):
-            new_edges.append((u, v + n))
-        else:
-            new_edges.append((u, v))
-        new_feats.append(feats)
-    for (u, v), feats in zip(g.edges.tolist(), g.edge_feats):
-        if match(u, v):
-            new_edges.append((u + n, v))
-        else:
-            new_edges.append((u + n, v + n))
-        new_feats.append(feats)
+    far = np.where(crossed, n, 0)  # the crossed edge's second endpoint moves to the other copy
     return LabeledGraph(
         num_nodes=2 * n,
         node_feats=np.concatenate([g.node_feats, g.node_feats], axis=0),
-        edges=np.asarray(new_edges, dtype=np.int64),
-        edge_feats=np.asarray(new_feats, dtype=np.int64),
+        edges=np.concatenate([np.stack([u, v + far], axis=1), np.stack([u + n, v + n - far], axis=1)]),
+        edge_feats=np.concatenate([g.edge_feats, g.edge_feats], axis=0),
     )

@@ -21,6 +21,20 @@ TASK_RANDOM_MULTITASK = "random-multitask"
 TASK_SPECS = (TASK_MIN_CYCLE, TASK_HAS_SMALL_CYCLE, TASK_RANDOM_MULTITASK)
 
 
+def _featureless(num_nodes: int, edges, num_node_fields: int = 1, num_edge_fields: int = 1) -> LabeledGraph:
+    return LabeledGraph(
+        num_nodes=num_nodes,
+        node_feats=np.zeros((num_nodes, num_node_fields), dtype=np.int64),
+        edges=edges,
+        edge_feats=np.zeros((len(edges), num_edge_fields), dtype=np.int64),
+    )
+
+
+def _attachments(first: int, num_nodes: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Edges joining each node first..num_nodes-1 to a uniformly drawn earlier node."""
+    return [(int(rng.integers(0, v)), v) for v in range(first, num_nodes)]
+
+
 def gen_cycle_union(
     cycle_lengths, num_node_fields: int = 1, num_edge_fields: int = 1
 ) -> LabeledGraph:
@@ -33,12 +47,7 @@ def gen_cycle_union(
     for c in lengths:
         edges.extend((offset + t, offset + (t + 1) % c) for t in range(c))
         offset += c
-    return LabeledGraph(
-        num_nodes=offset,
-        node_feats=np.zeros((offset, num_node_fields), dtype=np.int64),
-        edges=np.asarray(edges, dtype=np.int64),
-        edge_feats=np.zeros((len(edges), num_edge_fields), dtype=np.int64),
-    )
+    return _featureless(offset, edges, num_node_fields, num_edge_fields)
 
 
 def _permute_nodes(g: LabeledGraph, rng: np.random.Generator) -> LabeledGraph:
@@ -55,28 +64,24 @@ def _permute_nodes(g: LabeledGraph, rng: np.random.Generator) -> LabeledGraph:
 
 def random_tree(num_nodes: int, rng: np.random.Generator) -> LabeledGraph:
     """Uniform random-attachment tree with all-zero features."""
-    edges = [(int(rng.integers(0, v)), v) for v in range(1, num_nodes)]
-    return LabeledGraph(
-        num_nodes=num_nodes,
-        node_feats=np.zeros((num_nodes, 1), dtype=np.int64),
-        edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-        edge_feats=np.zeros((len(edges), 1), dtype=np.int64),
-    )
+    return _featureless(num_nodes, _attachments(1, num_nodes, rng))
 
 
 def random_unicyclic(num_nodes: int, cycle_len: int, rng: np.random.Generator) -> LabeledGraph:
     """One cycle of the given length with the remaining nodes attached as a tree."""
     if cycle_len < 3 or cycle_len > num_nodes:
         raise ValueError("cycle_len must lie in 3..num_nodes")
-    edges = [(t, (t + 1) % cycle_len) for t in range(cycle_len)]
-    for v in range(cycle_len, num_nodes):
-        edges.append((int(rng.integers(0, v)), v))
-    return LabeledGraph(
-        num_nodes=num_nodes,
-        node_feats=np.zeros((num_nodes, 1), dtype=np.int64),
-        edges=np.asarray(edges, dtype=np.int64),
-        edge_feats=np.zeros((len(edges), 1), dtype=np.int64),
+    cycle = [(t, (t + 1) % cycle_len) for t in range(cycle_len)]
+    return _featureless(num_nodes, cycle + _attachments(cycle_len, num_nodes, rng))
+
+
+def _shuffled(graphs: list[LabeledGraph], labels: np.ndarray, task_names, rng: np.random.Generator) -> Dataset:
+    """The featureless ``graphs`` and their label rows in one random order."""
+    order = rng.permutation(len(graphs))
+    manifest = DatasetManifest(
+        node_field_cardinalities=(1,), edge_field_cardinalities=(1,), task_names=task_names
     )
+    return Dataset([graphs[i] for i in order], labels[order], manifest)
 
 
 def _gen_min_cycle_class(size: int, rng: np.random.Generator) -> Dataset:
@@ -89,13 +94,7 @@ def _gen_min_cycle_class(size: int, rng: np.random.Generator) -> Dataset:
         parts = options[int(rng.integers(0, len(options)))]
         graphs.append(_permute_nodes(gen_cycle_union(parts), rng))
         labels[idx, classes.index(cls)] = 1.0
-    order = rng.permutation(size)
-    manifest = DatasetManifest(
-        node_field_cardinalities=(1,),
-        edge_field_cardinalities=(1,),
-        task_names=("min_cycle_3", "min_cycle_4", "min_cycle_6"),
-    )
-    return Dataset([graphs[i] for i in order], labels[order], manifest)
+    return _shuffled(graphs, labels, ("min_cycle_3", "min_cycle_4", "min_cycle_6"), rng)
 
 
 def _gen_has_small_cycle(size: int, rng: np.random.Generator) -> Dataset:
@@ -108,13 +107,7 @@ def _gen_has_small_cycle(size: int, rng: np.random.Generator) -> Dataset:
         else:
             graphs.append(random_unicyclic(n, int(rng.integers(3, 7)), rng))
             labels[idx, 0] = 1.0
-    order = rng.permutation(size)
-    manifest = DatasetManifest(
-        node_field_cardinalities=(1,),
-        edge_field_cardinalities=(1,),
-        task_names=("has_small_cycle",),
-    )
-    return Dataset([graphs[i] for i in order], labels[order], manifest)
+    return _shuffled(graphs, labels, ("has_small_cycle",), rng)
 
 
 def _gen_random_multitask(size: int, rng: np.random.Generator) -> Dataset:

@@ -180,12 +180,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); NaN passes through, so non-finite activations stay visible.
+    The gradient is 1 where ``x`` > 0 and 0 elsewhere, at 0 and NaN included."""
     x = _as_tensor(x)
-    mask = x.data > 0  # subgradient at 0 is 0
-    data = np.where(mask, x.data, 0.0).astype(x.data.dtype, copy=False)
+    data = np.maximum(x.data, 0)
 
     def backward(g):
-        _accumulate(x, g * mask)
+        _accumulate(x, g * (x.data > 0))
 
     return _result(data, (x,), backward)
 
@@ -539,7 +540,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "r", encoding="ascii") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"checkpoint manifest {path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "cyclegnn-checkpoint-v1":
         raise ValueError(f"unrecognized checkpoint format in {path}")

@@ -207,13 +207,16 @@ def train_epoch(
     """One pass of Adam steps over ``dataset`` in ``order`` (None: dataset
     order), with dropout drawn from ``rng``. Returns the mean loss per
     observed label. Raises ValueError, naming ``epoch`` and the batch, as
-    soon as a step's loss or a batchnorm running variance is not finite."""
+    soon as a step's loss or a batchnorm running variance is not finite.
+    The forward pass runs with numpy's overflow and invalid-value warnings
+    off, since that check reports what overflowed."""
     norms = norm_states(params)
     loss_sum = 0.0
     observed_sum = 0.0
     for step, (_, batch) in enumerate(_batches(dataset, config.required_radius, batch_size, order), start=1):
-        logits = model_forward(config, params, batch, TRAIN, rng)
-        loss = bce_with_logits_masked(logits, batch.labels, batch.label_mask)
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = model_forward(config, params, batch, TRAIN, rng)
+            loss = bce_with_logits_masked(logits, batch.labels, batch.label_mask)
         # Overflowing activations can leave the loss finite while the
         # batch variance, and so the eval path, is already inf.
         if not (np.isfinite(loss.data) and all(np.isfinite(s.running_var).all() for s in norms)):

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -120,7 +121,8 @@ class TestTrain:
 
     def test_divergence_exits_one_with_one_line_error(self, tmp_path, trained, capsys):
         _, data, _ = trained
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(["train", "--data", data, "--out", str(tmp_path / "x"), "--conv", "gine+",
                          "--radius", "2", "--layers", "2", "--hidden", "8", "--dropout", "0.0",
                          "--epochs", "2", "--batch-size", "16", "--replicates", "1", "--lr", "1e6"])
@@ -157,6 +159,26 @@ class TestTrain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and copy + ".manifest.json" in err and "not valid JSON" in err
+
+    def test_non_ascii_dataset_record_exits_one_naming_it(self, trained, tmp_path, capsys):
+        _, data, _ = trained
+        copy = copy_dataset(data, tmp_path)
+        lines = open(copy, "rb").read().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"nodes"', b'"n\xc3\xb6des"')
+        open(copy, "wb").write(b"".join(lines))
+        code = main(["train", "--data", copy, "--out", str(tmp_path / "x"), "--conv", "gine"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {copy}:3: ") and "ascii" in err
+
+    def test_non_ascii_dataset_manifest_exits_one_naming_it(self, trained, tmp_path, capsys):
+        _, data, _ = trained
+        copy = copy_dataset(data, tmp_path)
+        write_non_ascii(copy + ".manifest.json", b'"task_names"', b'"t\xc3\xa4sk_names"')
+        code = main(["train", "--data", copy, "--out", str(tmp_path / "x"), "--conv", "gine"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and copy + ".manifest.json" in err
 
     def test_empty_split_exits_one_naming_it(self, tmp_path, capsys):
         data = str(tmp_path / "d.jsonl")
@@ -243,6 +265,21 @@ class TestReplicateSummary:
                 defined += 1
                 assert per_task[name] == self.mean_std(values)
         assert defined >= 1
+
+
+def copy_dataset(data, tmp_path):
+    copy = str(tmp_path / "d.jsonl")
+    for suffix in ("", ".manifest.json"):
+        with open(data + suffix, "rb") as src, open(copy + suffix, "wb") as out:
+            out.write(src.read())
+    return copy
+
+
+def write_non_ascii(path, old, new):
+    """Replace the first ``old`` in the file with ``new``, a non-ASCII byte string."""
+    raw = open(path, "rb").read()
+    assert old in raw
+    open(path, "wb").write(raw.replace(old, new, 1))
 
 
 def copy_checkpoint(prefix, tmp_path):
@@ -341,6 +378,15 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and ckpt in err and "not valid JSON" in err
 
+    def test_non_ascii_checkpoint_manifest_exits_one_naming_it(self, trained, tmp_path, capsys):
+        _, data, prefix = trained
+        ckpt = copy_checkpoint(prefix, tmp_path)
+        write_non_ascii(ckpt, b'"format"', b'"f\xc3\xb6rmat"')
+        code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and ckpt in err
+
 
 class TestCounterexample:
     def test_c6_run_reports_small_and_large_discrepancies(self, cycle_file, tmp_path, capsys):
@@ -420,3 +466,11 @@ class TestConfigFile:
                      "--size", "5", "--out", str(tmp_path / "d.jsonl")])
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_non_ascii_config_line_exits_one_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"task = has-small-cycle\nsize = 8  # gr\xc3\xb6\xc3\x9fe\n")
+        code = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "d.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {cfg}:2: ") and "ascii" in err

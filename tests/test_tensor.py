@@ -88,6 +88,16 @@ class TestActivations:
         out = relu(t64([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_passes_nan_and_gives_positive_zero(self, dtype):
+        x = Tensor(np.array([np.nan, -1.0, -0.0, 0.0, 2.0], dtype=dtype), requires_grad=True)
+        out = relu(x)
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, [np.nan, 0.0, 0.0, 0.0, 2.0])
+        assert not np.signbit(out.data[1:]).any()
+        backward(tsum(out))
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 1.0])
+
     def test_sigmoid_at_zero(self):
         assert sigmoid(t64([0.0])).data[0] == 0.5
 
