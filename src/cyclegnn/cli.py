@@ -99,7 +99,6 @@ OPTIONS: dict[str, dict[str, Option]] = {
         "split": Option(_parse_fractions, (0.8, 0.1, 0.1), help="train,valid,test fractions"),
     },
     "eval": {
-        **_COMMON,
         "checkpoint": Option(str, required=True, help="checkpoint manifest path"),
         "data": Option(str, required=True, help="dataset path"),
         "metric": Option(str, "roc", choices=training.METRICS),
@@ -344,23 +343,13 @@ def cmd_counterexample(runspec: RunSpec) -> int:
     g = dataset.graphs[o["index"]]
     paired = make_counterexample_pair(g, o["edge"])
 
-    manifest = dataset.manifest
-    orig = Dataset([g], dataset.labels[o["index"] : o["index"] + 1], manifest)
-    twin = Dataset([paired], np.full((1, manifest.num_tasks), np.nan), manifest)
-    save_dataset(orig, o["out"] + ".orig.jsonl", header=runspec.header())
+    twin = Dataset([paired], np.full((1, dataset.manifest.num_tasks), np.nan), dataset.manifest)
+    save_dataset(dataset.subset([o["index"]]), o["out"] + ".orig.jsonl", header=runspec.header())
     save_dataset(twin, o["out"] + ".pair.jsonl", header=runspec.header())
 
     def embeddings(conv: str, radius: int, graph) -> list[np.ndarray]:
-        config = nn.ModelConfig(
-            conv_type=conv,
-            node_field_cards=manifest.node_field_cardinalities,
-            edge_field_cards=manifest.edge_field_cardinalities,
-            num_tasks=1,
-            hidden=o["hidden"],
-            num_layers=o["layers"],
-            radius=radius,
-            dropout=0.0,
-        )
+        # init_params draws the classifier last, so num_tasks leaves these embeddings unchanged
+        config = _model_config({**o, "conv": conv, "radius": radius, "virtual_node": False, "dropout": 0.0}, dataset)
         params = nn.init_params(config, o["seed"], dtype=np.float64)
         batch = collate([graph], None, config.required_radius)
         with no_grad():
@@ -399,23 +388,21 @@ def cmd_counterexample(runspec: RunSpec) -> int:
 
 def cmd_bench(runspec: RunSpec) -> int:
     o = runspec.options
-    training.TrainConfig(epochs=o["epochs"], batch_size=o["batch_size"], seed=o["seed"])  # rejects values < 1
+    tc = training.TrainConfig(epochs=o["epochs"], batch_size=o["batch_size"], seed=o["seed"])  # rejects values < 1
     dataset = load_dataset(o["data"])
     configs = [("gine", 1)] + [("gine+", k) for k in o["radii"]]
     rows = []
     base_params = None
     base_time = None
     for conv, radius in configs:
-        opts = dict(o)
-        opts.update({"conv": conv, "radius": radius, "virtual_node": False, "dropout": 0.5})
-        config = _model_config(opts, dataset)
-        params = nn.init_params(config, o["seed"])
+        config = _model_config({**o, "conv": conv, "radius": radius, "virtual_node": False, "dropout": 0.5}, dataset)
+        params = nn.init_params(config, tc.seed)
         opt = Adam(nn.parameters(params))
-        rng = np.random.default_rng(o["seed"])
+        rng = np.random.default_rng(tc.seed)
         start = time.perf_counter()
-        for epoch in range(1, o["epochs"] + 1):
-            training.train_epoch(config, params, opt, dataset, None, o["batch_size"], rng, epoch)
-        seconds = (time.perf_counter() - start) / o["epochs"]
+        for epoch in range(1, tc.epochs + 1):
+            training.train_epoch(config, params, opt, dataset, None, tc.batch_size, rng, epoch)
+        seconds = (time.perf_counter() - start) / tc.epochs
         count = nn.param_count(config)
         if conv == "gine":
             base_params, base_time = count, seconds

@@ -8,6 +8,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -132,9 +133,10 @@ def load_dataset(path: str) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
     A malformed manifest is reported with its path, malformed records with
-    their line number; feature values are checked against the manifest
-    cardinalities, once per graph, and a violation names the path and the
-    graph's index.
+    their line number (a node feature, edge endpoint or edge feature that is
+    not a JSON integer makes a record malformed); feature values are checked
+    against the manifest cardinalities, once per graph, and a violation names
+    the path and the graph's index.
     """
     manifest_path = _manifest_path(path)
     with open(manifest_path, "r", encoding="ascii") as fh:
@@ -151,6 +153,8 @@ def load_dataset(path: str) -> Dataset:
         manifest = DatasetManifest(**{key: tuple(raw[key]) for key in expected})
     except ValueError as exc:
         raise ValueError(f"dataset manifest {manifest_path}: {exc}") from None
+    node_fields = len(manifest.node_field_cardinalities)
+    edge_fields = len(manifest.edge_field_cardinalities)
     graphs: list[LabeledGraph] = []
     rows: list[list[float]] = []
     with open(path, "rb") as fh:
@@ -160,15 +164,15 @@ def load_dataset(path: str) -> Dataset:
                 if not line or line.startswith("#"):
                     continue
                 record = json.loads(line)
-                num_nodes = len(record["nodes"])
-                nodes = np.asarray(record["nodes"], dtype=np.int64)
-                nodes = nodes.reshape(num_nodes, len(manifest.node_field_cardinalities))
-                edges = np.asarray([[e[0], e[1]] for e in record["edges"]], dtype=np.int64)
-                edge_feats = np.asarray([e[2] for e in record["edges"]], dtype=np.int64)
-                edges = edges.reshape(-1, 2)
-                edge_feats = edge_feats.reshape(edges.shape[0], len(manifest.edge_field_cardinalities))
+                nodes = record["nodes"]
+                edges = [(e[0], e[1], *e[2]) for e in record["edges"]]  # endpoints, then features
+                # np.asarray would turn 0.7, "0" and false into 0
+                if not set(map(type, chain(chain.from_iterable(nodes), chain.from_iterable(edges)))) <= {int}:
+                    raise ValueError("node features, edge endpoints and edge features must be JSON integers")
+                nodes = np.asarray(nodes, dtype=np.int64).reshape(len(nodes), node_fields)
+                edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2 + edge_fields)
                 g = LabeledGraph(
-                    num_nodes=num_nodes, node_feats=nodes, edges=edges, edge_feats=edge_feats
+                    num_nodes=len(nodes), node_feats=nodes, edges=edges[:, :2], edge_feats=edges[:, 2:]
                 )
                 row = [MISSING if x is None else float(x) for x in record["labels"]]
             except (KeyError, IndexError, TypeError, ValueError, json.JSONDecodeError) as exc:
@@ -229,16 +233,18 @@ def combine_datasets(a: Dataset, b: Dataset) -> Dataset:
 class BatchedGraph:
     """Disjoint union of graphs, ready for model evaluation.
 
-    Every undirected edge appears as two directed arcs. ``khop`` holds the
-    exact-distance neighbor index up to the radius requested at collate time;
-    its pairs never cross graph boundaries.
+    Node ids are offset per graph, and ``graph_ids`` maps each node to its
+    graph; the per-graph node counts are
+    ``np.bincount(graph_ids, minlength=num_graphs)``. Every undirected edge
+    appears as two directed arcs. ``khop`` holds the exact-distance neighbor
+    index up to the radius requested at collate time; its pairs never cross
+    graph boundaries.
     """
 
     num_graphs: int
     num_nodes: int
     node_feats: np.ndarray  # (N, node fields)
     graph_ids: np.ndarray  # (N,)
-    node_counts: np.ndarray  # (B,)
     arc_src: np.ndarray  # (2M,)
     arc_dst: np.ndarray  # (2M,)
     arc_edge_feats: np.ndarray  # (2M, edge fields)
@@ -290,7 +296,6 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
         num_nodes=total,
         node_feats=node_feats,
         graph_ids=graph_ids,
-        node_counts=counts,
         arc_src=arc_src,
         arc_dst=arc_dst,
         arc_edge_feats=arc_edge_feats,

@@ -21,9 +21,9 @@ class LabeledGraph:
     """
 
     num_nodes: int
-    node_feats: np.ndarray  # (num_nodes, num_node_fields) small non-negative ints
+    node_feats: np.ndarray  # (num_nodes, node fields) small non-negative ints
     edges: np.ndarray  # (num_edges, 2) unordered pairs, each stored once
-    edge_feats: np.ndarray  # (num_edges, num_edge_fields)
+    edge_feats: np.ndarray  # (num_edges, edge fields)
 
     def __post_init__(self):
         object.__setattr__(self, "node_feats", np.ascontiguousarray(self.node_feats, dtype=np.int64))

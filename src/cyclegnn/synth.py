@@ -21,12 +21,12 @@ TASK_RANDOM_MULTITASK = "random-multitask"
 TASK_SPECS = (TASK_MIN_CYCLE, TASK_HAS_SMALL_CYCLE, TASK_RANDOM_MULTITASK)
 
 
-def _featureless(num_nodes: int, edges, num_node_fields: int = 1, num_edge_fields: int = 1) -> LabeledGraph:
+def _featureless(num_nodes: int, edges) -> LabeledGraph:
     return LabeledGraph(
         num_nodes=num_nodes,
-        node_feats=np.zeros((num_nodes, num_node_fields), dtype=np.int64),
+        node_feats=np.zeros((num_nodes, 1), dtype=np.int64),
         edges=edges,
-        edge_feats=np.zeros((len(edges), num_edge_fields), dtype=np.int64),
+        edge_feats=np.zeros((len(edges), 1), dtype=np.int64),
     )
 
 
@@ -35,10 +35,10 @@ def _attachments(first: int, num_nodes: int, rng: np.random.Generator) -> list[t
     return [(int(rng.integers(0, v)), v) for v in range(first, num_nodes)]
 
 
-def gen_cycle_union(
-    cycle_lengths, num_node_fields: int = 1, num_edge_fields: int = 1
-) -> LabeledGraph:
-    """Disjoint union of simple cycles with uniform all-zero features."""
+def gen_cycle_union(cycle_lengths) -> LabeledGraph:
+    """Disjoint union of simple cycles, each of length >= 3, numbered one
+    after another, with one all-zero node field and one all-zero edge field
+    (the featureless manifest ``(1,), (1,)``)."""
     lengths = list(cycle_lengths)
     if any(c < 3 for c in lengths):
         raise ValueError("cycle lengths must be at least 3")
@@ -47,7 +47,7 @@ def gen_cycle_union(
     for c in lengths:
         edges.extend((offset + t, offset + (t + 1) % c) for t in range(c))
         offset += c
-    return _featureless(offset, edges, num_node_fields, num_edge_fields)
+    return _featureless(offset, edges)
 
 
 def _permute_nodes(g: LabeledGraph, rng: np.random.Generator) -> LabeledGraph:

@@ -3,6 +3,7 @@ handling, early stopping on the validation metric, and replicate summaries."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -93,6 +94,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1 and patience >= 0")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}")
+        if not 0.0 <= self.learning_rate < math.inf:  # False for NaN too
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
 
 
 @dataclass(frozen=True)

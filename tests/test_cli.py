@@ -189,6 +189,41 @@ class TestTrain:
         assert err.count("\n") == 1 and "valid split" in err and "empty" in err
         assert not os.path.exists(str(tmp_path / "x.ckpt"))
 
+    @pytest.mark.parametrize("lr", ["-1", "nan", "inf"])
+    def test_negative_or_non_finite_learning_rate_exits_one(self, tmp_path, trained, capsys, lr):
+        _, data, _ = trained
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["train", "--data", data, "--out", str(tmp_path / "x"), "--conv", "gine",
+                         "--layers", "2", "--hidden", "8", "--epochs", "2", "--batch-size", "16",
+                         "--replicates", "1", "--lr", lr])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: learning rate ") and lr in err
+        assert not os.path.exists(str(tmp_path / "x.ckpt"))
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [("node", 0.7), ("node", "0"), ("node", False), ("endpoint", 0.5)],
+        ids=["float-feature", "string-feature", "bool-feature", "float-endpoint"],
+    )
+    def test_record_value_that_is_not_a_json_integer_exits_one(self, trained, tmp_path, capsys, where, value):
+        _, data, prefix = trained
+        copy = copy_dataset(data, tmp_path)
+        lines = open(copy).read().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        if where == "node":
+            record["nodes"][0][0] = value
+        else:
+            record["edges"][0][1] += value  # truncates back to the same endpoint
+        lines[2] = json.dumps(record) + "\n"
+        open(copy, "w").write("".join(lines))
+        code = main(["eval", "--checkpoint", prefix + ".ckpt", "--data", copy, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {copy}:3: malformed record: ")
+        assert "JSON integers" in err
+
 
 class TestReplicateSummary:
     """A multi-replicate summary aggregates the replicates it lists."""

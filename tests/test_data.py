@@ -245,7 +245,7 @@ class TestCollate:
         for _ in range(10):
             d = small_dataset(n=int(rng.integers(2, 6)), seed=int(rng.integers(100)))
             batch = collate(d.graphs, None, k_max=3)
-            bounds = np.concatenate([[0], np.cumsum(batch.node_counts)])
+            bounds = np.concatenate([[0], np.cumsum(np.bincount(batch.graph_ids))])
             for k in range(1, 4):
                 dst, src = batch.khop.pairs[k - 1]
                 for a, b in zip(dst, src):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import permute_graph, plain
@@ -426,7 +428,36 @@ class TestLocality:
         assert np.abs(base - after).max() > 0
 
 
+def walk_params(node, tensors, states):
+    """Collect every Tensor and BatchNormState in a parameter dataclass tree."""
+    if isinstance(node, Tensor):
+        tensors.append(node)
+    elif isinstance(node, BatchNormState):
+        states.append(node)
+    elif dataclasses.is_dataclass(node):
+        for field in dataclasses.fields(node):
+            walk_params(getattr(node, field.name), tensors, states)
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            walk_params(item, tensors, states)
+
+
 class TestParamCount:
+    @pytest.mark.parametrize("conv", CONV_TYPES)
+    @pytest.mark.parametrize("vn", [False, True])
+    @pytest.mark.parametrize("radius", [1, 3])
+    def test_every_tree_entry_is_named_once(self, conv, vn, radius):
+        cfg = make_config(conv, node_field_cards=(3, 2), radius=radius, hidden=4, virtual_node=vn)
+        params = init_params(cfg, 0)
+        tensors, states = [], []
+        walk_params(params, tensors, states)
+        named = list(named_parameters(params).values())
+        assert sorted(map(id, named)) == sorted(map(id, tensors))
+        assert len(set(map(id, tensors))) == len(tensors)
+        assert sorted(map(id, norm_states(params))) == sorted(map(id, states))
+        assert len(set(map(id, states))) == len(states)
+        assert param_count(cfg) == sum(t.data.size for t in tensors)
+
     def test_realized_params_match_count(self):
         for conv in CONV_TYPES:
             for vn in (False, True):

@@ -30,9 +30,9 @@ class TestCycleUnion:
         assert all(g.degree(i) == 2 for i in range(g.num_nodes))
 
     def test_uniform_zero_features(self):
-        g = gen_cycle_union([5], num_node_fields=2, num_edge_fields=3)
-        assert g.node_feats.shape == (5, 2) and not g.node_feats.any()
-        assert g.edge_feats.shape == (5, 3) and not g.edge_feats.any()
+        g = gen_cycle_union([5])
+        assert g.node_feats.shape == (5, 1) and not g.node_feats.any()
+        assert g.edge_feats.shape == (5, 1) and not g.edge_feats.any()
 
     def test_short_cycle_rejected(self):
         with pytest.raises(ValueError):
