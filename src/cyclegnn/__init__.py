@@ -39,6 +39,7 @@ from .synth import gen_cycle_union, gen_synthetic_dataset
 from .tensor import (
     Adam,
     BatchNormState,
+    Segments,
     Tensor,
     backward,
     batchnorm,

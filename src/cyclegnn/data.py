@@ -13,7 +13,8 @@ from itertools import chain
 import numpy as np
 
 from ._atomic import atomic_open
-from .graph import KHopIndex, LabeledGraph, build_khop_index
+from .graph import LabeledGraph, build_khop_index
+from .tensor import Segments
 
 MISSING = math.nan
 
@@ -134,7 +135,8 @@ def load_dataset(path: str) -> Dataset:
 
     A malformed manifest is reported with its path, malformed records with
     their line number (a node feature, edge endpoint or edge feature that is
-    not a JSON integer makes a record malformed); feature values are checked
+    not a JSON integer, or a label that is not JSON 0, 1 or null, makes a
+    record malformed); feature values are checked
     against the manifest cardinalities, once per graph, and a violation names
     the path and the graph's index.
     """
@@ -174,7 +176,11 @@ def load_dataset(path: str) -> Dataset:
                 g = LabeledGraph(
                     num_nodes=len(nodes), node_feats=nodes, edges=edges[:, :2], edge_feats=edges[:, 2:]
                 )
-                row = [MISSING if x is None else float(x) for x in record["labels"]]
+                labels = record["labels"]
+                # float() would turn true, "0" and 1.0 into labels
+                if not all(x is None or (type(x) is int and x in (0, 1)) for x in labels):
+                    raise ValueError("labels must be JSON 0, 1 or null")
+                row = [MISSING if x is None else float(x) for x in labels]
             except (KeyError, IndexError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
             if len(row) != manifest.num_tasks:
@@ -233,22 +239,26 @@ def combine_datasets(a: Dataset, b: Dataset) -> Dataset:
 class BatchedGraph:
     """Disjoint union of graphs, ready for model evaluation.
 
-    Node ids are offset per graph, and ``graph_ids`` maps each node to its
-    graph; the per-graph node counts are
-    ``np.bincount(graph_ids, minlength=num_graphs)``. Every undirected edge
-    appears as two directed arcs. ``khop`` holds the exact-distance neighbor
-    index up to the radius requested at collate time; its pairs never cross
+    Node ids are offset per graph. Each index set is a :class:`Segments`
+    plan, so every sum over it in this batch shares one lazily built table:
+    ``graph_ids`` maps each node to its graph (buckets: graphs; the
+    per-graph node counts are ``np.bincount(graph_ids.ids,
+    minlength=num_graphs)``), and ``arc_dst``/``arc_src`` hold the two ends
+    of every directed arc, two per undirected edge (buckets: nodes).
+    ``shells[k-1]`` pairs the (dst, src) plans of the exact-distance-k
+    neighbor index (see :class:`KHopIndex`), for k = 1 .. the radius
+    requested at collate time when that is at least 2; shells never cross
     graph boundaries.
     """
 
     num_graphs: int
     num_nodes: int
     node_feats: np.ndarray  # (N, node fields)
-    graph_ids: np.ndarray  # (N,)
-    arc_src: np.ndarray  # (2M,)
-    arc_dst: np.ndarray  # (2M,)
+    graph_ids: Segments  # (N,) over num_graphs
+    arc_src: Segments  # (2M,) over num_nodes
+    arc_dst: Segments  # (2M,) over num_nodes
     arc_edge_feats: np.ndarray  # (2M, edge fields)
-    khop: KHopIndex | None
+    shells: tuple[tuple[Segments, Segments], ...]  # empty below radius 2
     labels: np.ndarray | None  # (B, T) with NaN replaced by 0
     label_mask: np.ndarray | None  # (B, T) 1.0 where observed
 
@@ -258,8 +268,10 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
 
     ``k_max`` >= 2 additionally offsets every component's memoised
     exact-distance shells (see :func:`build_khop_index`) into one neighbor
-    index. Labels, when given, are split into a zero-filled matrix and an
-    observation mask.
+    index. Every index set becomes a :class:`Segments` plan whose table is
+    built on its first sum, so a scoring pass, which never sums over the
+    src side, never builds those tables. Labels, when given, are split into
+    a zero-filled matrix and an observation mask.
     """
     if not graphs:
         raise ValueError("cannot collate an empty batch")
@@ -275,16 +287,14 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
     arc_src = edges[:, ::-1].reshape(-1)
     arc_edge_feats = np.repeat(np.concatenate([g.edge_feats for g in graphs]), 2, axis=0)
 
-    khop = None
+    shells = ()
     if k_max >= 2:
-        shells = [build_khop_index(g, k_max).pairs for g in graphs]
-        pairs = []
+        per_graph = [build_khop_index(g, k_max).pairs for g in graphs]
         for k in range(k_max):
-            shift = np.repeat(offsets, [p[k][0].size for p in shells])
-            dst = np.concatenate([p[k][0] for p in shells]) + shift
-            src = np.concatenate([p[k][1] for p in shells]) + shift
-            pairs.append((dst, src))
-        khop = KHopIndex(tuple(pairs))
+            shift = np.repeat(offsets, [p[k][0].size for p in per_graph])
+            dst = np.concatenate([p[k][0] for p in per_graph]) + shift
+            src = np.concatenate([p[k][1] for p in per_graph]) + shift
+            shells += ((Segments(dst, total), Segments(src, total)),)
 
     label_matrix = mask = None
     if labels is not None:
@@ -295,11 +305,11 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
         num_graphs=len(graphs),
         num_nodes=total,
         node_feats=node_feats,
-        graph_ids=graph_ids,
-        arc_src=arc_src,
-        arc_dst=arc_dst,
+        graph_ids=Segments(graph_ids, len(graphs)),
+        arc_src=Segments(arc_src, total),
+        arc_dst=Segments(arc_dst, total),
         arc_edge_feats=arc_edge_feats,
-        khop=khop,
+        shells=shells,
         labels=label_matrix,
         label_mask=mask,
     )

@@ -179,7 +179,7 @@ def _wide_conv(
     if not history:
         raise ValueError("wide convolutions need at least the input embeddings in history")
     k_radius = len(layer.eps) - 1
-    if k_radius >= 2 and (batch.khop is None or batch.khop.k_max < k_radius):
+    if k_radius >= 2 and len(batch.shells) < k_radius:
         raise ValueError(f"batch lacks a neighbor index of depth {k_radius}; re-collate with k_max")
     depth = len(history)  # this is layer number l, history = [h0 .. h_{l-1}]
     h_prev = history[-1]
@@ -192,7 +192,7 @@ def _wide_conv(
         if not from_previous_only and k > depth:
             continue  # no embeddings from k layers back yet; term omitted
         source = h_prev if from_previous_only else history[depth - k]
-        dst, src = batch.khop.pairs[k - 1]
+        dst, src = batch.shells[k - 1]
         agg = segment_sum(relu(gather_rows(source, src)), dst, batch.num_nodes)
         pre = add(pre, mul(agg, _one_plus(layer.eps[k])))
     return mlp_forward(layer.mlp, pre, mode, drop, rng)
@@ -226,8 +226,9 @@ def naive_gineplus_conv(
 def gcn_conv(layer: LayerParams, h: Tensor, batch: BatchedGraph, mode: str) -> Tensor:
     """Symmetric-normalized propagation with self-loops; edge embeddings are
     added to neighbor messages before normalization."""
-    deg_hat = (np.bincount(batch.arc_dst, minlength=batch.num_nodes) + 1.0).astype(h.data.dtype)
-    arc_norm = 1.0 / np.sqrt(deg_hat[batch.arc_dst] * deg_hat[batch.arc_src])
+    dst, src = batch.arc_dst.ids, batch.arc_src.ids
+    deg_hat = (np.bincount(dst, minlength=batch.num_nodes) + 1.0).astype(h.data.dtype)
+    arc_norm = 1.0 / np.sqrt(deg_hat[dst] * deg_hat[src])
     msg = mul(_arc_inputs(h, layer, batch), Tensor(arc_norm[:, None]))
     agg = segment_sum(msg, batch.arc_dst, batch.num_nodes)
     self_msg = mul(h, Tensor((1.0 / deg_hat)[:, None]))

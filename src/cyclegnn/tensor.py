@@ -241,7 +241,8 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
 
 def _scatter_add(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """Sum rows of ``values`` into ``n`` buckets by ``ids``; empty buckets are
-    zero. The one scatter behind segment sums and gather/embedding gradients.
+    zero. Serves the embedding-table gradients, whose few buckets are long,
+    and is the tests' reference for :class:`Segments`.
 
     Rows are stably sorted by bucket, so the summation order does not depend
     on the machine's sort kernel, and each bucket's run is summed by one
@@ -256,14 +257,81 @@ def _scatter_add(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+class Segments:
+    """A reusable plan for summing rows into ``n`` buckets by ``ids``.
+
+    The ids are checked against ``n`` once, here. The first :meth:`sum`
+    builds and caches an occurrence-column table. Buckets are ordered by
+    size, largest first (``rows``), so the buckets with more than j entries
+    are a prefix of that order, and column j lists the position in ``ids``
+    of each such bucket's j-th entry. A sum is then one gather per column,
+    ``acc = v[pos_0]`` and ``acc[:len(pos_j)] += v[pos_j]``, and one final
+    scatter of ``acc`` into the ``rows`` (skipped when ``rows`` is every
+    bucket in order), with no sort; each bucket adds its rows sequentially,
+    in ``ids`` order. The column count is the largest bucket, so plans suit
+    many short buckets (arcs, distance-k shells, graph membership); the
+    embedding-table gradients, with a few long buckets, use ``_scatter_add``.
+    """
+
+    __slots__ = ("ids", "n", "_rows", "_columns")
+
+    def __init__(self, ids, n: int):
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ValueError("segment id out of range")
+        self.ids = ids
+        self.n = n
+        self._rows: np.ndarray | None = None  # None: acc is already the sum
+        self._columns: list[np.ndarray] | None = None
+
+    def _table(self) -> list[np.ndarray]:
+        if self._columns is None:
+            counts = np.bincount(self.ids, minlength=self.n)
+            rows = np.argsort(-counts, kind="stable")
+            order = np.argsort(self.ids, kind="stable")
+            first = (np.cumsum(counts) - counts)[rows]  # where each bucket's run starts in order
+            lengths = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]  # buckets with > j entries
+            self._columns = [order[first[:r] + j] for j, r in enumerate(lengths)]
+            nonempty = int(lengths[0]) if lengths.size else 0
+            if nonempty < self.n or (np.diff(counts) > 0).any():  # rows is not 0..n-1 in order
+                self._rows = rows[:nonempty]
+        return self._columns
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-bucket sums of the rows of ``values``; empty buckets are zero."""
+        columns = self._table()
+        if not columns:
+            return np.zeros((self.n,) + values.shape[1:], dtype=values.dtype)
+        acc = values[columns[0]]
+        for pos in columns[1:]:
+            acc[: pos.size] += values[pos]
+        if self._rows is None:
+            return acc
+        out = np.zeros((self.n,) + values.shape[1:], dtype=values.dtype)
+        out[self._rows] = acc
+        return out
+
+
+def _plan(index, n: int) -> Segments:
+    """``index`` itself when it is a plan over ``n`` buckets, else a new one."""
+    if isinstance(index, Segments):
+        if index.n != n:
+            raise ValueError(f"plan has {index.n} buckets, expected {n}")
+        return index
+    return Segments(index, n)
+
+
 def gather_rows(x: Tensor, index) -> Tensor:
-    """Select rows ``x[index]``; duplicates in the index accumulate on backward."""
+    """Select rows ``x[index]``; duplicates in the index accumulate on backward.
+
+    ``index`` is a :class:`Segments` over ``x``'s rows or an int array, which
+    is wrapped in one; the backward sums through that plan."""
     x = _as_tensor(x)
-    idx = np.asarray(index, dtype=np.int64)
-    data = x.data[idx]
+    plan = _plan(index, x.data.shape[0])
+    data = x.data[plan.ids]
 
     def backward(g):
-        _accumulate(x, _scatter_add(idx, g, x.data.shape[0]))
+        _accumulate(x, plan.sum(g))
 
     return _result(data, (x,), backward)
 
@@ -297,24 +365,27 @@ def embedding_sum(tables: Sequence[Tensor], index) -> Tensor:
 
 
 def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows of ``values`` into ``num_segments`` buckets; empty segments are zero."""
+    """Sum rows of ``values`` into ``num_segments`` buckets; empty segments are zero.
+
+    ``segment_ids`` is a :class:`Segments` over ``num_segments`` buckets or an
+    int array, which is wrapped in one; the forward sums through that plan."""
     values = _as_tensor(values)
-    ids = np.asarray(segment_ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
-        raise ValueError("segment id out of range")
-    data = _scatter_add(ids, values.data, num_segments)
+    plan = _plan(segment_ids, num_segments)
+    data = plan.sum(values.data)
 
     def backward(g):
-        _accumulate(values, g[ids])
+        _accumulate(values, g[plan.ids])
 
     return _result(data, (values,), backward)
 
 
 def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Per-segment mean; empty segments yield zero rows."""
+    """Per-segment mean; empty segments yield zero rows. Takes the same
+    ``segment_ids`` as :func:`segment_sum`."""
     values = _as_tensor(values)
-    total = segment_sum(values, segment_ids, num_segments)
-    counts = np.bincount(np.asarray(segment_ids, dtype=np.int64), minlength=num_segments)
+    plan = _plan(segment_ids, num_segments)
+    total = segment_sum(values, plan, num_segments)
+    counts = np.bincount(plan.ids, minlength=num_segments)
     inv = (1.0 / np.maximum(counts, 1)).astype(values.data.dtype)
     return mul(total, Tensor(inv[:, None]))
 

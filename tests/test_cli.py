@@ -224,6 +224,21 @@ class TestTrain:
         assert err.count("\n") == 1 and err.startswith(f"error: {copy}:3: malformed record: ")
         assert "JSON integers" in err
 
+    @pytest.mark.parametrize("value", [True, "0", 1.0], ids=["bool-label", "string-label", "float-label"])
+    def test_label_that_is_not_json_0_1_or_null_exits_one(self, trained, tmp_path, capsys, value):
+        _, data, prefix = trained
+        copy = copy_dataset(data, tmp_path)
+        lines = open(copy).read().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        record["labels"][0] = value
+        lines[2] = json.dumps(record) + "\n"
+        open(copy, "w").write("".join(lines))
+        code = main(["eval", "--checkpoint", prefix + ".ckpt", "--data", copy, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {copy}:3: malformed record: ")
+        assert "labels must be JSON 0, 1 or null" in err
+
 
 class TestReplicateSummary:
     """A multi-replicate summary aggregates the replicates it lists."""

@@ -14,8 +14,9 @@ from cyclegnn.data import (
     random_split,
     save_dataset,
 )
-from cyclegnn.graph import LabeledGraph, build_khop_index
-from cyclegnn.synth import gen_synthetic_dataset
+from cyclegnn.graph import KHopIndex, LabeledGraph, build_khop_index
+from cyclegnn.synth import gen_cycle_union, gen_synthetic_dataset
+from cyclegnn.tensor import Tensor, _scatter_add, backward, gather_rows, mul, segment_sum, tsum
 
 
 def small_dataset(n=6, tasks=2, seed=0):
@@ -225,13 +226,13 @@ class TestCollate:
         batch = collate([g], d.labels, k_max=2)
         assert batch.num_graphs == 1 and batch.num_nodes == g.num_nodes
         np.testing.assert_array_equal(batch.node_feats, g.node_feats)
-        np.testing.assert_array_equal(batch.graph_ids, np.zeros(g.num_nodes))
+        np.testing.assert_array_equal(batch.graph_ids.ids, np.zeros(g.num_nodes))
 
     def test_totals_are_sums(self):
         d = small_dataset(n=5)
         batch = collate(d.graphs, d.labels)
         assert batch.num_nodes == sum(g.num_nodes for g in d.graphs)
-        assert batch.arc_src.size == 2 * sum(g.num_edges for g in d.graphs)
+        assert batch.arc_src.ids.size == 2 * sum(g.num_edges for g in d.graphs)
 
     def test_label_mask_marks_missing_as_zero(self):
         d = small_dataset(n=4)
@@ -245,22 +246,23 @@ class TestCollate:
         for _ in range(10):
             d = small_dataset(n=int(rng.integers(2, 6)), seed=int(rng.integers(100)))
             batch = collate(d.graphs, None, k_max=3)
-            bounds = np.concatenate([[0], np.cumsum(np.bincount(batch.graph_ids))])
+            bounds = np.concatenate([[0], np.cumsum(np.bincount(batch.graph_ids.ids))])
             for k in range(1, 4):
-                dst, src = batch.khop.pairs[k - 1]
+                dst, src = (plan.ids for plan in batch.shells[k - 1])
                 for a, b in zip(dst, src):
-                    ga = int(batch.graph_ids[a])
+                    ga = int(batch.graph_ids.ids[a])
                     assert bounds[ga] <= b < bounds[ga + 1]
 
     def test_khop_matches_per_graph_index(self):
         d = small_dataset(n=4, seed=11)
         batch = collate(d.graphs, None, k_max=3)
+        khop = KHopIndex(tuple((dst.ids, src.ids) for dst, src in batch.shells))
         offset = 0
         for g in d.graphs:
             local = build_khop_index(g, 3)
             for k in range(1, 4):
                 for i in range(g.num_nodes):
-                    got = [v - offset for v in batch.khop.neighbors(offset + i, k)]
+                    got = [v - offset for v in khop.neighbors(offset + i, k)]
                     assert got == local.neighbors(i, k)
             offset += g.num_nodes
 
@@ -271,13 +273,71 @@ class TestCollate:
         ]
         batch = collate(graphs, None, k_max=3)
         assert batch.arc_edge_feats.shape == (0, 3)
-        for arr in (batch.arc_src, batch.arc_dst):
-            assert arr.shape == (0,) and arr.dtype == np.int64
-        assert batch.khop.k_max == 3
-        for dst, src in batch.khop.pairs:
-            for arr in (dst, src):
-                assert arr.shape == (0,) and arr.dtype == np.int64
+        for plan in (batch.arc_src, batch.arc_dst):
+            assert plan.ids.shape == (0,) and plan.ids.dtype == np.int64
+        assert len(batch.shells) == 3
+        for dst, src in batch.shells:
+            for plan in (dst, src):
+                assert plan.ids.shape == (0,) and plan.ids.dtype == np.int64
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             collate([])
+
+
+def _plans(batch):
+    """Every index-set plan of a batch, by name."""
+    plans = {"graph_ids": batch.graph_ids, "arc_dst": batch.arc_dst, "arc_src": batch.arc_src}
+    for k, (dst, src) in enumerate(batch.shells, start=1):
+        plans[f"shell{k}.dst"], plans[f"shell{k}.src"] = dst, src
+    return plans
+
+
+class TestBatchPlans:
+    """Planned sums over collated index sets against the _scatter_add oracle."""
+
+    @staticmethod
+    def random_graph(rng):
+        n = int(rng.integers(1, 9))  # single-node graphs included
+        m = int(rng.integers(0, n * (n - 1) // 2 + 1))  # edgeless graphs included
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [pairs[i] for i in rng.choice(len(pairs), m, replace=False)] if m else []
+        return LabeledGraph(
+            num_nodes=n,
+            node_feats=np.zeros((n, 1)),
+            edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+            edge_feats=np.zeros((m, 1)),
+        )
+
+    def test_sums_and_gather_gradients_match_within_rounding(self):
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            graphs = [self.random_graph(rng) for _ in range(int(rng.integers(1, 12)))]
+            batch = collate(graphs, None, k_max=3)
+            for name, plan in _plans(batch).items():
+                values = rng.normal(size=(plan.ids.size, 5)).astype(np.float32)
+                want = _scatter_add(plan.ids, values, plan.n)
+                got = segment_sum(Tensor(values), plan, plan.n).data
+                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5, err_msg=name)
+                x = Tensor(rng.normal(size=(plan.n, 5)).astype(np.float32), requires_grad=True)
+                backward(tsum(mul(gather_rows(x, plan), Tensor(values))))
+                np.testing.assert_allclose(x.grad, want, rtol=1e-5, atol=1e-5, err_msg=name)
+
+    def test_degree_two_cycle_unions_sum_exactly(self):
+        rng = np.random.default_rng(13)
+        graphs = [gen_cycle_union(rng.integers(3, 9, size=int(rng.integers(1, 4)))) for _ in range(16)]
+        batch = collate(graphs, None, k_max=3)
+        for name, plan in _plans(batch).items():
+            if name == "graph_ids":
+                continue  # buckets of many nodes; rounding may differ
+            assert np.bincount(plan.ids).max() <= 2
+            values = rng.normal(size=(plan.ids.size, 7)).astype(np.float32)
+            np.testing.assert_array_equal(plan.sum(values), _scatter_add(plan.ids, values, plan.n), err_msg=name)
+
+    def test_isolated_nodes_and_empty_shells_sum_to_zero(self):
+        g = LabeledGraph(num_nodes=4, node_feats=np.zeros((4, 1)), edges=np.asarray([[0, 1]]), edge_feats=np.zeros((1, 1)))
+        batch = collate([g, g], None, k_max=2)
+        for name, plan in _plans(batch).items():
+            out = plan.sum(np.ones((plan.ids.size, 2), dtype=np.float32))
+            np.testing.assert_array_equal(out[:, 0], np.bincount(plan.ids, minlength=plan.n), err_msg=name)
+        assert batch.shells[1][0].ids.size == 0

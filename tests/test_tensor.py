@@ -10,6 +10,7 @@ from cyclegnn.tensor import (
     TRAIN,
     Adam,
     BatchNormState,
+    Segments,
     Tensor,
     backward,
     batchnorm,
@@ -180,6 +181,80 @@ class TestScatterAdd:
         assert out.dtype == dtype
         np.testing.assert_allclose(out, self.reference(ids, values, n), rtol=tol, atol=tol)
         assert not out[[0, n - 1]].any()
+
+
+class TestSegments:
+    """Segments plans against the _scatter_add oracle."""
+
+    CASES = TestScatterAdd.CASES
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_integer_values_sum_exactly(self, case, dtype):
+        ids, row_shape, n = self.CASES[case]
+        values = np.random.default_rng(0).integers(-50, 50, size=(ids.size,) + row_shape).astype(dtype)
+        out = Segments(ids, n).sum(values)
+        assert out.dtype == dtype and out.shape == (n,) + row_shape
+        np.testing.assert_array_equal(out, _scatter_add(ids, values, n))
+
+    @pytest.mark.parametrize("row_shape", [(), (16,)])
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_random_buckets_match_within_rounding(self, row_shape, dtype, tol):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            n = int(rng.integers(1, 40))
+            ids = rng.integers(0, n, size=int(rng.integers(0, 120)))
+            values = rng.normal(size=(ids.size,) + row_shape).astype(dtype)
+            plan = Segments(ids, n)
+            out = plan.sum(values)
+            assert out.dtype == dtype and out.shape == (n,) + row_shape
+            np.testing.assert_allclose(out, _scatter_add(ids, values, n), rtol=tol, atol=tol)
+            assert not out[np.bincount(ids, minlength=n) == 0].any()
+
+    def test_buckets_of_at_most_two_sum_exactly(self):
+        rng = np.random.default_rng(5)
+        n = 30
+        ids = rng.permutation(np.concatenate([np.arange(n), rng.choice(n, 12, replace=False)]))
+        values = rng.normal(size=(ids.size, 8)).astype(np.float32)
+        np.testing.assert_array_equal(Segments(ids, n).sum(values), _scatter_add(ids, values, n))
+
+    @pytest.mark.parametrize("ids", [[0, 3], [-1, 0]])
+    def test_out_of_range_id_raises_when_built(self, ids):
+        with pytest.raises(ValueError, match="out of range"):
+            Segments(ids, 3)
+
+    def test_plan_over_other_bucket_count_rejected(self):
+        with pytest.raises(ValueError, match="buckets"):
+            segment_sum(t64([[1.0]]), Segments([0], 2), 3)
+
+    def test_second_sum_reuses_the_table(self):
+        plan = Segments([2, 0, 2, 1, 2], 4)
+        first = plan.sum(np.ones((5, 2)))
+        table = plan._columns
+        np.testing.assert_array_equal(plan.sum(np.ones((5, 2))), first)
+        assert plan._columns is table
+        np.testing.assert_array_equal(first[:, 0], [1.0, 1.0, 3.0, 0.0])
+
+    def test_ops_accept_a_plan_and_an_array_alike(self):
+        rng = np.random.default_rng(6)
+        ids = rng.integers(0, 5, size=12)
+        plan = Segments(ids, 5)
+        v = t64(rng.normal(size=(12, 3)), grad=True)
+        x = t64(rng.normal(size=(5, 3)), grad=True)
+        np.testing.assert_array_equal(segment_sum(v, plan, 5).data, segment_sum(v, ids, 5).data)
+        np.testing.assert_array_equal(segment_mean(v, plan, 5).data, segment_mean(v, ids, 5).data)
+        np.testing.assert_array_equal(gather_rows(x, plan).data, x.data[ids])
+        g = rng.normal(size=(12, 3))
+        backward(tsum(mul(gather_rows(x, plan), t64(g))))
+        np.testing.assert_allclose(x.grad, _scatter_add(ids, g, 5), rtol=1e-12, atol=1e-12)
+
+    def test_gradients_through_plans(self):
+        rng = np.random.default_rng(7)
+        plan = Segments([0, 1, 1, 2, 0, 2, 2], 4)
+        v = t64(rng.normal(size=(7, 2)), grad=True)
+        x = t64(rng.normal(size=(4, 2)), grad=True)
+        assert gradcheck(lambda: tsum(segment_sum(v, plan, 4) ** 2.0), [v]) < 1e-6
+        assert gradcheck(lambda: tsum(gather_rows(x, plan) ** 2.0 * gather_rows(x, plan)), [x]) < 1e-6
 
 
 class TestNoGrad:
