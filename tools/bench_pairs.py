@@ -40,7 +40,10 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[d
 
 
 def summary(values: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = q3 = values[0]
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
