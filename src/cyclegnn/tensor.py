@@ -266,11 +266,11 @@ class Segments:
     are a prefix of that order, and column j lists the position in ``ids``
     of each such bucket's j-th entry. A sum is then one gather per column,
     ``acc = v[pos_0]`` and ``acc[:len(pos_j)] += v[pos_j]``, and one final
-    scatter of ``acc`` into the ``rows`` (skipped when ``rows`` is every
-    bucket in order), with no sort; each bucket adds its rows sequentially,
-    in ``ids`` order. The column count is the largest bucket, so plans suit
-    many short buckets (arcs, distance-k shells, graph membership); the
-    embedding-table gradients, with a few long buckets, use ``_scatter_add``.
+    scatter of ``acc`` into the non-empty ``rows``, with no sort; each bucket
+    adds its rows sequentially, in ``ids`` order. The column count is the
+    largest bucket, so plans suit many short buckets (arcs, distance-k
+    shells, graph membership); the embedding-table gradients, with a few
+    long buckets, use ``_scatter_add``.
     """
 
     __slots__ = ("ids", "n", "_rows", "_columns")
@@ -281,7 +281,7 @@ class Segments:
             raise ValueError("segment id out of range")
         self.ids = ids
         self.n = n
-        self._rows: np.ndarray | None = None  # None: acc is already the sum
+        self._rows: np.ndarray | None = None
         self._columns: list[np.ndarray] | None = None
 
     def _table(self) -> list[np.ndarray]:
@@ -292,23 +292,18 @@ class Segments:
             first = (np.cumsum(counts) - counts)[rows]  # where each bucket's run starts in order
             lengths = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]  # buckets with > j entries
             self._columns = [order[first[:r] + j] for j, r in enumerate(lengths)]
-            nonempty = int(lengths[0]) if lengths.size else 0
-            if nonempty < self.n or (np.diff(counts) > 0).any():  # rows is not 0..n-1 in order
-                self._rows = rows[:nonempty]
+            self._rows = rows[: int(lengths[0]) if lengths.size else 0]
         return self._columns
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """Per-bucket sums of the rows of ``values``; empty buckets are zero."""
         columns = self._table()
-        if not columns:
-            return np.zeros((self.n,) + values.shape[1:], dtype=values.dtype)
-        acc = values[columns[0]]
-        for pos in columns[1:]:
-            acc[: pos.size] += values[pos]
-        if self._rows is None:
-            return acc
         out = np.zeros((self.n,) + values.shape[1:], dtype=values.dtype)
-        out[self._rows] = acc
+        if columns:
+            acc = values[columns[0]]
+            for pos in columns[1:]:
+                acc[: pos.size] += values[pos]
+            out[self._rows] = acc
         return out
 
 

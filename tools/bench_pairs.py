@@ -1,13 +1,12 @@
 """Before/after pairs of the benchmark, summarised as one committed JSON file.
 
-    python3 tools/bench_pairs.py --before DIR --after DIR --out BENCH_9.json \\
-        [--pairs 5] [--seed 31] [--seconds 55]
+    python3 tools/bench_pairs.py --before DIR --after DIR --out BENCH_9.json [--seed 31]
 
-Each DIR is a source checkout of one commit, for example made with
-``git worktree add DIR REV``. For every workload in ``BENCHMARK.json``, pair i
-runs ``perfbench/run.py --seed SEED+i --trace 0`` once in each checkout, one
-at a time, the before side first in even pairs and the after side first in
-odd ones. Each run's last stdout line (the result JSON) and its ``env`` line
+Each DIR is a source checkout of one commit: ``--before`` the change's parent
+commit, ``--after`` the change. For every workload in ``BENCHMARK.json``, pair
+i of ``PAIRS`` runs ``perfbench/run.py --seed SEED+i --trace 0`` for
+``BENCHMARK.json``'s ``run_seconds`` once in each checkout, one at a time,
+the before side first in even pairs and the after side first in odd ones. Each run's last stdout line (the result JSON) and its ``env`` line
 are read. The output holds, per workload and end-to-end metric, each side's
 runs, median and quartiles, and the pairs the after side won, with the seeds,
 run length, commits and machine (CPU, nproc, numpy, BLAS) they ran on. It
@@ -25,6 +24,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("before", "after")
+PAIRS = 10  # a gain counts only when the change wins at least 9 of 10 alternating pairs
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -52,16 +52,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--before", required=True, help="checkout of the parent commit")
     parser.add_argument("--after", required=True, help="checkout of the change")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seed", type=int, default=31, help="seed of the first pair; pair i uses seed + i")
-    parser.add_argument("--seconds", type=float, help="run length; default: BENCHMARK.json run_seconds")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="ascii") as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     checkouts = {"before": args.before, "after": args.after}
-    seeds = [args.seed + i for i in range(args.pairs)]
-    report = {"seeds": seeds, "seconds": seconds, "pairs": args.pairs, "workloads": {}}
+    seeds = [args.seed + i for i in range(PAIRS)]
+    report = {"seeds": seeds, "seconds": seconds, "pairs": PAIRS, "workloads": {}}
     ok = True
     for wl in (w["name"] for w in bench["workloads"]):
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
