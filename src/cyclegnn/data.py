@@ -135,8 +135,8 @@ def load_dataset(path: str) -> Dataset:
 
     A malformed manifest is reported with its path, malformed records with
     their line number (a node feature, edge endpoint or edge feature that is
-    not a JSON integer, or a label that is not JSON 0, 1 or null, makes a
-    record malformed); feature values are checked
+    not a JSON integer within int64, or a label that is not JSON 0, 1 or
+    null, makes a record malformed); feature values are checked
     against the manifest cardinalities, once per graph, and a violation names
     the path and the graph's index.
     """
@@ -171,8 +171,11 @@ def load_dataset(path: str) -> Dataset:
                 # np.asarray would turn 0.7, "0" and false into 0
                 if not set(map(type, chain(chain.from_iterable(nodes), chain.from_iterable(edges)))) <= {int}:
                     raise ValueError("node features, edge endpoints and edge features must be JSON integers")
-                nodes = np.asarray(nodes, dtype=np.int64).reshape(len(nodes), node_fields)
-                edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2 + edge_fields)
+                try:
+                    nodes = np.asarray(nodes, dtype=np.int64).reshape(len(nodes), node_fields)
+                    edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2 + edge_fields)
+                except OverflowError:
+                    raise ValueError("node features, edge endpoints and edge features must fit in int64") from None
                 g = LabeledGraph(
                     num_nodes=len(nodes), node_feats=nodes, edges=edges[:, :2], edge_feats=edges[:, 2:]
                 )

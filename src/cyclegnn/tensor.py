@@ -13,6 +13,7 @@ use float64.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -28,6 +29,7 @@ RECAL = "recal"  # eval-mode behavior while normalizer statistics are rebuilt
 
 _DTYPE_CODES = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
 _DTYPE_NAMES = {"float32": np.float32, "float64": np.float64}
+_INT64_MAX = np.iinfo(np.int64).max
 
 _BN_MOMENTUM = 0.1
 _BN_EPS = 1e-5
@@ -122,8 +124,10 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable) -
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.empty_like(t.data)
+        t.grad[...] = g  # 0 + g up to the sign of a zero, without the zero fill
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -347,7 +351,7 @@ def embedding_sum(tables: Sequence[Tensor], index) -> Tensor:
             raise ValueError(
                 f"field {f}: index out of range for cardinality {table.data.shape[0]}"
             )
-    data = tables[0].data[idx[:, 0]].copy()
+    data = tables[0].data[idx[:, 0]]  # fancy indexing returns a new array
     for f in range(1, len(tables)):
         data += tables[f].data[idx[:, f]]
 
@@ -406,7 +410,7 @@ class BatchNormState:
     ``pool`` is None except while ``recalibrate_norm_stats`` rebuilds this
     normalizer's statistics: then it is a list that recal-mode ``batchnorm``
     appends each input's float64 column sums, column sums of squares and row
-    count to.
+    count to, before it raises ``_Pooled``.
     """
 
     running_mean: np.ndarray
@@ -418,15 +422,22 @@ class BatchNormState:
         return cls(np.zeros(width, dtype=dtype), np.ones(width, dtype=dtype))
 
 
+class _Pooled(Exception):
+    """Raised by recal-mode ``batchnorm`` once it has pooled its input: nothing
+    later in the forward can change that normalizer's statistics, so
+    ``recalibrate_norm_stats`` ends the pass there."""
+
+
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mode: str) -> Tensor:
     """Normalize over axis 0 with eps 1e-5. Train mode uses batch statistics
     and updates ``state`` with an exponential running average of momentum
     0.1; eval mode uses the running statistics only.
 
     Recal mode behaves like eval, except that a state whose ``pool`` is a
-    list first appends the input's float64 column sums, column sums of
-    squares and row count to it; ``recalibrate_norm_stats`` turns the pool
-    into exact population statistics.
+    list appends the input's float64 column sums, column sums of squares and
+    row count to it and raises ``_Pooled`` instead of returning;
+    ``recalibrate_norm_stats`` turns the pool into exact population
+    statistics.
     """
     _check_mode(mode)
     if x.data.shape[0] == 0:
@@ -443,6 +454,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mod
         if mode == RECAL and state.pool is not None:
             x64 = x.data.astype(np.float64)
             state.pool.append((x64.sum(axis=0), (x64 * x64).sum(axis=0), x.data.shape[0]))
+            raise _Pooled
         inv = (1.0 / np.sqrt(state.running_var + _BN_EPS)).astype(x.data.dtype)
         mean = state.running_mean.astype(x.data.dtype, copy=False)
         normalized = mul(x - Tensor(mean), Tensor(inv))
@@ -584,13 +596,13 @@ def save_checkpoint(arrays: Mapping[str, np.ndarray], path: str, extra: dict | N
 
 def _valid_entry(entry) -> bool:
     """A manifest tensor entry: a string name, a known dtype and a shape of
-    non-negative ints."""
+    non-negative ints within int64."""
     return (
         isinstance(entry, dict)
         and isinstance(entry.get("name"), str)
         and entry.get("dtype") in _DTYPE_NAMES
         and isinstance(entry.get("shape"), list)
-        and all(type(d) is int and d >= 0 for d in entry["shape"])
+        and all(type(d) is int and 0 <= d <= _INT64_MAX for d in entry["shape"])
     )
 
 
@@ -620,7 +632,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     for entry in entries:
         dtype = _DTYPE_NAMES[entry["dtype"]]
         shape = tuple(entry["shape"])
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize  # exact; an int64 product can wrap
         code = _DTYPE_CODES[np.dtype(dtype)]
         if offset + nbytes > len(blob):
             raise ValueError(f"checkpoint data truncated in {path}.bin at tensor {entry['name']!r}")

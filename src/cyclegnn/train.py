@@ -4,6 +4,7 @@ handling, early stopping on the validation metric, and replicate summaries."""
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +22,7 @@ from .nn import (
     norm_states,
     parameters,
 )
-from .tensor import EVAL, RECAL, TRAIN, Adam, Tensor, backward, bce_with_logits_masked, no_grad
+from .tensor import EVAL, RECAL, TRAIN, Adam, Tensor, _Pooled, backward, bce_with_logits_masked, no_grad
 
 METRIC_ROC = "roc"
 METRIC_PRC = "prc"
@@ -176,8 +177,9 @@ def recalibrate_norm_stats(config: ModelConfig, params: ModelParams, dataset: Da
     layer. Normalizers are therefore recalibrated one at a time, in network
     order (the order of ``norm_states``): each pools exact float64 statistics
     of its input over one pass while the data propagates through the eval
-    path of the already-recalibrated ones. Nothing needs resetting first,
-    because during a normalizer's pass nothing downstream of it is read. The
+    path of the already-recalibrated ones. Each pass ends at the normalizer
+    it records, since nothing after it can change that normalizer's
+    statistics, so nothing downstream is run or needs resetting first. The
     result is a self-consistent eval forward; deterministic, no rng, and no
     tape is recorded. Raises ValueError on an empty dataset.
     """
@@ -187,7 +189,8 @@ def recalibrate_norm_stats(config: ModelConfig, params: ModelParams, dataset: Da
         for state in norm_states(params):
             state.pool = []
             for _, batch in _batches(dataset, config.required_radius, _RECAL_BATCH):
-                forward_node_embeddings(config, params, batch, RECAL)
+                with suppress(_Pooled):
+                    forward_node_embeddings(config, params, batch, RECAL)
             col_sums, col_sumsqs, rows = zip(*state.pool)
             state.pool = None
             count = sum(rows)
