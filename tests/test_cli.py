@@ -239,6 +239,26 @@ class TestTrain:
         assert err.count("\n") == 1 and err.startswith(f"error: {copy}:3: malformed record: ")
         assert "labels must be JSON 0, 1 or null" in err
 
+    @pytest.mark.parametrize("where", ["node-feature", "edge-endpoint", "edge-feature"])
+    def test_record_integer_outside_int64_exits_one(self, trained, tmp_path, capsys, where):
+        _, data, prefix = trained
+        copy = copy_dataset(data, tmp_path)
+        lines = open(copy).read().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        if where == "node-feature":
+            record["nodes"][0][0] = 2**64
+        elif where == "edge-endpoint":
+            record["edges"][0][1] = 2**64
+        else:
+            record["edges"][0][2][0] = 2**64
+        lines[2] = json.dumps(record) + "\n"
+        open(copy, "w").write("".join(lines))
+        code = main(["eval", "--checkpoint", prefix + ".ckpt", "--data", copy, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {copy}:3: malformed record: ")
+        assert "int64" in err
+
 
 class TestReplicateSummary:
     """A multi-replicate summary aggregates the replicates it lists."""
@@ -417,6 +437,18 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and ckpt in err
+
+    def test_checkpoint_dimension_outside_int64_exits_one(self, trained, tmp_path, capsys):
+        _, data, prefix = trained
+        ckpt = copy_checkpoint(prefix, tmp_path)
+        manifest = json.load(open(ckpt))
+        manifest["tensors"][0]["shape"] = [2**64]
+        with open(ckpt, "w") as fh:
+            json.dump(manifest, fh)
+        code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: malformed tensor list ") and ckpt in err
 
     def test_checkpoint_manifest_not_json_exits_one_naming_it(self, trained, tmp_path, capsys):
         _, data, prefix = trained

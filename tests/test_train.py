@@ -17,7 +17,7 @@ from cyclegnn.nn import (
     parameters,
 )
 from cyclegnn.synth import gen_synthetic_dataset
-from cyclegnn.tensor import TRAIN, Adam, Tensor, backward, bce_with_logits_masked
+from cyclegnn.tensor import EVAL, TRAIN, Adam, Tensor, backward, bce_with_logits_masked
 from cyclegnn.train import (
     TrainConfig,
     evaluate,
@@ -381,18 +381,96 @@ class TestRecalibrateNormStats:
             np.testing.assert_allclose(state.running_mean, x.mean(axis=0), rtol=1e-5)
             np.testing.assert_allclose(state.running_var, x.var(axis=0), rtol=1e-4)
 
+    @pytest.mark.parametrize("conv, virtual_node", [("gine+", True), ("gcn", False)])
+    def test_each_pass_runs_only_up_to_the_normalizer_it_records(self, conv, virtual_node, monkeypatch):
+        monkeypatch.setattr(train_mod, "_RECAL_BATCH", 7)
+        ds, cfg, params = stale_recal_case(conv, virtual_node)
+        states = norm_states(params)
+        position = {id(s): i for i, s in enumerate(states)}
+        calls = []
+        original = nn_mod.batchnorm
+
+        def spy(x, gamma, beta, state, mode):
+            calls.append(position[id(state)])
+            return original(x, gamma, beta, state, mode)
+
+        monkeypatch.setattr(nn_mod, "batchnorm", spy)
+        recalibrate_norm_stats(cfg, params, ds)
+        batches = -(-len(ds) // 7)
+        assert calls == [j for i in range(len(states)) for _ in range(batches) for j in range(i + 1)]
+
+    @pytest.mark.parametrize("conv, virtual_node", [("gine+", True), ("gcn", False)])
+    def test_statistics_are_byte_equal_to_full_pass_statistics(self, conv, virtual_node, monkeypatch):
+        monkeypatch.setattr(train_mod, "_RECAL_BATCH", 7)
+        ds, cfg, params = stale_recal_case(conv, virtual_node)
+        _, _, reference = stale_recal_case(conv, virtual_node)
+        recalibrate_norm_stats(cfg, params, ds)
+
+        # Reference: per normalizer, in network order, whole eval forwards
+        # over the same batches of 7, pooling its inputs in float64.
+        original = nn_mod.batchnorm
+        for target in norm_states(reference):
+            pooled = []
+
+            def spy(x, gamma, beta, state, mode):
+                if state is target:
+                    x64 = x.data.astype(np.float64)
+                    pooled.append((x64.sum(axis=0), (x64 * x64).sum(axis=0), x.data.shape[0]))
+                return original(x, gamma, beta, state, mode)
+
+            monkeypatch.setattr(nn_mod, "batchnorm", spy)
+            for start in range(0, len(ds), 7):
+                chunk = np.arange(start, min(start + 7, len(ds)))
+                batch = collate([ds.graphs[i] for i in chunk], ds.labels[chunk], cfg.required_radius)
+                model_forward(cfg, reference, batch, EVAL)
+            sums, sumsqs, rows = zip(*pooled)
+            count = sum(rows)
+            mean = sum(sums) / count
+            target.running_mean = mean.astype(np.float32)
+            target.running_var = np.maximum(sum(sumsqs) / count - mean * mean, 0.0).astype(np.float32)
+
+        for got, want in zip(norm_states(params), norm_states(reference)):
+            assert got.running_mean.tobytes() == want.running_mean.tobytes()
+            assert got.running_var.tobytes() == want.running_var.tobytes()
+
     def test_empty_dataset_rejected(self, small_cycle_splits):
         cfg = quick_config()
         with pytest.raises(ValueError, match="non-empty"):
             recalibrate_norm_stats(cfg, init_params(cfg, 0), small_cycle_splits[0].subset([]))
 
 
-# scorer -> (module whose no_grad it uses, the forward it calls there, a run
-# returning its output)
+def stale_recal_case(conv, virtual_node):
+    """A 40-graph multitask set, a 2-layer model on it, and its parameters
+    with running statistics far from the population ones."""
+    ds = gen_synthetic_dataset("random-multitask", 40, seed=2)
+    m = ds.manifest
+    cfg = ModelConfig(
+        conv,
+        m.node_field_cardinalities,
+        m.edge_field_cardinalities,
+        m.num_tasks,
+        hidden=8,
+        num_layers=2,
+        radius=2,
+        virtual_node=virtual_node,
+    )
+    params = init_params(cfg, 0)
+    rng = np.random.default_rng(3)
+    for state in norm_states(params):
+        state.running_mean = rng.normal(size=state.running_mean.shape).astype(np.float32)
+        state.running_var = rng.uniform(0.1, 5.0, size=state.running_var.shape).astype(np.float32)
+    return ds, cfg, params
+
+
+# scorer -> (module whose no_grad it uses, the module and name of a function
+# it calls whose returned tensors are observed, a run returning its output).
+# A recalibration pass ends inside the normalizer it records, so its forward
+# returns nothing; the normalizers before that one return their outputs.
 SCORERS = {
-    "predict_logits": (train_mod, "model_forward", predict_logits),
-    "recalibrate_norm_stats": (train_mod, "forward_node_embeddings", recalibrate_norm_stats),
+    "predict_logits": (train_mod, train_mod, "model_forward", predict_logits),
+    "recalibrate_norm_stats": (train_mod, nn_mod, "batchnorm", recalibrate_norm_stats),
     "graph_embeddings": (
+        nn_mod,
         nn_mod,
         "forward_node_embeddings",
         lambda cfg, p, ds: graph_embeddings(cfg, p, collate(ds.graphs, None, cfg.required_radius)),
@@ -404,9 +482,9 @@ class TestScoringRecordsNoTape:
     @staticmethod
     def score(name, monkeypatch, small_cycle_splits):
         """Run one scorer on fresh parameters; returns its output, the
-        parameters with their running statistics, and the tensors its
-        forward returned."""
-        module, forward, run = SCORERS[name]
+        parameters with their running statistics, and the tensors the
+        observed function returned."""
+        _, module, forward, run = SCORERS[name]
         seen = []
         original = getattr(module, forward)
 
