@@ -244,10 +244,9 @@ class BatchedGraph:
 
     Node ids are offset per graph. Each index set is a :class:`Segments`
     plan, so every sum over it in this batch shares one lazily built table:
-    ``graph_ids`` maps each node to its graph (buckets: graphs; the
-    per-graph node counts are ``np.bincount(graph_ids.ids,
-    minlength=num_graphs)``), and ``arc_dst``/``arc_src`` hold the two ends
-    of every directed arc, two per undirected edge (buckets: nodes).
+    ``graph_ids`` maps each node to its graph (buckets: graphs, so
+    ``graph_ids.counts`` are the node counts), and ``arc_dst``/``arc_src``
+    hold the two ends of every directed arc, two per edge (buckets: nodes).
     ``shells[k-1]`` pairs the (dst, src) plans of the exact-distance-k
     neighbor index (see :class:`KHopIndex`), for k = 1 .. the radius
     requested at collate time when that is at least 2; shells never cross

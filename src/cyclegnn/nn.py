@@ -226,9 +226,8 @@ def naive_gineplus_conv(
 def gcn_conv(layer: LayerParams, h: Tensor, batch: BatchedGraph, mode: str) -> Tensor:
     """Symmetric-normalized propagation with self-loops; edge embeddings are
     added to neighbor messages before normalization."""
-    dst, src = batch.arc_dst.ids, batch.arc_src.ids
-    deg_hat = (np.bincount(dst, minlength=batch.num_nodes) + 1.0).astype(h.data.dtype)
-    arc_norm = 1.0 / np.sqrt(deg_hat[dst] * deg_hat[src])
+    deg_hat = (batch.arc_dst.counts + 1.0).astype(h.data.dtype)
+    arc_norm = 1.0 / np.sqrt(deg_hat[batch.arc_dst.ids] * deg_hat[batch.arc_src.ids])
     msg = mul(_arc_inputs(h, layer, batch), Tensor(arc_norm[:, None]))
     agg = segment_sum(msg, batch.arc_dst, batch.num_nodes)
     self_msg = mul(h, Tensor((1.0 / deg_hat)[:, None]))

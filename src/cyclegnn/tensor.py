@@ -243,41 +243,26 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     return mul(tsum(x, axis=axis), Tensor(scale))
 
 
-def _scatter_add(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Sum rows of ``values`` into ``n`` buckets by ``ids``; empty buckets are
-    zero. Serves the embedding-table gradients, whose few buckets are long,
-    and is the tests' reference for :class:`Segments`.
-
-    Rows are stably sorted by bucket, so the summation order does not depend
-    on the machine's sort kernel, and each bucket's run is summed by one
-    ``np.add.reduceat``, which adds pairwise; float sums can differ from
-    sequential accumulation by rounding."""
-    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
-    if ids.size:
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
-        out[sorted_ids[starts]] = np.add.reduceat(values[order], starts, axis=0)
-    return out
+_COLUMN_LIMIT = 32  # largest bucket summed by columns; both layouts cost alike near it on 64 buckets at H=32
 
 
 class Segments:
     """A reusable plan for summing rows into ``n`` buckets by ``ids``.
 
-    The ids are checked against ``n`` once, here. The first :meth:`sum`
-    builds and caches an occurrence-column table. Buckets are ordered by
-    size, largest first (``rows``), so the buckets with more than j entries
-    are a prefix of that order, and column j lists the position in ``ids``
-    of each such bucket's j-th entry. A sum is then one gather per column,
-    ``acc = v[pos_0]`` and ``acc[:len(pos_j)] += v[pos_j]``, and one final
-    scatter of ``acc`` into the non-empty ``rows``, with no sort; each bucket
-    adds its rows sequentially, in ``ids`` order. The column count is the
-    largest bucket, so plans suit many short buckets (arcs, distance-k
-    shells, graph membership); the embedding-table gradients, with a few
-    long buckets, use ``_scatter_add``.
+    The ids are checked against ``n`` once, here; ``counts`` and the table
+    are built on first use, the table laid out by the largest bucket. Up to
+    ``_COLUMN_LIMIT`` entries it holds occurrence columns: buckets are
+    ordered by size, largest first (``rows``), and column j lists the
+    position in ``ids`` of each bucket's j-th entry, so a sum is one
+    gather-add per column, ``acc[:len(pos_j)] += v[pos_j]``, and one scatter
+    into ``rows``, adding each bucket's rows in ``ids`` order with no sort.
+    Above it, where that costs a numpy call per entry of a long bucket
+    (embedding-table gradients), it holds the stable sort of ``ids`` and each
+    bucket's run start, and a sum is one ``np.add.reduceat``, which rounds
+    differently.
     """
 
-    __slots__ = ("ids", "n", "_rows", "_columns")
+    __slots__ = ("ids", "n", "_counts", "_rows", "_columns", "_starts")
 
     def __init__(self, ids, n: int):
         ids = np.asarray(ids, dtype=np.int64)
@@ -285,25 +270,40 @@ class Segments:
             raise ValueError("segment id out of range")
         self.ids = ids
         self.n = n
+        self._counts: np.ndarray | None = None
         self._rows: np.ndarray | None = None
         self._columns: list[np.ndarray] | None = None
+        self._starts: np.ndarray | None = None  # set in the sorted layout only
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Entries per bucket, ``np.bincount(ids, minlength=n)``."""
+        if self._counts is None:
+            self._counts = np.bincount(self.ids, minlength=self.n)
+        return self._counts
 
     def _table(self) -> list[np.ndarray]:
         if self._columns is None:
-            counts = np.bincount(self.ids, minlength=self.n)
-            rows = np.argsort(-counts, kind="stable")
-            order = np.argsort(self.ids, kind="stable")
-            first = (np.cumsum(counts) - counts)[rows]  # where each bucket's run starts in order
-            lengths = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]  # buckets with > j entries
-            self._columns = [order[first[:r] + j] for j, r in enumerate(lengths)]
-            self._rows = rows[: int(lengths[0]) if lengths.size else 0]
+            counts, order = self.counts, np.argsort(self.ids, kind="stable")
+            first = np.cumsum(counts) - counts  # where each bucket's run starts in order
+            if counts.max(initial=0) > _COLUMN_LIMIT:
+                self._rows = np.flatnonzero(counts)
+                self._starts, self._columns = first[self._rows], [order]
+            else:
+                rows = np.argsort(-counts, kind="stable")
+                first = first[rows]
+                lengths = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]  # buckets with > j entries
+                self._columns = [order[first[:r] + j] for j, r in enumerate(lengths)]
+                self._rows = rows[: int(lengths[0]) if lengths.size else 0]
         return self._columns
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """Per-bucket sums of the rows of ``values``; empty buckets are zero."""
         columns = self._table()
         out = np.zeros((self.n,) + values.shape[1:], dtype=values.dtype)
-        if columns:
+        if self._starts is not None:
+            out[self._rows] = np.add.reduceat(values[columns[0]], self._starts, axis=0)
+        elif columns:
             acc = values[columns[0]]
             for pos in columns[1:]:
                 acc[: pos.size] += values[pos]
@@ -346,19 +346,20 @@ def embedding_sum(tables: Sequence[Tensor], index) -> Tensor:
         raise ValueError("embedding index must be a 2-d integer matrix")
     if idx.shape[1] != len(tables):
         raise ValueError(f"index has {idx.shape[1]} fields, expected {len(tables)}")
+    plans = []
     for f, table in enumerate(tables):
-        if idx.shape[0] and (idx[:, f].min() < 0 or idx[:, f].max() >= table.data.shape[0]):
-            raise ValueError(
-                f"field {f}: index out of range for cardinality {table.data.shape[0]}"
-            )
+        try:
+            plans.append(Segments(idx[:, f], table.data.shape[0]))
+        except ValueError:
+            raise ValueError(f"field {f}: index out of range for cardinality {table.data.shape[0]}") from None
     data = tables[0].data[idx[:, 0]]  # fancy indexing returns a new array
     for f in range(1, len(tables)):
         data += tables[f].data[idx[:, f]]
 
     def backward(g):
-        for f, table in enumerate(tables):
+        for table, plan in zip(tables, plans):
             if table.requires_grad:
-                _accumulate(table, _scatter_add(idx[:, f], g, table.data.shape[0]))
+                _accumulate(table, plan.sum(g))
 
     return _result(data, tuple(tables), backward)
 
@@ -380,13 +381,11 @@ def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
 
 def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     """Per-segment mean; empty segments yield zero rows. Takes the same
-    ``segment_ids`` as :func:`segment_sum`."""
+    ``segment_ids`` as :func:`segment_sum` and divides by the plan's ``counts``."""
     values = _as_tensor(values)
     plan = _plan(segment_ids, num_segments)
-    total = segment_sum(values, plan, num_segments)
-    counts = np.bincount(plan.ids, minlength=num_segments)
-    inv = (1.0 / np.maximum(counts, 1)).astype(values.data.dtype)
-    return mul(total, Tensor(inv[:, None]))
+    inv = (1.0 / np.maximum(plan.counts, 1)).astype(values.data.dtype)
+    return mul(segment_sum(values, plan, num_segments), Tensor(inv[:, None]))
 
 
 def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
@@ -636,8 +635,11 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         code = _DTYPE_CODES[np.dtype(dtype)]
         if offset + nbytes > len(blob):
             raise ValueError(f"checkpoint data truncated in {path}.bin at tensor {entry['name']!r}")
-        arr = np.frombuffer(blob[offset : offset + nbytes], dtype=code).astype(dtype).reshape(shape)
-        arrays[entry["name"]] = arr
+        arr = np.frombuffer(blob[offset : offset + nbytes], dtype=code).astype(dtype)
+        try:
+            arrays[entry["name"]] = arr.reshape(shape)
+        except ValueError:  # a zero-size shape whose other dimensions overflow
+            raise ValueError(f"checkpoint {path}: tensor {entry['name']!r} has an invalid shape {list(shape)}") from None
         offset += nbytes
     if offset != len(blob):
         raise ValueError(f"checkpoint data size mismatch in {path}.bin")

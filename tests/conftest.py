@@ -18,6 +18,23 @@ def plain(num_nodes, edges):
     )
 
 
+def _scatter_add(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum rows of ``values`` into ``n`` buckets by ``ids``; empty buckets are
+    zero. The tests' reference for :class:`cyclegnn.tensor.Segments`.
+
+    Rows are stably sorted by bucket, so the summation order does not depend
+    on the machine's sort kernel, and each bucket's run is summed by one
+    ``np.add.reduceat``, which adds pairwise; float sums can differ from
+    sequential accumulation by rounding."""
+    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
+    if ids.size:
+        order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[order]
+        starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+        out[sorted_ids[starts]] = np.add.reduceat(values[order], starts, axis=0)
+    return out
+
+
 def random_graph(rng, n, p=0.3):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return plain(n, edges)

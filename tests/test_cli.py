@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import warnings
 
@@ -449,6 +450,23 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: malformed tensor list ") and ckpt in err
+
+    def test_checkpoint_tensor_that_cannot_be_reshaped_exits_one_naming_it(self, trained, tmp_path, capsys):
+        _, data, prefix = trained
+        ckpt = copy_checkpoint(prefix, tmp_path)
+        manifest = json.load(open(ckpt))
+        first = manifest["tensors"][0]
+        nbytes = math.prod(first["shape"]) * np.dtype(first["dtype"]).itemsize
+        first["shape"] = [0, 2**63 - 1]
+        with open(ckpt, "w") as fh:
+            json.dump(manifest, fh)
+        blob = open(ckpt + ".bin", "rb").read()
+        with open(ckpt + ".bin", "wb") as fh:
+            fh.write(blob[nbytes:])
+        code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ckpt in err and repr(first["name"]) in err and "invalid shape" in err
 
     def test_checkpoint_manifest_not_json_exits_one_naming_it(self, trained, tmp_path, capsys):
         _, data, prefix = trained

@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import _scatter_add
 
 import cyclegnn.data as data_mod
 from cyclegnn.data import (
@@ -16,7 +17,7 @@ from cyclegnn.data import (
 )
 from cyclegnn.graph import KHopIndex, LabeledGraph, build_khop_index
 from cyclegnn.synth import gen_cycle_union, gen_synthetic_dataset
-from cyclegnn.tensor import Tensor, _scatter_add, backward, gather_rows, mul, segment_sum, tsum
+from cyclegnn.tensor import Tensor, backward, gather_rows, mul, segment_sum, tsum
 
 
 def small_dataset(n=6, tasks=2, seed=0):
@@ -319,6 +320,25 @@ class TestBatchPlans:
                 want = _scatter_add(plan.ids, values, plan.n)
                 got = segment_sum(Tensor(values), plan, plan.n).data
                 np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5, err_msg=name)
+                x = Tensor(rng.normal(size=(plan.n, 5)).astype(np.float32), requires_grad=True)
+                backward(tsum(mul(gather_rows(x, plan), Tensor(values))))
+                np.testing.assert_allclose(x.grad, want, rtol=1e-5, atol=1e-5, err_msg=name)
+
+    def test_hub_and_large_graph_sum_within_rounding(self):
+        rng = np.random.default_rng(14)
+        leaves = np.arange(1, 1001)
+        star = LabeledGraph(
+            num_nodes=1001,
+            node_feats=np.zeros((1001, 1)),
+            edges=np.stack([np.zeros_like(leaves), leaves], axis=1),
+            edge_feats=np.zeros((1000, 1)),
+        )
+        for graph in (star, gen_cycle_union([1000])):
+            batch = collate([graph, self.random_graph(rng)], None, k_max=2)
+            for name, plan in _plans(batch).items():
+                values = rng.normal(size=(plan.ids.size, 5)).astype(np.float32)
+                want = _scatter_add(plan.ids, values, plan.n)
+                np.testing.assert_allclose(segment_sum(Tensor(values), plan, plan.n).data, want, rtol=1e-5, atol=1e-5, err_msg=name)
                 x = Tensor(rng.normal(size=(plan.n, 5)).astype(np.float32), requires_grad=True)
                 backward(tsum(mul(gather_rows(x, plan), Tensor(values))))
                 np.testing.assert_allclose(x.grad, want, rtol=1e-5, atol=1e-5, err_msg=name)

@@ -3,7 +3,9 @@ import os
 
 import numpy as np
 import pytest
+from conftest import _scatter_add
 
+import cyclegnn.tensor as tensor_mod
 from cyclegnn.tensor import (
     EVAL,
     RECAL,
@@ -21,7 +23,6 @@ from cyclegnn.tensor import (
     gradcheck,
     load_checkpoint,
     _Pooled,
-    _scatter_add,
     matmul,
     mul,
     no_grad,
@@ -146,8 +147,20 @@ class TestSegmentOps:
         assert gradcheck(lambda: tsum(segment_mean(v, ids, 4) ** 2.0), [v]) < 1e-6
 
 
+def both_layouts(monkeypatch, ids, values, n):
+    """``Segments(ids, n).sum(values)`` with an occurrence-column table, then
+    with a sorted table (every non-empty plan above the limit)."""
+    sums = []
+    for limit in (np.iinfo(np.int64).max, 0):
+        monkeypatch.setattr(tensor_mod, "_COLUMN_LIMIT", limit)
+        plan = Segments(ids, n)
+        sums.append(plan.sum(values))
+        assert (plan._starts is not None) == (limit == 0 and ids.size > 0)
+    return sums
+
+
 class TestScatterAdd:
-    """_scatter_add against the sequential np.add.at it replaced."""
+    """Segments sums, in both table layouts, against the sequential np.add.at."""
 
     CASES = {
         "empty ids, n > 0": (np.zeros(0, dtype=np.int64), (3,), 4),
@@ -164,24 +177,24 @@ class TestScatterAdd:
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_integer_values_sum_exactly(self, case, dtype):
+    def test_integer_values_sum_exactly(self, case, dtype, monkeypatch):
         ids, row_shape, n = self.CASES[case]
         values = np.random.default_rng(0).integers(-50, 50, size=(ids.size,) + row_shape).astype(dtype)
-        out = _scatter_add(ids, values, n)
-        assert out.dtype == dtype and out.shape == (n,) + row_shape
-        np.testing.assert_array_equal(out, self.reference(ids, values, n))
+        for out in both_layouts(monkeypatch, ids, values, n):
+            assert out.dtype == dtype and out.shape == (n,) + row_shape
+            np.testing.assert_array_equal(out, self.reference(ids, values, n))
 
     @pytest.mark.parametrize("row_shape", [(), (16,)])
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
-    def test_float_values_match_within_rounding(self, row_shape, dtype, tol):
+    def test_float_values_match_within_rounding(self, row_shape, dtype, tol, monkeypatch):
         rng = np.random.default_rng(1)
         n = 50
         ids = rng.integers(0, n - 2, size=3000) + 1  # buckets 0 and n-1 stay empty
         values = rng.normal(size=(ids.size,) + row_shape).astype(dtype)
-        out = _scatter_add(ids, values, n)
-        assert out.dtype == dtype
-        np.testing.assert_allclose(out, self.reference(ids, values, n), rtol=tol, atol=tol)
-        assert not out[[0, n - 1]].any()
+        for out in both_layouts(monkeypatch, ids, values, n):
+            assert out.dtype == dtype
+            np.testing.assert_allclose(out, self.reference(ids, values, n), rtol=tol, atol=tol)
+            assert not out[[0, n - 1]].any()
 
 
 class TestSegments:
@@ -218,6 +231,34 @@ class TestSegments:
         ids = rng.permutation(np.concatenate([np.arange(n), rng.choice(n, 12, replace=False)]))
         values = rng.normal(size=(ids.size, 8)).astype(np.float32)
         np.testing.assert_array_equal(Segments(ids, n).sum(values), _scatter_add(ids, values, n))
+
+    def test_largest_bucket_above_the_limit_takes_the_sorted_layout(self):
+        limit = tensor_mod._COLUMN_LIMIT
+        at = Segments(np.r_[np.zeros(limit, dtype=np.int64), [2, 1, 2]], 4)
+        above = Segments(np.r_[np.zeros(limit + 1, dtype=np.int64), [2, 1, 2]], 4)
+        for plan in (at, above):
+            np.testing.assert_array_equal(plan.sum(np.ones((plan.ids.size, 2)))[:, 0], plan.counts)
+        assert at._starts is None and len(at._columns) == limit
+        assert above._starts is not None and len(above._columns) == 1
+
+    def test_counts_equal_bincount_and_wait_for_first_use(self):
+        rng = np.random.default_rng(8)
+        for ids, n in [(np.zeros(0, dtype=np.int64), 5), (rng.integers(0, 4, size=30), 9), (rng.integers(0, 3, size=400), 6)]:
+            plan = Segments(ids, n)
+            assert plan._counts is None
+            np.testing.assert_array_equal(plan.counts, np.bincount(ids, minlength=n))
+            assert plan.counts.shape == (n,) and not plan.counts[4:].any()
+
+    def test_embedding_gradients_with_long_and_short_buckets_match_the_oracle(self):
+        rng = np.random.default_rng(9)
+        long_bucket = np.r_[np.zeros(3 * tensor_mod._COLUMN_LIMIT, dtype=np.int64), rng.integers(1, 40, size=60)]
+        idx = rng.permutation(np.stack([long_bucket, rng.integers(0, 300, size=long_bucket.size)], axis=1))
+        tables = [t64(rng.normal(size=(40, 4)), grad=True), t64(rng.normal(size=(300, 4)), grad=True)]
+        g = rng.normal(size=(idx.shape[0], 4))
+        backward(tsum(mul(embedding_sum(tables, idx), t64(g))))
+        # field 0 takes the sorted layout, which runs the oracle's own operations
+        np.testing.assert_array_equal(tables[0].grad, _scatter_add(idx[:, 0], g, 40))
+        np.testing.assert_allclose(tables[1].grad, _scatter_add(idx[:, 1], g, 300), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("ids", [[0, 3], [-1, 0]])
     def test_out_of_range_id_raises_when_built(self, ids):
