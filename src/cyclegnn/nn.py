@@ -184,10 +184,8 @@ def _wide_conv(
     depth = len(history)  # this is layer number l, history = [h0 .. h_{l-1}]
     h_prev = history[-1]
     pre = mul(h_prev, _one_plus(layer.eps[0]))
-    agg1 = segment_sum(relu(_arc_inputs(h_prev, layer, batch)), batch.arc_dst, batch.num_nodes)
-    # agg1 stays bound until the MLP has run: freed here, its pages go back to
-    # the OS and fault in again (+35% minor faults scoring 4000 multitask graphs)
-    pre = add(pre, mul(agg1, _one_plus(layer.eps[1])) if k_radius >= 1 else agg1)
+    agg = segment_sum(relu(_arc_inputs(h_prev, layer, batch)), batch.arc_dst, batch.num_nodes)
+    pre = add(pre, mul(agg, _one_plus(layer.eps[1])) if k_radius >= 1 else agg)
     for k in range(2, k_radius + 1):
         if not from_previous_only and k > depth:
             continue  # no embeddings from k layers back yet; term omitted

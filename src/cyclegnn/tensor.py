@@ -2,16 +2,31 @@
 
 A Tensor wraps a numpy array and remembers, for results of primitive
 operations, which tensors produced it and how to push gradients back to
-them. ``backward(loss)`` runs reverse accumulation over that record.
-Inside ``with no_grad():`` nothing is recorded: results carry no parents, no
+them. ``backward(loss)`` runs reverse accumulation over that record and
+consumes it: each node's gradient, closure and parents are dropped as soon as
+its closure has run, so a step's intermediates are freed while backward
+walks the tape, not when the next forward rebinds the loss. Inside
+``with no_grad():`` nothing is recorded: results carry no parents, no
 backward closure and ``requires_grad`` False, so a forward that is never
 differentiated (scoring, statistics recalibration) frees each intermediate
 as soon as it is used. Training code uses float32; gradient checking should
 use float64.
+
+On import the module sets glibc's allocator policy once (``mallopt``; where
+the C library has none, nothing is done): free memory at the top of the heap
+goes back to the kernel only once it exceeds ``_TRIM_THRESHOLD`` (1 GiB), and
+only blocks of ``_MMAP_THRESHOLD`` (32 MiB) and more are mapped and unmapped
+on their own. So the pages a training step or a
+scoring batch frees are reused by the next one instead of being returned to
+the kernel and faulted in again. Arrays of 32 MiB and more (the dense reach
+matrix of a large graph) still go back to the kernel when freed; smaller
+ones stay in the process, so its resident size does not fall back after a
+peak.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -37,6 +52,26 @@ _ADAM_BETAS = (0.9, 0.999)
 _ADAM_EPS = 1e-8
 
 _recording = True  # False inside no_grad()
+
+_M_TRIM_THRESHOLD = -1  # mallopt parameter numbers, from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD = 1 << 30  # free heap top kept; at 32 MiB, training on multitask-score still re-faults
+_MMAP_THRESHOLD = 32 << 20  # glibc's largest allowed value on 64-bit
+
+
+def _set_malloc_policy(libc) -> None:
+    """Keep freed heap pages in the process: ``libc.mallopt`` sets the trim
+    and mmap thresholds once. A C library without ``mallopt`` is left as is."""
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
+try:
+    _set_malloc_policy(ctypes.CDLL(None))
+except (OSError, TypeError):  # no process-wide C library handle (Windows)
+    pass
 
 
 def _check_mode(mode: str) -> None:
@@ -441,23 +476,43 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mod
     _check_mode(mode)
     if x.data.shape[0] == 0:
         raise ValueError("batchnorm requires a non-empty batch")
-    if mode == TRAIN:
-        mu = tmean(x, axis=0)
-        centered = x - mu
-        var = tmean(mul(centered, centered), axis=0)
-        state.running_mean = (1.0 - _BN_MOMENTUM) * state.running_mean + _BN_MOMENTUM * mu.data
-        state.running_var = (1.0 - _BN_MOMENTUM) * state.running_var + _BN_MOMENTUM * var.data
-        inv = pow_const(var + _as_tensor(np.asarray(_BN_EPS, dtype=x.data.dtype)), -0.5)
-        normalized = mul(centered, inv)
-    else:
+    if mode != TRAIN:
         if mode == RECAL and state.pool is not None:
             x64 = x.data.astype(np.float64)
             state.pool.append((x64.sum(axis=0), (x64 * x64).sum(axis=0), x.data.shape[0]))
             raise _Pooled
         inv = (1.0 / np.sqrt(state.running_var + _BN_EPS)).astype(x.data.dtype)
         mean = state.running_mean.astype(x.data.dtype, copy=False)
-        normalized = mul(x - Tensor(mean), Tensor(inv))
-    return add(mul(normalized, gamma), beta)
+        return _affine_norm(x, mean, inv, gamma, beta)
+    mu = tmean(x, axis=0)
+    centered = x - mu
+    var = tmean(mul(centered, centered), axis=0)
+    state.running_mean = (1.0 - _BN_MOMENTUM) * state.running_mean + _BN_MOMENTUM * mu.data
+    state.running_var = (1.0 - _BN_MOMENTUM) * state.running_var + _BN_MOMENTUM * var.data
+    inv = pow_const(var + _as_tensor(np.asarray(_BN_EPS, dtype=x.data.dtype)), -0.5)
+    return add(mul(mul(centered, inv), gamma), beta)
+
+
+def _affine_norm(x: Tensor, mean: np.ndarray, inv: np.ndarray, gamma: Tensor, beta: Tensor) -> Tensor:
+    """``((x - mean) * inv) * gamma + beta`` with fixed statistics, as one
+    node writing one buffer; the same float operations, in the same order,
+    as the ``add``/``mul`` chain it stands for."""
+    data = x.data - mean
+    data *= inv
+    data *= gamma.data
+    data += beta.data
+
+    def backward(g):
+        if beta.requires_grad:
+            _accumulate(beta, _unbroadcast(g, beta.data.shape))
+        if gamma.requires_grad:
+            normalized = x.data - mean
+            normalized *= inv
+            _accumulate(gamma, _unbroadcast(g * normalized, gamma.data.shape))
+        if x.requires_grad:
+            _accumulate(x, (g * gamma.data) * inv)
+
+    return _result(data, (x, gamma, beta), backward)
 
 
 def bce_with_logits_masked(logits: Tensor, targets, mask) -> Tensor:
@@ -483,8 +538,18 @@ def bce_with_logits_masked(logits: Tensor, targets, mask) -> Tensor:
     return _result(data, (logits,), backward)
 
 
+def _consumed(g) -> None:
+    raise ValueError("this tape was already consumed by backward; run the forward again")
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse accumulation from a scalar loss into ``.grad`` of tracked tensors."""
+    """Reverse accumulation from a scalar loss into ``.grad`` of tracked tensors.
+
+    Consumes the tape: once a node has pushed its gradient to its parents,
+    its ``.grad``, closure and parents are dropped, so each intermediate is
+    freed as soon as its last consumer is done. Leaves (tensors made with
+    ``requires_grad=True``) keep and accumulate their ``.grad``. A later
+    backward that reaches a consumed node raises ValueError."""
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
     order: list[Tensor] = []
@@ -502,9 +567,11 @@ def backward(loss: Tensor) -> None:
         for parent in node._parents:
             stack.append((parent, False))
     _accumulate(loss, np.ones_like(loss.data))
-    for node in reversed(order):
+    while order:
+        node = order.pop()  # popped, so the list pins no finished node
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _consumed, ()
 
 
 class Adam:

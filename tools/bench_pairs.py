@@ -7,10 +7,13 @@ commit, ``--after`` the change. For every workload in ``BENCHMARK.json``, pair
 i of ``PAIRS`` runs ``perfbench/run.py --seed SEED+i --trace 0`` for
 ``BENCHMARK.json``'s ``run_seconds`` once in each checkout, one at a time,
 the before side first in even pairs and the after side first in odd ones. Each run's last stdout line (the result JSON) and its ``env`` line
-are read. The output holds, per workload and end-to-end metric, each side's
-runs, median and quartiles, and the pairs the after side won, with the seeds,
-run length, commits and machine (CPU, nproc, numpy, BLAS) they ran on. It
-exits 1 if any run exits non-zero or reports ``"correct": false``.
+are read, and the run's minor page faults and system CPU seconds are taken
+as the change in ``getrusage(RUSAGE_CHILDREN)`` across it. The output holds,
+per workload and end-to-end metric, each side's runs, median and quartiles,
+and the pairs the after side won; per workload, each side's faults and system
+seconds in the same form; and the seeds, run length, commits and machine
+(CPU, nproc, numpy, BLAS) they ran on. It exits 1 if any run exits non-zero
+or reports ``"correct": false``.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -27,16 +31,20 @@ SIDES = ("before", "after")
 PAIRS = 10  # a gain counts only when the change wins at least 9 of 10 alternating pairs
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One untraced benchmark run in ``checkout``: its result and env lines."""
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict, dict]:
+    """One untraced benchmark run in ``checkout``: its result and env lines,
+    and its minor page faults and system CPU seconds."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    usage = {"minor_faults": after.ru_minflt - before.ru_minflt, "sys_s": round(after.ru_stime - before.ru_stime, 6)}
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: {proc.stderr.strip()}")
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
-    return json.loads(lines[-1]), env
+    return json.loads(lines[-1]), env, usage
 
 
 def summary(values: list[float]) -> dict:
@@ -63,15 +71,18 @@ def main(argv: list[str] | None = None) -> int:
     ok = True
     for wl in (w["name"] for w in bench["workloads"]):
         runs: dict[str, list[dict]] = {side: [] for side in SIDES}
+        usages: dict[str, list[dict]] = {side: [] for side in SIDES}
         for i, seed in enumerate(seeds):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                result, env = run_once(checkouts[side], wl, seed, seconds)
+                result, env, usage = run_once(checkouts[side], wl, seed, seconds)
                 ok &= bool(result.get("correct"))
                 runs[side].append(result)
+                usages[side].append(usage)
                 report.setdefault("machine", {k: env.get(k) for k in ("cpu", "nproc", "python", "numpy", "blas", "blas_threads")})
                 report.setdefault("commits", {})[side] = env.get("git_commit")
                 print(f"{wl} seed {seed} {side}: " + " ".join(
-                    f"{name}={m['value']:.6g}" for name, m in result["metrics"].items()), file=sys.stderr)
+                    f"{name}={m['value']:.6g}" for name, m in result["metrics"].items())
+                    + f" minor_faults={usage['minor_faults']} sys_s={usage['sys_s']:.3f}", file=sys.stderr)
         metrics = {}
         for m in bench["end_to_end"]:
             name, sign = m["name"], 1 if m["better"] == "higher" else -1
@@ -92,6 +103,10 @@ def main(argv: list[str] | None = None) -> int:
             "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
             "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
             "metrics": metrics,
+            "usage": {
+                key: {side: summary([u[key] for u in usages[side]]) for side in SIDES}
+                for key in ("minor_faults", "sys_s")
+            },
         }
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=1)
