@@ -64,6 +64,7 @@ def _set_malloc_policy(libc) -> None:
     and mmap thresholds once. A C library without ``mallopt`` is left as is."""
     mallopt = getattr(libc, "mallopt", None)
     if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
 

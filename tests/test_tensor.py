@@ -1,5 +1,7 @@
 import math
 import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from cyclegnn.tensor import (
     BatchNormState,
     Segments,
     Tensor,
+    add,
     backward,
     batchnorm,
     bce_with_logits_masked,
@@ -84,6 +87,68 @@ class TestArithmetic:
         x = t64([1.0, 2.0], grad=True)
         with pytest.raises(ValueError):
             backward(x + x)
+
+
+class TestTapeRelease:
+    def test_backward_frees_the_tape_while_loss_and_logits_stay_bound(self):
+        rng = np.random.default_rng(21)
+        n, h = 600, 48
+        weights = [Tensor(rng.normal(size=(h, h)).astype(np.float32) / h, requires_grad=True) for _ in range(3)]
+        gammas = [Tensor(np.ones(h, np.float32), requires_grad=True) for _ in range(3)]
+        betas = [Tensor(np.zeros(h, np.float32), requires_grad=True) for _ in range(3)]
+        head = Tensor(rng.normal(size=(h, 1)).astype(np.float32), requires_grad=True)
+        x = Tensor(rng.normal(size=(n, h)).astype(np.float32))
+        plan = Segments(rng.integers(0, n, size=3 * n), n)
+        states = [BatchNormState.initial(h) for _ in range(3)]
+        targets, mask = np.ones((n, 1), np.float32), np.ones((n, 1), np.float32)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            z = x
+            for w, gamma, beta, state in zip(weights, gammas, betas, states):
+                z = add(z, segment_sum(relu(gather_rows(z, plan)), plan, n))
+                z = relu(batchnorm(matmul(z, w), gamma, beta, state, TRAIN))
+            logits = matmul(z, head)
+            loss = bce_with_logits_masked(logits, targets, mask)
+            del z
+            forward = tracemalloc.get_traced_memory()[0] - baseline
+            backward(loss)
+            kept = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert forward > 0 and kept <= 0.1 * forward, (kept, forward)
+        assert logits.grad is None and loss.grad is None
+        assert all(w.grad is not None and np.abs(w.grad).sum() > 0 for w in weights)
+
+    def test_leaves_keep_their_gradients_and_intermediates_drop_theirs(self):
+        x = t64([2.0, 3.0], grad=True)
+        square = mul(x, x)
+        backward(tsum(square))
+        np.testing.assert_array_equal(x.grad, [4.0, 6.0])
+        assert square.grad is None and square._parents == ()
+        backward(tsum(mul(x, x)))  # a new forward over the same leaf accumulates as before
+        np.testing.assert_array_equal(x.grad, [8.0, 12.0])
+
+    def test_second_backward_through_a_consumed_tape_raises(self):
+        x = t64([2.0], grad=True)
+        square = mul(x, x)
+        loss = tsum(square)
+        backward(loss)
+        message = "this tape was already consumed by backward; run the forward again"
+        with pytest.raises(ValueError, match=message):
+            backward(loss)
+        with pytest.raises(ValueError, match=message):
+            backward(tsum(mul(square, t64([3.0]))))  # a new node on top of a consumed one
+
+
+class TestMallocPolicy:
+    def test_a_c_library_without_mallopt_is_left_alone(self):
+        tensor_mod._set_malloc_policy(SimpleNamespace())
+
+    def test_mallopt_gets_exactly_the_two_thresholds(self):
+        calls = []
+        tensor_mod._set_malloc_policy(SimpleNamespace(mallopt=lambda param, value: calls.append((param, value))))
+        assert calls == [(-1, 1 << 30), (-3, 32 << 20)]  # M_TRIM_THRESHOLD 1 GiB, M_MMAP_THRESHOLD 32 MiB
 
 
 class TestActivations:
@@ -437,6 +502,36 @@ class TestBatchnorm:
             return tsum(batchnorm(x, gamma, beta, state, TRAIN) ** 2.0)
 
         assert gradcheck(f, [x, gamma, beta]) < 1e-5
+
+    @pytest.mark.parametrize("mode", [EVAL, RECAL])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_and_recal_match_the_add_mul_chain_bitwise(self, mode, dtype):
+        rng = np.random.default_rng(8)
+        state = BatchNormState(rng.normal(size=4).astype(dtype), rng.uniform(0.5, 2.0, size=4).astype(dtype))
+        values = [rng.normal(size=(7, 4)), rng.normal(size=4) + 1.0, rng.normal(size=4)]
+        g = Tensor(rng.normal(size=(7, 4)).astype(dtype))
+
+        def leaves():
+            return [Tensor(v.astype(dtype), requires_grad=True) for v in values]
+
+        x, gamma, beta = leaves()
+        fused = batchnorm(x, gamma, beta, state, mode)
+        backward(tsum(mul(fused, g)))
+        rx, rgamma, rbeta = leaves()
+        inv = (1.0 / np.sqrt(state.running_var + 1e-5)).astype(dtype)
+        chain = add(mul(mul(rx - Tensor(state.running_mean), Tensor(inv)), rgamma), rbeta)
+        backward(tsum(mul(chain, g)))
+        assert fused.data.dtype == dtype and fused.data.tobytes() == chain.data.tobytes()
+        for ours, theirs in ((x, rx), (gamma, rgamma), (beta, rbeta)):
+            assert ours.grad.tobytes() == theirs.grad.tobytes()
+
+    def test_gradcheck_eval_mode(self):
+        rng = np.random.default_rng(9)
+        state = BatchNormState(rng.normal(size=3), rng.uniform(0.5, 2.0, size=3))
+        x = t64(rng.normal(size=(5, 3)), grad=True)
+        gamma = t64(rng.normal(size=3) + 1.0, grad=True)
+        beta = t64(rng.normal(size=3), grad=True)
+        assert gradcheck(lambda: tsum(batchnorm(x, gamma, beta, state, EVAL) ** 2.0), [x, gamma, beta]) < 1e-6
 
     def test_empty_batch_rejected(self):
         state = BatchNormState.initial(1, np.float64)
