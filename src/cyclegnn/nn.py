@@ -45,6 +45,11 @@ _WIDE_CONVS = (CONV_NAIVE_GINE_PLUS, CONV_GINE_PLUS)
 _RUNNING_STATS = ("running_mean", "running_var")  # checkpoint suffixes of a batchnorm's state
 
 
+def _is_int(x) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture description; all parameter shapes follow from it."""
@@ -60,8 +65,16 @@ class ModelConfig:
     dropout: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "node_field_cards", tuple(int(c) for c in self.node_field_cards))
-        object.__setattr__(self, "edge_field_cards", tuple(int(c) for c in self.edge_field_cards))
+        for name in ("node_field_cards", "edge_field_cards"):
+            cards = getattr(self, name)
+            if not isinstance(cards, (list, tuple)) or not all(_is_int(c) for c in cards):
+                raise ValueError(f"{name} must be a list of integers, got {cards!r}")
+            object.__setattr__(self, name, tuple(int(c) for c in cards))
+        for name in ("num_tasks", "hidden", "num_layers", "radius"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.virtual_node, bool):
+            raise ValueError(f"virtual_node must be true or false, got {self.virtual_node!r}")
         if self.conv_type not in CONV_TYPES:
             raise ValueError(f"conv_type must be one of {CONV_TYPES}, got {self.conv_type!r}")
         if self.num_layers < 1 or self.hidden < 1 or self.radius < 1 or self.num_tasks < 1:

@@ -286,19 +286,20 @@ class Segments:
     """A reusable plan for summing rows into ``n`` buckets by ``ids``.
 
     The ids are checked against ``n`` once, here; ``counts`` and the table
-    are built on first use, the table laid out by the largest bucket. Up to
-    ``_COLUMN_LIMIT`` entries it holds occurrence columns: buckets are
-    ordered by size, largest first (``rows``), and column j lists the
-    position in ``ids`` of each bucket's j-th entry, so a sum is one
-    gather-add per column, ``acc[:len(pos_j)] += v[pos_j]``, and one scatter
-    into ``rows``, adding each bucket's rows in ``ids`` order with no sort.
-    Above it, where that costs a numpy call per entry of a long bucket
-    (embedding-table gradients), it holds the stable sort of ``ids`` and each
-    bucket's run start, and a sum is one ``np.add.reduceat``, which rounds
-    differently.
+    are built on first use. Every sum adds each bucket's rows one after
+    another in ``ids`` order, so the layout, chosen by the largest bucket,
+    changes speed and never a bit. Up to ``_COLUMN_LIMIT`` entries the table
+    holds occurrence columns: buckets are ordered by size, largest first, and
+    column j lists the position in ``ids`` of each bucket's j-th entry, so a
+    sum is one gather-add per column, ``acc[:len(pos_j)] += v[pos_j]``. Above
+    it (hubs, large graphs, embedding-table gradients), buckets are grouped
+    by length L into (L, b) position tables, each summed by one gather and
+    one ``np.add.reduce`` along axis 0, which adds rows in sequence from
+    -0.0, the exact additive identity. Rows of one scalar would reduce as a
+    1-d array, which numpy adds pairwise, so they take ``np.add.accumulate``.
     """
 
-    __slots__ = ("ids", "n", "_counts", "_rows", "_columns", "_starts")
+    __slots__ = ("ids", "n", "_counts", "_groups")
 
     def __init__(self, ids, n: int):
         ids = np.asarray(ids, dtype=np.int64)
@@ -307,9 +308,7 @@ class Segments:
         self.ids = ids
         self.n = n
         self._counts: np.ndarray | None = None
-        self._rows: np.ndarray | None = None
-        self._columns: list[np.ndarray] | None = None
-        self._starts: np.ndarray | None = None  # set in the sorted layout only
+        self._groups: list[tuple] | None = None
 
     @property
     def counts(self) -> np.ndarray:
@@ -318,32 +317,38 @@ class Segments:
             self._counts = np.bincount(self.ids, minlength=self.n)
         return self._counts
 
-    def _table(self) -> list[np.ndarray]:
-        if self._columns is None:
+    def _table(self) -> list[tuple]:
+        """(rows, positions) pairs: one with a list of occurrence columns, or
+        one per bucket length L with an (L, b) table."""
+        if self._groups is None:
             counts, order = self.counts, np.argsort(self.ids, kind="stable")
             first = np.cumsum(counts) - counts  # where each bucket's run starts in order
             if counts.max(initial=0) > _COLUMN_LIMIT:
-                self._rows = np.flatnonzero(counts)
-                self._starts, self._columns = first[self._rows], [order]
+                self._groups = []
+                for length in np.flatnonzero(np.bincount(counts)[1:]) + 1:  # every bucket length present
+                    rows = np.flatnonzero(counts == length)
+                    self._groups.append((rows, order[first[rows] + np.arange(length)[:, None]]))
             else:
                 rows = np.argsort(-counts, kind="stable")
                 first = first[rows]
                 lengths = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]  # buckets with > j entries
-                self._columns = [order[first[:r] + j] for j, r in enumerate(lengths)]
-                self._rows = rows[: int(lengths[0]) if lengths.size else 0]
-        return self._columns
+                columns = [order[first[:r] + j] for j, r in enumerate(lengths)]
+                self._groups = [(rows[: int(lengths[0])], columns)] if columns else []
+        return self._groups
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """Per-bucket sums of the rows of ``values``; empty buckets are zero."""
-        columns = self._table()
         out = np.zeros((self.n,) + values.shape[1:], dtype=values.dtype)
-        if self._starts is not None:
-            out[self._rows] = np.add.reduceat(values[columns[0]], self._starts, axis=0)
-        elif columns:
-            acc = values[columns[0]]
-            for pos in columns[1:]:
-                acc[: pos.size] += values[pos]
-            out[self._rows] = acc
+        for rows, positions in self._table():
+            if isinstance(positions, list):
+                acc = values[positions[0]]
+                for pos in positions[1:]:
+                    acc[: pos.size] += values[pos]
+            else:
+                stacked = values[positions]  # row i: each bucket's i-th entry
+                scalar = stacked[0].size == 1  # such rows reduce as 1-d, pairwise
+                acc = np.add.accumulate(stacked)[-1] if scalar else np.add.reduce(stacked, axis=0, initial=-0.0)
+            out[rows] = acc
         return out
 
 

@@ -20,19 +20,25 @@ def plain(num_nodes, edges):
 
 def _scatter_add(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """Sum rows of ``values`` into ``n`` buckets by ``ids``; empty buckets are
-    zero. The tests' reference for :class:`cyclegnn.tensor.Segments`.
+    +0. The tests' reference for :class:`cyclegnn.tensor.Segments`.
 
-    Rows are stably sorted by bucket, so the summation order does not depend
-    on the machine's sort kernel, and each bucket's run is summed by one
-    ``np.add.reduceat``, which adds pairwise; float sums can differ from
-    sequential accumulation by rounding."""
-    out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
-    if ids.size:
-        order = np.argsort(ids, kind="stable")
-        sorted_ids = ids[order]
-        starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
-        out[sorted_ids[starts]] = np.add.reduceat(values[order], starts, axis=0)
+    ``np.add.at`` adds one row at a time in ``ids`` order into a -0.0 fill
+    (-0.0 + x is x, bit for bit), so each bucket is the sequential sum that
+    every plan layout must reproduce exactly."""
+    ids = np.asarray(ids, dtype=np.int64)
+    out = np.full((n,) + values.shape[1:], -0.0, dtype=values.dtype)
+    np.add.at(out, ids, values)
+    out[np.bincount(ids, minlength=n) == 0] = 0.0
     return out
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray, err_msg: str = "") -> None:
+    """Equal dtype, shape and bytes: unlike ``assert_array_equal``, this tells
+    -0.0 from +0.0 and one NaN payload from another."""
+    assert got.dtype == want.dtype and got.shape == want.shape, (err_msg, got.dtype, got.shape, want.dtype, want.shape)
+    if got.tobytes() != want.tobytes():
+        np.testing.assert_array_equal(got, want, err_msg=err_msg)  # names the differing entries
+        raise AssertionError(f"{err_msg}: equal values with different bits (the sign of a zero)")
 
 
 def random_graph(rng, n, p=0.3):

@@ -416,6 +416,22 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and ckpt in err and "bogus" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("hidden", 2.5), ("num_layers", 1.0), ("num_tasks", 3.0), ("radius", True),
+        ("node_field_cards", [1.5]), ("edge_field_cards", "12"), ("virtual_node", 1),
+    ])
+    def test_checkpoint_config_field_of_the_wrong_type_errors(self, trained, tmp_path, capsys, key, value):
+        _, data, prefix = trained
+        ckpt = copy_checkpoint(prefix, tmp_path)
+        manifest = json.load(open(ckpt))
+        manifest["extra"]["config"][key] = value
+        with open(ckpt, "w") as fh:
+            json.dump(manifest, fh)
+        code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "invalid model config" in err and key in err
+
     def test_truncated_checkpoint_data_errors(self, trained, tmp_path, capsys):
         _, data, prefix = trained
         ckpt = copy_checkpoint(prefix, tmp_path)

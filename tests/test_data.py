@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import _scatter_add
+from conftest import _scatter_add, assert_same_bits
 
 import cyclegnn.data as data_mod
 from cyclegnn.data import (
@@ -310,7 +310,7 @@ class TestBatchPlans:
             edge_feats=np.zeros((m, 1)),
         )
 
-    def test_sums_and_gather_gradients_match_within_rounding(self):
+    def test_sums_and_gather_gradients_match_exactly(self):
         rng = np.random.default_rng(12)
         for _ in range(25):
             graphs = [self.random_graph(rng) for _ in range(int(rng.integers(1, 12)))]
@@ -318,13 +318,12 @@ class TestBatchPlans:
             for name, plan in _plans(batch).items():
                 values = rng.normal(size=(plan.ids.size, 5)).astype(np.float32)
                 want = _scatter_add(plan.ids, values, plan.n)
-                got = segment_sum(Tensor(values), plan, plan.n).data
-                np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5, err_msg=name)
+                assert_same_bits(segment_sum(Tensor(values), plan, plan.n).data, want, err_msg=name)
                 x = Tensor(rng.normal(size=(plan.n, 5)).astype(np.float32), requires_grad=True)
                 backward(tsum(mul(gather_rows(x, plan), Tensor(values))))
-                np.testing.assert_allclose(x.grad, want, rtol=1e-5, atol=1e-5, err_msg=name)
+                assert_same_bits(x.grad, want, err_msg=name)
 
-    def test_hub_and_large_graph_sum_within_rounding(self):
+    def test_hub_and_large_graph_sum_exactly(self):
         rng = np.random.default_rng(14)
         leaves = np.arange(1, 1001)
         star = LabeledGraph(
@@ -338,21 +337,19 @@ class TestBatchPlans:
             for name, plan in _plans(batch).items():
                 values = rng.normal(size=(plan.ids.size, 5)).astype(np.float32)
                 want = _scatter_add(plan.ids, values, plan.n)
-                np.testing.assert_allclose(segment_sum(Tensor(values), plan, plan.n).data, want, rtol=1e-5, atol=1e-5, err_msg=name)
+                assert_same_bits(segment_sum(Tensor(values), plan, plan.n).data, want, err_msg=name)
                 x = Tensor(rng.normal(size=(plan.n, 5)).astype(np.float32), requires_grad=True)
                 backward(tsum(mul(gather_rows(x, plan), Tensor(values))))
-                np.testing.assert_allclose(x.grad, want, rtol=1e-5, atol=1e-5, err_msg=name)
+                assert_same_bits(x.grad, want, err_msg=name)
 
     def test_degree_two_cycle_unions_sum_exactly(self):
         rng = np.random.default_rng(13)
         graphs = [gen_cycle_union(rng.integers(3, 9, size=int(rng.integers(1, 4)))) for _ in range(16)]
         batch = collate(graphs, None, k_max=3)
         for name, plan in _plans(batch).items():
-            if name == "graph_ids":
-                continue  # buckets of many nodes; rounding may differ
-            assert np.bincount(plan.ids).max() <= 2
+            assert name == "graph_ids" or np.bincount(plan.ids).max() <= 2
             values = rng.normal(size=(plan.ids.size, 7)).astype(np.float32)
-            np.testing.assert_array_equal(plan.sum(values), _scatter_add(plan.ids, values, plan.n), err_msg=name)
+            assert_same_bits(plan.sum(values), _scatter_add(plan.ids, values, plan.n), err_msg=name)
 
     def test_isolated_nodes_and_empty_shells_sum_to_zero(self):
         g = LabeledGraph(num_nodes=4, node_feats=np.zeros((4, 1)), edges=np.asarray([[0, 1]]), edge_feats=np.zeros((1, 1)))

@@ -357,6 +357,13 @@ class TestModelForward:
         with pytest.raises(ValueError, match="cardinality"):
             model_forward(cfg, params, collate([g]), EVAL)
 
+    def test_config_takes_numpy_integers_and_rejects_other_numbers(self):
+        cfg = make_config("gine", hidden=np.int64(8), node_field_cards=[np.int32(3)])
+        assert cfg.hidden == 8 and cfg.node_field_cards == (3,)
+        for field, value in [("hidden", 8.0), ("radius", True), ("num_tasks", np.bool_(True)), ("edge_field_cards", (2.0,)), ("virtual_node", 0)]:
+            with pytest.raises(ValueError, match=field):
+                make_config("gine", **{field: value})
+
     def test_train_with_dropout_needs_rng(self):
         cfg = make_config("gine", dropout=0.5)
         params = init_params(cfg, 21)

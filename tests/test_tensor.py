@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import _scatter_add
+from conftest import _scatter_add, assert_same_bits
 
 import cyclegnn.tensor as tensor_mod
 from cyclegnn.tensor import (
@@ -213,15 +213,23 @@ class TestSegmentOps:
 
 
 def both_layouts(monkeypatch, ids, values, n):
-    """``Segments(ids, n).sum(values)`` with an occurrence-column table, then
-    with a sorted table (every non-empty plan above the limit)."""
+    """``Segments(ids, n).sum(values)`` with occurrence columns, then with
+    length groups (every non-empty plan above the limit); the two must be
+    bit-equal to the sequential oracle, and so to each other."""
     sums = []
     for limit in (np.iinfo(np.int64).max, 0):
         monkeypatch.setattr(tensor_mod, "_COLUMN_LIMIT", limit)
         plan = Segments(ids, n)
         sums.append(plan.sum(values))
-        assert (plan._starts is not None) == (limit == 0 and ids.size > 0)
+        assert all(isinstance(positions, list) == (limit > 0) for _, positions in plan._groups)
+        assert_same_bits(sums[-1], _scatter_add(ids, values, n), err_msg=f"limit {limit}")
     return sums
+
+
+def exact_sums(ids, values, n):
+    """Per-bucket sums accumulated in long double: the true sums, up to far
+    less than the rounding of a float32 or float64 sum."""
+    return _scatter_add(ids, values.astype(np.longdouble), n)
 
 
 class TestScatterAdd:
@@ -232,13 +240,10 @@ class TestScatterAdd:
         "leading, interior and trailing empty buckets": (np.array([1, 3, 3, 1, 5, 3]), (), 7),
         "unsorted duplicates, 2-d": (np.array([4, 0, 2, 0, 4, 4, 1, 2]), (5,), 5),
         "one bucket": (np.zeros(9, dtype=np.int64), (2,), 1),
+        "trailing size 1": (np.array([2, 0, 2, 2, 0]), (1,), 3),
+        "one long scalar bucket": (np.zeros(100, dtype=np.int64), (), 1),
+        "long and short buckets, 3-d rows": (np.r_[np.zeros(40, dtype=np.int64), [3, 1, 3]], (3, 2), 5),
     }
-
-    @staticmethod
-    def reference(ids, values, n):
-        out = np.zeros((n,) + values.shape[1:], dtype=values.dtype)
-        np.add.at(out, ids, values)
-        return out
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -247,19 +252,35 @@ class TestScatterAdd:
         values = np.random.default_rng(0).integers(-50, 50, size=(ids.size,) + row_shape).astype(dtype)
         for out in both_layouts(monkeypatch, ids, values, n):
             assert out.dtype == dtype and out.shape == (n,) + row_shape
-            np.testing.assert_array_equal(out, self.reference(ids, values, n))
 
     @pytest.mark.parametrize("row_shape", [(), (16,)])
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     def test_float_values_match_within_rounding(self, row_shape, dtype, tol, monkeypatch):
+        """Bit-equal to the oracle in both layouts, and within rounding of the true sums."""
         rng = np.random.default_rng(1)
         n = 50
         ids = rng.integers(0, n - 2, size=3000) + 1  # buckets 0 and n-1 stay empty
         values = rng.normal(size=(ids.size,) + row_shape).astype(dtype)
         for out in both_layouts(monkeypatch, ids, values, n):
-            assert out.dtype == dtype
-            np.testing.assert_allclose(out, self.reference(ids, values, n), rtol=tol, atol=tol)
+            np.testing.assert_allclose(out, exact_sums(ids, values, n).astype(dtype), rtol=tol, atol=tol)
             assert not out[[0, n - 1]].any()
+
+    @pytest.mark.parametrize("row_shape", [(), (1,), (2,), (3, 2), (33,)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_random_plans_with_signed_zeros_sum_bit_for_bit(self, row_shape, dtype, monkeypatch):
+        rng = np.random.default_rng(2)
+        for _ in range(30):
+            n, m = int(rng.integers(1, 30)), int(rng.integers(0, 200))
+            ids = np.where(rng.random(m) < rng.random(), 0, rng.integers(0, n, size=m))  # bucket 0 often long
+            values = rng.normal(size=(m,) + row_shape).astype(dtype)
+            values[rng.random(m) < 0.2] = -0.0
+            both_layouts(monkeypatch, ids, values, n)
+
+    def test_signed_zeros_keep_their_sign(self, monkeypatch):
+        ids = np.array([0, 1, 1, 2, 3, 3])  # bucket 4 is empty
+        values = np.array([-0.0, -0.0, -0.0, 0.0, -0.0, 0.0], dtype=np.float32)
+        for out in both_layouts(monkeypatch, ids, values, 5):
+            np.testing.assert_array_equal(np.signbit(out), [True, True, False, False, False])
 
 
 class TestSegments:
@@ -272,39 +293,39 @@ class TestSegments:
     def test_integer_values_sum_exactly(self, case, dtype):
         ids, row_shape, n = self.CASES[case]
         values = np.random.default_rng(0).integers(-50, 50, size=(ids.size,) + row_shape).astype(dtype)
-        out = Segments(ids, n).sum(values)
-        assert out.dtype == dtype and out.shape == (n,) + row_shape
-        np.testing.assert_array_equal(out, _scatter_add(ids, values, n))
+        assert_same_bits(Segments(ids, n).sum(values), _scatter_add(ids, values, n))
 
     @pytest.mark.parametrize("row_shape", [(), (16,)])
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     def test_random_buckets_match_within_rounding(self, row_shape, dtype, tol):
+        """Bit-equal to the oracle, and within rounding of the true sums."""
         rng = np.random.default_rng(4)
         for _ in range(20):
             n = int(rng.integers(1, 40))
             ids = rng.integers(0, n, size=int(rng.integers(0, 120)))
             values = rng.normal(size=(ids.size,) + row_shape).astype(dtype)
-            plan = Segments(ids, n)
-            out = plan.sum(values)
-            assert out.dtype == dtype and out.shape == (n,) + row_shape
-            np.testing.assert_allclose(out, _scatter_add(ids, values, n), rtol=tol, atol=tol)
-            assert not out[np.bincount(ids, minlength=n) == 0].any()
+            out = Segments(ids, n).sum(values)
+            assert_same_bits(out, _scatter_add(ids, values, n))
+            np.testing.assert_allclose(out, exact_sums(ids, values, n).astype(dtype), rtol=tol, atol=tol)
 
     def test_buckets_of_at_most_two_sum_exactly(self):
         rng = np.random.default_rng(5)
         n = 30
         ids = rng.permutation(np.concatenate([np.arange(n), rng.choice(n, 12, replace=False)]))
         values = rng.normal(size=(ids.size, 8)).astype(np.float32)
-        np.testing.assert_array_equal(Segments(ids, n).sum(values), _scatter_add(ids, values, n))
+        assert_same_bits(Segments(ids, n).sum(values), _scatter_add(ids, values, n))
 
-    def test_largest_bucket_above_the_limit_takes_the_sorted_layout(self):
+    def test_largest_bucket_above_the_limit_takes_length_groups(self):
         limit = tensor_mod._COLUMN_LIMIT
         at = Segments(np.r_[np.zeros(limit, dtype=np.int64), [2, 1, 2]], 4)
         above = Segments(np.r_[np.zeros(limit + 1, dtype=np.int64), [2, 1, 2]], 4)
         for plan in (at, above):
             np.testing.assert_array_equal(plan.sum(np.ones((plan.ids.size, 2)))[:, 0], plan.counts)
-        assert at._starts is None and len(at._columns) == limit
-        assert above._starts is not None and len(above._columns) == 1
+        [(rows, columns)] = at._groups
+        assert isinstance(columns, list) and len(columns) == limit and list(rows) == [0, 2, 1]
+        # one (length, buckets) table per bucket length, positions in ids order
+        assert [(list(rows), table.shape) for rows, table in above._groups] == [([1], (1, 1)), ([2], (2, 1)), ([0], (limit + 1, 1))]
+        np.testing.assert_array_equal(above._groups[1][1][:, 0], [limit + 1, limit + 3])
 
     def test_counts_equal_bincount_and_wait_for_first_use(self):
         rng = np.random.default_rng(8)
@@ -321,9 +342,9 @@ class TestSegments:
         tables = [t64(rng.normal(size=(40, 4)), grad=True), t64(rng.normal(size=(300, 4)), grad=True)]
         g = rng.normal(size=(idx.shape[0], 4))
         backward(tsum(mul(embedding_sum(tables, idx), t64(g))))
-        # field 0 takes the sorted layout, which runs the oracle's own operations
-        np.testing.assert_array_equal(tables[0].grad, _scatter_add(idx[:, 0], g, 40))
-        np.testing.assert_allclose(tables[1].grad, _scatter_add(idx[:, 1], g, 300), rtol=1e-12, atol=1e-12)
+        # field 0 takes length groups, field 1 occurrence columns; both add in ids order
+        assert_same_bits(tables[0].grad, _scatter_add(idx[:, 0], g, 40))
+        assert_same_bits(tables[1].grad, _scatter_add(idx[:, 1], g, 300))
 
     @pytest.mark.parametrize("ids", [[0, 3], [-1, 0]])
     def test_out_of_range_id_raises_when_built(self, ids):
@@ -337,9 +358,9 @@ class TestSegments:
     def test_second_sum_reuses_the_table(self):
         plan = Segments([2, 0, 2, 1, 2], 4)
         first = plan.sum(np.ones((5, 2)))
-        table = plan._columns
+        table = plan._groups
         np.testing.assert_array_equal(plan.sum(np.ones((5, 2))), first)
-        assert plan._columns is table
+        assert plan._groups is table
         np.testing.assert_array_equal(first[:, 0], [1.0, 1.0, 3.0, 0.0])
 
     def test_ops_accept_a_plan_and_an_array_alike(self):
@@ -353,7 +374,7 @@ class TestSegments:
         np.testing.assert_array_equal(gather_rows(x, plan).data, x.data[ids])
         g = rng.normal(size=(12, 3))
         backward(tsum(mul(gather_rows(x, plan), t64(g))))
-        np.testing.assert_allclose(x.grad, _scatter_add(ids, g, 5), rtol=1e-12, atol=1e-12)
+        assert_same_bits(x.grad, _scatter_add(ids, g, 5))
 
     def test_gradients_through_plans(self):
         rng = np.random.default_rng(7)
@@ -362,6 +383,34 @@ class TestSegments:
         x = t64(rng.normal(size=(4, 2)), grad=True)
         assert gradcheck(lambda: tsum(segment_sum(v, plan, 4) ** 2.0), [v]) < 1e-6
         assert gradcheck(lambda: tsum(gather_rows(x, plan) ** 2.0 * gather_rows(x, plan)), [x]) < 1e-6
+
+
+class TestNumpySummationOrder:
+    """The numpy behaviour that ``Segments`` length groups rest on. A numpy
+    whose reductions add in another order must fail here, instead of moving
+    every checkpoint without a word."""
+
+    def test_reduce_along_axis_0_adds_rows_in_sequence(self):
+        # 1e8 + 1 rounds back to 1e8 in float32, so only a sum that adds the
+        # rows one after another keeps 1e8; adding the ones first gives 1e8 + 128
+        column = np.r_[np.float32(1e8), np.ones(128, np.float32)]
+        assert np.float32(1e8) + np.float32(128) != np.float32(1e8)
+        for rows in (np.stack([column, column], axis=1), column[:, None, None] * np.ones((1, 2, 3), np.float32)):
+            assert (np.add.reduce(rows, axis=0, initial=-0.0) == np.float32(1e8)).all()
+        assert np.add.accumulate(column)[-1] == np.float32(1e8)
+
+    @pytest.mark.parametrize("row_shape", [(1,), (2,), (3, 2), (33,)])
+    def test_reduce_of_a_gathered_table_equals_a_loop(self, row_shape):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(500,) + row_shape).astype(np.float32)
+        for length, buckets in [(3, 2), (40, 2), (300, 1), (300, 5)]:
+            rows = values[rng.integers(0, 500, size=(length, buckets))]
+            if rows[0].size == 1:
+                continue  # reduces as a 1-d array, added pairwise; Segments accumulates these
+            loop = rows[0].copy()
+            for row in rows[1:]:
+                loop += row
+            assert_same_bits(np.add.reduce(rows, axis=0, initial=-0.0), loop)
 
 
 class TestNoGrad:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cyclegnn.nn as nn_mod
+import cyclegnn.tensor as tensor_mod
 import cyclegnn.train as train_mod
 from cyclegnn.data import combine_datasets, random_split
 from cyclegnn.data import collate
@@ -258,6 +259,18 @@ class TestTrainModel:
         params_at_best, _ = train_model(quick_config(), train_set, valid_set, truncated)
         for a, b in zip(parameters(params), parameters(params_at_best)):
             np.testing.assert_array_equal(a.data, b.data)
+
+    def test_parameters_do_not_depend_on_the_summation_layout(self, small_cycle_splits, monkeypatch):
+        """Every plan sums in ids order, so moving the column limit, which
+        moves plans between occurrence columns and length groups, moves no bit."""
+        train_set, valid_set, _ = small_cycle_splits
+        tc = TrainConfig(epochs=2, batch_size=32, patience=0, seed=5)
+        checkpoints = []
+        for limit in (0, tensor_mod._COLUMN_LIMIT, np.iinfo(np.int64).max):
+            monkeypatch.setattr(tensor_mod, "_COLUMN_LIMIT", limit)
+            params, _ = train_model(quick_config(), train_set, valid_set, tc)
+            checkpoints.append({name: arr.tobytes() for name, arr in named_arrays(params).items()})
+        assert checkpoints[0] == checkpoints[1] == checkpoints[2]
 
 
 class TestTrainEpoch:
