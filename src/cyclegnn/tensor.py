@@ -289,17 +289,21 @@ class Segments:
     are built on first use. Every sum adds each bucket's rows one after
     another in ``ids`` order, so the layout, chosen by the largest bucket,
     changes speed and never a bit. Up to ``_COLUMN_LIMIT`` entries the table
-    holds occurrence columns: buckets are ordered by size, largest first, and
-    column j lists the position in ``ids`` of each bucket's j-th entry, so a
-    sum is one gather-add per column, ``acc[:len(pos_j)] += v[pos_j]``. Above
-    it (hubs, large graphs, embedding-table gradients), buckets are grouped
-    by length L into (L, b) position tables, each summed by one gather and
-    one ``np.add.reduce`` along axis 0, which adds rows in sequence from
-    -0.0, the exact additive identity. Rows of one scalar would reduce as a
-    1-d array, which numpy adds pairwise, so they take ``np.add.accumulate``.
+    holds occurrence columns: buckets are ordered by size, largest first
+    (``rows``), and column j lists the position in ``ids`` of each bucket's
+    j-th entry, so a sum is one gather-add per column,
+    ``acc[:len(pos_j)] += v[pos_j]``, and one scatter into ``rows``. Above
+    it, where that costs a numpy call per entry of a long bucket (hubs,
+    large graphs, embedding-table gradients), it holds the stable sort of
+    ``ids`` by (bucket length, bucket): the b buckets of each length L are
+    one contiguous (b, L) block of the gathered rows, summed by one
+    ``np.add.reduce`` along L from -0.0, the exact additive identity, which
+    numpy adds row by row when L is not the last axis. Blocks of scalar rows
+    have L last and would be added pairwise, so they take
+    ``np.add.accumulate``.
     """
 
-    __slots__ = ("ids", "n", "_counts", "_groups")
+    __slots__ = ("ids", "n", "_counts", "_rows", "_columns", "_blocks")
 
     def __init__(self, ids, n: int):
         ids = np.asarray(ids, dtype=np.int64)
@@ -308,7 +312,9 @@ class Segments:
         self.ids = ids
         self.n = n
         self._counts: np.ndarray | None = None
-        self._groups: list[tuple] | None = None
+        self._rows: np.ndarray | None = None
+        self._columns: list[np.ndarray] | None = None
+        self._blocks: list[tuple[int, int]] | None = None  # (b, L) per length; sorted layout only
 
     @property
     def counts(self) -> np.ndarray:
@@ -317,38 +323,39 @@ class Segments:
             self._counts = np.bincount(self.ids, minlength=self.n)
         return self._counts
 
-    def _table(self) -> list[tuple]:
-        """(rows, positions) pairs: one with a list of occurrence columns, or
-        one per bucket length L with an (L, b) table."""
-        if self._groups is None:
-            counts, order = self.counts, np.argsort(self.ids, kind="stable")
-            first = np.cumsum(counts) - counts  # where each bucket's run starts in order
+    def _table(self) -> list[np.ndarray]:
+        if self._columns is None:
+            counts = self.counts
             if counts.max(initial=0) > _COLUMN_LIMIT:
-                self._groups = []
-                for length in np.flatnonzero(np.bincount(counts)[1:]) + 1:  # every bucket length present
-                    rows = np.flatnonzero(counts == length)
-                    self._groups.append((rows, order[first[rows] + np.arange(length)[:, None]]))
+                self._columns = [np.argsort(counts[self.ids] * self.n + self.ids, kind="stable")]
+                self._rows = np.argsort(counts, kind="stable")[self.n - np.count_nonzero(counts) :]
+                per_length = np.bincount(counts)
+                self._blocks = [(int(per_length[length]), int(length)) for length in np.flatnonzero(per_length[1:]) + 1]
             else:
-                rows = np.argsort(-counts, kind="stable")
-                first = first[rows]
+                order, rows = np.argsort(self.ids, kind="stable"), np.argsort(-counts, kind="stable")
+                first = (np.cumsum(counts) - counts)[rows]  # where each bucket's run starts in order
                 lengths = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]  # buckets with > j entries
-                columns = [order[first[:r] + j] for j, r in enumerate(lengths)]
-                self._groups = [(rows[: int(lengths[0])], columns)] if columns else []
-        return self._groups
+                self._columns = [order[first[:r] + j] for j, r in enumerate(lengths)]
+                self._rows = rows[: int(lengths[0]) if lengths.size else 0]
+        return self._columns
 
     def sum(self, values: np.ndarray) -> np.ndarray:
         """Per-bucket sums of the rows of ``values``; empty buckets are zero."""
+        columns = self._table()
         out = np.zeros((self.n,) + values.shape[1:], dtype=values.dtype)
-        for rows, positions in self._table():
-            if isinstance(positions, list):
-                acc = values[positions[0]]
-                for pos in positions[1:]:
-                    acc[: pos.size] += values[pos]
-            else:
-                stacked = values[positions]  # row i: each bucket's i-th entry
-                scalar = stacked[0].size == 1  # such rows reduce as 1-d, pairwise
-                acc = np.add.accumulate(stacked)[-1] if scalar else np.add.reduce(stacked, axis=0, initial=-0.0)
-            out[rows] = acc
+        if self._blocks is not None:
+            stacked, start, sums = values[columns[0]], 0, []
+            scalar = stacked[0].size == 1
+            for b, length in self._blocks:
+                block = stacked[start : start + b * length].reshape((b, length) + values.shape[1:])
+                sums.append(np.add.accumulate(block, axis=1)[:, -1] if scalar else np.add.reduce(block, axis=1, initial=-0.0))
+                start += b * length
+            out[self._rows] = np.concatenate(sums)
+        elif columns:
+            acc = values[columns[0]]
+            for pos in columns[1:]:
+                acc[: pos.size] += values[pos]
+            out[self._rows] = acc
         return out
 
 

@@ -221,7 +221,7 @@ def both_layouts(monkeypatch, ids, values, n):
         monkeypatch.setattr(tensor_mod, "_COLUMN_LIMIT", limit)
         plan = Segments(ids, n)
         sums.append(plan.sum(values))
-        assert all(isinstance(positions, list) == (limit > 0) for _, positions in plan._groups)
+        assert (plan._blocks is not None) == (limit == 0 and ids.size > 0)
         assert_same_bits(sums[-1], _scatter_add(ids, values, n), err_msg=f"limit {limit}")
     return sums
 
@@ -315,17 +315,16 @@ class TestSegments:
         values = rng.normal(size=(ids.size, 8)).astype(np.float32)
         assert_same_bits(Segments(ids, n).sum(values), _scatter_add(ids, values, n))
 
-    def test_largest_bucket_above_the_limit_takes_length_groups(self):
+    def test_largest_bucket_above_the_limit_takes_length_blocks(self):
         limit = tensor_mod._COLUMN_LIMIT
         at = Segments(np.r_[np.zeros(limit, dtype=np.int64), [2, 1, 2]], 4)
         above = Segments(np.r_[np.zeros(limit + 1, dtype=np.int64), [2, 1, 2]], 4)
         for plan in (at, above):
             np.testing.assert_array_equal(plan.sum(np.ones((plan.ids.size, 2)))[:, 0], plan.counts)
-        [(rows, columns)] = at._groups
-        assert isinstance(columns, list) and len(columns) == limit and list(rows) == [0, 2, 1]
-        # one (length, buckets) table per bucket length, positions in ids order
-        assert [(list(rows), table.shape) for rows, table in above._groups] == [([1], (1, 1)), ([2], (2, 1)), ([0], (limit + 1, 1))]
-        np.testing.assert_array_equal(above._groups[1][1][:, 0], [limit + 1, limit + 3])
+        assert at._blocks is None and len(at._columns) == limit
+        # entries by (bucket length, bucket, position in ids): one (buckets, length) block per length
+        assert above._blocks == [(1, 1), (1, 2), (1, limit + 1)] and list(above._rows) == [1, 2, 0]
+        np.testing.assert_array_equal(above._columns[0], np.r_[limit + 2, limit + 1, limit + 3, np.arange(limit + 1)])
 
     def test_counts_equal_bincount_and_wait_for_first_use(self):
         rng = np.random.default_rng(8)
@@ -358,9 +357,9 @@ class TestSegments:
     def test_second_sum_reuses_the_table(self):
         plan = Segments([2, 0, 2, 1, 2], 4)
         first = plan.sum(np.ones((5, 2)))
-        table = plan._groups
+        table = plan._columns
         np.testing.assert_array_equal(plan.sum(np.ones((5, 2))), first)
-        assert plan._groups is table
+        assert plan._columns is table
         np.testing.assert_array_equal(first[:, 0], [1.0, 1.0, 3.0, 0.0])
 
     def test_ops_accept_a_plan_and_an_array_alike(self):
@@ -390,27 +389,29 @@ class TestNumpySummationOrder:
     whose reductions add in another order must fail here, instead of moving
     every checkpoint without a word."""
 
-    def test_reduce_along_axis_0_adds_rows_in_sequence(self):
+    def test_reduce_along_a_non_last_axis_adds_rows_in_sequence(self):
         # 1e8 + 1 rounds back to 1e8 in float32, so only a sum that adds the
         # rows one after another keeps 1e8; adding the ones first gives 1e8 + 128
         column = np.r_[np.float32(1e8), np.ones(128, np.float32)]
         assert np.float32(1e8) + np.float32(128) != np.float32(1e8)
-        for rows in (np.stack([column, column], axis=1), column[:, None, None] * np.ones((1, 2, 3), np.float32)):
-            assert (np.add.reduce(rows, axis=0, initial=-0.0) == np.float32(1e8)).all()
-        assert np.add.accumulate(column)[-1] == np.float32(1e8)
+        rows = column[:, None] * np.ones((1, 3), np.float32)
+        for blocks in (rows[None], np.stack([rows, rows]), np.stack([rows, rows])[..., None]):
+            assert (np.add.reduce(blocks, axis=1, initial=-0.0) == np.float32(1e8)).all()
+        assert (np.add.accumulate(np.stack([column, column]), axis=1)[:, -1] == np.float32(1e8)).all()
 
-    @pytest.mark.parametrize("row_shape", [(1,), (2,), (3, 2), (33,)])
-    def test_reduce_of_a_gathered_table_equals_a_loop(self, row_shape):
+    @pytest.mark.parametrize("row_shape", [(), (1,), (2,), (3, 2), (33,)])
+    def test_blocks_of_gathered_rows_sum_as_a_loop(self, row_shape):
         rng = np.random.default_rng(3)
         values = rng.normal(size=(500,) + row_shape).astype(np.float32)
-        for length, buckets in [(3, 2), (40, 2), (300, 1), (300, 5)]:
-            rows = values[rng.integers(0, 500, size=(length, buckets))]
-            if rows[0].size == 1:
-                continue  # reduces as a 1-d array, added pairwise; Segments accumulates these
-            loop = rows[0].copy()
-            for row in rows[1:]:
-                loop += row
-            assert_same_bits(np.add.reduce(rows, axis=0, initial=-0.0), loop)
+        for buckets, length in [(2, 3), (2, 40), (1, 300), (5, 300)]:
+            block = values[rng.integers(0, 500, size=buckets * length)].reshape((buckets, length) + row_shape)
+            loop = block[:, 0].copy()
+            for i in range(1, length):
+                loop += block[:, i]
+            if values[0].size == 1:  # the length axis is last: numpy adds it pairwise, so Segments accumulates
+                assert_same_bits(np.add.accumulate(block, axis=1)[:, -1], loop)
+            else:
+                assert_same_bits(np.add.reduce(block, axis=1, initial=-0.0), loop)
 
 
 class TestNoGrad:

@@ -22,7 +22,9 @@ For each plan, ``build_sum_ms`` is one ``Segments(ids, n).sum(values)`` on a
 new plan and ``sum_ms`` one more sum on a plan whose table is built, each the
 median of at least ``MIN_CALLS`` calls. Each checkout is measured in its own
 process, with one BLAS thread, ``ROUNDS`` times, alternating which side goes
-first; the file gets each side's median over the rounds. If ``--out``
+first; the file gets each side's per-round values and their median. Plans
+that keep their layout and code across the two checkouts show how far
+identical code reads apart. If ``--out``
 exists (``tools/bench_pairs.py`` writes it), the result is added to it under
 ``segments_per_call``; nothing else in it changes.
 """
@@ -38,7 +40,7 @@ import sys
 import time
 
 SIDES = ("before", "after")
-ROUNDS = 3
+ROUNDS = 10  # the same code timed in two processes can read 1.5x apart, so few rounds show little
 MIN_CALLS = 20
 MIN_SECONDS = 0.2  # per plan and timing, calls go on until both minimums are met
 
@@ -148,7 +150,9 @@ def main(argv: list[str] | None = None) -> int:
         plans[key] = {k: first[k] for k in ("entries", "buckets", "largest_bucket")}
         for side in SIDES:
             for timing in ("build_sum_ms", "sum_ms"):
-                plans[key][f"{side}_{timing}"] = round(statistics.median(r[key][timing] for r in rounds[side]), 4)
+                per_round = [round(r[key][timing], 4) for r in rounds[side]]
+                plans[key][f"{side}_{timing}"] = statistics.median(per_round)
+                plans[key][f"{side}_{timing}_rounds"] = per_round
     report = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="ascii") as fh:

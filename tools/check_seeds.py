@@ -24,14 +24,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy is imported, as perfbench/run.py does
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-import workloads  # noqa: E402
-
-
-def check_seed(wl, seed: int, workdir: str) -> list[str]:
+def check_seed(workloads, wl, seed: int, workdir: str) -> list[str]:
     """The problems of one set-up, fingerprint check and rep; empty when all passed."""
     fingerprints = workloads.fingerprints
     state = wl.setup(seed, workdir)
@@ -45,6 +39,11 @@ def check_seed(wl, seed: int, workdir: str) -> list[str]:
 
 
 def main() -> int:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy is imported, as perfbench/run.py does
+    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+    import workloads
+
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="ascii") as fh:
         names = [w["name"] for w in json.load(fh)["workloads"]]
     seeds = range(workloads.fingerprints.SEEDS)
@@ -55,7 +54,7 @@ def main() -> int:
             wl = workloads.WORKLOADS[name]
             wl.reference = {}  # outputs repeat within a seed, not across seeds
             with tempfile.TemporaryDirectory(prefix="check-seeds-") as workdir:
-                problems = check_seed(wl, seed, workdir)
+                problems = check_seed(workloads, wl, seed, workdir)
             if problems:
                 print(f"{name} data seed {seed} failed: " + " | ".join(problems), flush=True)
             passed += not problems
