@@ -39,6 +39,8 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+
 SIDES = ("before", "after")
 ROUNDS = 10  # the same code timed in two processes can read 1.5x apart, so few rounds show little
 MIN_CALLS = 20
@@ -57,8 +59,6 @@ def _median_ms(fn) -> float:
 
 def _batches():
     """(name, batched graph, width H) of every fixed batch."""
-    import numpy as np
-
     from cyclegnn import data, synth
     from cyclegnn.graph import LabeledGraph
 
@@ -77,8 +77,6 @@ def _batches():
 
 def measure() -> dict:
     """Per-call medians, in ms, of every plan of every fixed batch, in this process's cyclegnn."""
-    import numpy as np
-
     from cyclegnn.tensor import Segments
 
     rng = np.random.default_rng(0)
@@ -143,8 +141,6 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(ROUNDS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             rounds[side].append(_run_side(checkouts[side]))
-    import numpy as np
-
     plans = {}
     for key, first in rounds["after"][0].items():
         plans[key] = {k: first[k] for k in ("entries", "buckets", "largest_bucket")}

@@ -11,7 +11,7 @@ BLAS thread as ``perfbench/run.py`` uses. It prints each failing seed with
 its messages and a count per workload, and exits 1 if any seed failed.
 
 It is kept out of CI: the output checks sit on training accuracy, which
-moves with the machine's BLAS rounding. A full sweep takes about 10 minutes
+moves with the machine's BLAS rounding. A full sweep takes about 6 minutes
 on a 2-vCPU machine.
 """
 
