@@ -279,7 +279,10 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     return mul(tsum(x, axis=axis), Tensor(scale))
 
 
-_COLUMN_LIMIT = 32  # largest bucket summed by columns; both layouts cost alike near it on 64 buckets at H=32
+# Largest bucket summed by columns. Per call at H=32 blocks win from about 8
+# entries on 64 buckets of mixed length (pooling), columns up to about 48
+# with one hub among 2000 buckets of 2; the benchmarks' plans are <= 12 or >= 112.
+_COLUMN_LIMIT = 32
 
 
 class Segments:

@@ -214,7 +214,7 @@ class TestSegmentOps:
 
 def both_layouts(monkeypatch, ids, values, n):
     """``Segments(ids, n).sum(values)`` with occurrence columns, then with
-    length groups (every non-empty plan above the limit); the two must be
+    length blocks (every non-empty plan above the limit); the two must be
     bit-equal to the sequential oracle, and so to each other."""
     sums = []
     for limit in (np.iinfo(np.int64).max, 0):
@@ -341,7 +341,7 @@ class TestSegments:
         tables = [t64(rng.normal(size=(40, 4)), grad=True), t64(rng.normal(size=(300, 4)), grad=True)]
         g = rng.normal(size=(idx.shape[0], 4))
         backward(tsum(mul(embedding_sum(tables, idx), t64(g))))
-        # field 0 takes length groups, field 1 occurrence columns; both add in ids order
+        # field 0 takes length blocks, field 1 occurrence columns; both add in ids order
         assert_same_bits(tables[0].grad, _scatter_add(idx[:, 0], g, 40))
         assert_same_bits(tables[1].grad, _scatter_add(idx[:, 1], g, 300))
 
@@ -385,7 +385,7 @@ class TestSegments:
 
 
 class TestNumpySummationOrder:
-    """The numpy behaviour that ``Segments`` length groups rest on. A numpy
+    """The numpy behaviour that ``Segments`` length blocks rest on. A numpy
     whose reductions add in another order must fail here, instead of moving
     every checkpoint without a word."""
 

@@ -262,7 +262,7 @@ class TestTrainModel:
 
     def test_parameters_do_not_depend_on_the_summation_layout(self, small_cycle_splits, monkeypatch):
         """Every plan sums in ids order, so moving the column limit, which
-        moves plans between occurrence columns and length groups, moves no bit."""
+        moves plans between occurrence columns and length blocks, moves no bit."""
         train_set, valid_set, _ = small_cycle_splits
         tc = TrainConfig(epochs=2, batch_size=32, patience=0, seed=5)
         checkpoints = []

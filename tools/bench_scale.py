@@ -19,7 +19,9 @@ Every index set of a batch is timed (``graph_ids``, ``arc_dst``, ``arc_src``,
 each shell's dst and src), and so is every embedding-table gradient plan:
 one per node field (``node_feats.f``) and per edge field (``arc_feats.f``).
 For each plan, ``build_sum_ms`` is one ``Segments(ids, n).sum(values)`` on a
-new plan and ``sum_ms`` one more sum on a plan whose table is built, each the
+new plan, ``sum_ms`` one more sum on a plan whose table is built, and
+``add_at_ms`` the same sums by ``np.add.at`` into a -0.0 fill, which adds
+each bucket in ``ids`` order by definition and needs no table, each the
 median of at least ``MIN_CALLS`` calls. Each checkout is measured in its own
 process, with one BLAS thread, ``ROUNDS`` times, alternating which side goes
 first; the file gets each side's per-round values and their median. Plans
@@ -55,6 +57,13 @@ def _median_ms(fn) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return 1e3 * statistics.median(times)
+
+
+def _add_at(ids: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
+    out = np.full((n,) + values.shape[1:], -0.0, dtype=values.dtype)
+    np.add.at(out, ids, values)
+    out[np.bincount(ids, minlength=n) == 0] = 0.0
+    return out
 
 
 def _batches():
@@ -98,6 +107,7 @@ def measure() -> dict:
                 "largest_bucket": int(np.bincount(plan.ids, minlength=1).max()),
                 "build_sum_ms": _median_ms(lambda: Segments(plan.ids, plan.n).sum(values)),
                 "sum_ms": _median_ms(lambda: built.sum(values)),
+                "add_at_ms": _median_ms(lambda: _add_at(plan.ids, plan.n, values)),
             }
     return out
 
@@ -145,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     for key, first in rounds["after"][0].items():
         plans[key] = {k: first[k] for k in ("entries", "buckets", "largest_bucket")}
         for side in SIDES:
-            for timing in ("build_sum_ms", "sum_ms"):
+            for timing in ("build_sum_ms", "sum_ms", "add_at_ms"):
                 per_round = [round(r[key][timing], 4) for r in rounds[side]]
                 plans[key][f"{side}_{timing}"] = statistics.median(per_round)
                 plans[key][f"{side}_{timing}_rounds"] = per_round
@@ -164,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         fh.write("\n")
     for key, p in plans.items():
         print(f"{key:32s} largest {p['largest_bucket']:5d}  build+sum {p['before_build_sum_ms']:8.3f} -> {p['after_build_sum_ms']:8.3f} ms"
-              f"  sum {p['before_sum_ms']:8.3f} -> {p['after_sum_ms']:8.3f} ms")
+              f"  sum {p['before_sum_ms']:8.3f} -> {p['after_sum_ms']:8.3f} ms  np.add.at {p['after_add_at_ms']:8.3f} ms")
     return 0
 
 
