@@ -97,27 +97,14 @@ class Dataset:
         return part
 
 
-def _manifest_path(path: str) -> str:
-    return str(path) + ".manifest.json"
-
-
 def save_dataset(dataset: Dataset, path: str, header: dict | None = None) -> None:
-    """Write one JSON record per graph plus a sidecar manifest file.
+    """Write a manifest line, then one JSON record per graph, to one file.
 
-    An optional ``header`` dict is written as a leading '#' comment line and
-    recorded in the manifest. Each file is replaced whole, the records first,
-    so a manifest on disk never describes a partly written record file.
+    Line 1 is ``# `` and one line of JSON: the feature-field cardinalities,
+    the task names and, when given, the ``header`` dict. The records follow
+    from line 2. The file is replaced whole, so a failed or killed save
+    leaves the previous dataset.
     """
-    with atomic_open(path) as fh:
-        if header is not None:
-            fh.write("# " + json.dumps(header, sort_keys=True) + "\n")
-        for g, row in zip(dataset.graphs, dataset.labels):
-            record = {
-                "nodes": g.node_feats.tolist(),
-                "edges": [[int(u), int(v), feats.tolist()] for (u, v), feats in zip(g.edges, g.edge_feats)],
-                "labels": [None if math.isnan(x) else int(x) for x in row],
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
     manifest = {
         "node_field_cardinalities": list(dataset.manifest.node_field_cardinalities),
         "edge_field_cardinalities": list(dataset.manifest.edge_field_cardinalities),
@@ -125,45 +112,53 @@ def save_dataset(dataset: Dataset, path: str, header: dict | None = None) -> Non
     }
     if header is not None:
         manifest["header"] = header
-    with atomic_open(_manifest_path(path)) as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    with atomic_open(path) as fh:
+        fh.write("# " + json.dumps(manifest, sort_keys=True) + "\n")
+        for g, row in zip(dataset.graphs, dataset.labels):
+            record = {
+                "nodes": g.node_feats.tolist(),
+                "edges": [[int(u), int(v), feats.tolist()] for (u, v), feats in zip(g.edges, g.edge_feats)],
+                "labels": [None if math.isnan(x) else int(x) for x in row],
+            }
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def load_dataset(path: str) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
-    A malformed manifest is reported with its path, malformed records with
-    their line number (a node feature, edge endpoint or edge feature that is
-    not a JSON integer within int64, or a label that is not JSON 0, 1 or
-    null, makes a record malformed); feature values are checked
-    against the manifest cardinalities, once per graph, and a violation names
-    the path and the graph's index.
+    A line 1 that is not a manifest line, or a malformed manifest, is
+    reported with the path; malformed records with their line number (a node
+    feature, edge endpoint or edge feature that is not a JSON integer within
+    int64, or a label that is not JSON 0, 1 or null, makes a record
+    malformed). Feature values are checked against the manifest
+    cardinalities, once per graph, and a violation names the path and the
+    graph's index.
     """
-    manifest_path = _manifest_path(path)
-    with open(manifest_path, "r", encoding="ascii") as fh:
-        try:
-            raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"dataset manifest {manifest_path} is not valid JSON: {exc}") from None
-    expected = {"node_field_cardinalities": int, "edge_field_cardinalities": int, "task_names": str}
-    for key, kind in expected.items():
-        values = raw.get(key) if isinstance(raw, dict) else None
-        if not isinstance(values, list) or not all(type(v) is kind for v in values):
-            raise ValueError(f"dataset manifest {manifest_path}: {key!r} must be a list of {kind.__name__}")
-    try:
-        manifest = DatasetManifest(**{key: tuple(raw[key]) for key in expected})
-    except ValueError as exc:
-        raise ValueError(f"dataset manifest {manifest_path}: {exc}") from None
-    node_fields = len(manifest.node_field_cardinalities)
-    edge_fields = len(manifest.edge_field_cardinalities)
-    graphs: list[LabeledGraph] = []
-    rows: list[list[float]] = []
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        first = fh.readline()
+        if not first.startswith(b"# "):
+            raise ValueError(f"dataset {path}: line 1 is not a dataset manifest")
+        try:
+            raw = json.loads(first[2:].decode("ascii"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"dataset manifest {path} is not valid JSON: {exc}") from None
+        expected = {"node_field_cardinalities": int, "edge_field_cardinalities": int, "task_names": str}
+        for key, kind in expected.items():
+            values = raw.get(key) if isinstance(raw, dict) else None
+            if not isinstance(values, list) or not all(type(v) is kind for v in values):
+                raise ValueError(f"dataset manifest {path}: {key!r} must be a list of {kind.__name__}")
+        try:
+            manifest = DatasetManifest(**{key: tuple(raw[key]) for key in expected})
+        except ValueError as exc:
+            raise ValueError(f"dataset manifest {path}: {exc}") from None
+        node_fields = len(manifest.node_field_cardinalities)
+        edge_fields = len(manifest.edge_field_cardinalities)
+        graphs: list[LabeledGraph] = []
+        rows: list[list[float]] = []
+        for lineno, line in enumerate(fh, start=2):
             try:
                 line = line.decode("ascii").strip()
-                if not line or line.startswith("#"):
+                if not line:
                     continue
                 record = json.loads(line)
                 nodes = record["nodes"]
@@ -247,10 +242,10 @@ class BatchedGraph:
     ``graph_ids`` maps each node to its graph (buckets: graphs, so
     ``graph_ids.counts`` are the node counts), and ``arc_dst``/``arc_src``
     hold the two ends of every directed arc, two per edge (buckets: nodes).
-    ``shells[k-1]`` pairs the (dst, src) plans of the exact-distance-k
-    neighbor index (see :class:`KHopIndex`), for k = 1 .. the radius
-    requested at collate time when that is at least 2; shells never cross
-    graph boundaries.
+    ``shells[k-2]`` pairs the (dst, src) plans of the exact-distance-k
+    neighbor index (see :class:`KHopIndex`), for k = 2 .. the radius
+    requested at collate time; the arcs are the distance-1 index. Shells
+    never cross graph boundaries.
     """
 
     num_graphs: int
@@ -269,8 +264,8 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
     """Merge graphs into one disjoint union with node ids offset per graph.
 
     ``k_max`` >= 2 additionally offsets every component's memoised
-    exact-distance shells (see :func:`build_khop_index`) into one neighbor
-    index. Every index set becomes a :class:`Segments` plan whose table is
+    exact-distance shells 2..``k_max`` (see :func:`build_khop_index`) into
+    one neighbor index per distance. Every index set becomes a :class:`Segments` plan whose table is
     built on its first sum, so a scoring pass, which never sums over the
     src side, never builds those tables. Labels, when given, are split into
     a zero-filled matrix and an observation mask.
@@ -292,7 +287,7 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
     shells = ()
     if k_max >= 2:
         per_graph = [build_khop_index(g, k_max).pairs for g in graphs]
-        for k in range(k_max):
+        for k in range(1, k_max):  # distances 2..k_max; the arcs are distance 1
             shift = np.repeat(offsets, [p[k][0].size for p in per_graph])
             dst = np.concatenate([p[k][0] for p in per_graph]) + shift
             src = np.concatenate([p[k][1] for p in per_graph]) + shift

@@ -192,7 +192,7 @@ def _wide_conv(
     if not history:
         raise ValueError("wide convolutions need at least the input embeddings in history")
     k_radius = len(layer.eps) - 1
-    if k_radius >= 2 and len(batch.shells) < k_radius:
+    if len(batch.shells) < k_radius - 1:
         raise ValueError(f"batch lacks a neighbor index of depth {k_radius}; re-collate with k_max")
     depth = len(history)  # this is layer number l, history = [h0 .. h_{l-1}]
     h_prev = history[-1]
@@ -203,7 +203,7 @@ def _wide_conv(
         if not from_previous_only and k > depth:
             continue  # no embeddings from k layers back yet; term omitted
         source = h_prev if from_previous_only else history[depth - k]
-        dst, src = batch.shells[k - 1]
+        dst, src = batch.shells[k - 2]
         agg = segment_sum(relu(gather_rows(source, src)), dst, batch.num_nodes)
         pre = add(pre, mul(agg, _one_plus(layer.eps[k])))
     return mlp_forward(layer.mlp, pre, mode, drop, rng)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import ctypes
 import json
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
@@ -45,6 +44,7 @@ RECAL = "recal"  # eval-mode behavior while normalizer statistics are rebuilt
 _DTYPE_CODES = {np.dtype(np.float32): "<f4", np.dtype(np.float64): "<f8"}
 _DTYPE_NAMES = {"float32": np.float32, "float64": np.float64}
 _INT64_MAX = np.iinfo(np.int64).max
+_CHECKPOINT_FORMAT = "cyclegnn-checkpoint-v2"
 
 _BN_MOMENTUM = 0.1
 _BN_EPS = 1e-5
@@ -652,28 +652,26 @@ def gradcheck(f: Callable[[], Tensor], params: Sequence[Tensor], step: float = 1
 
 
 def save_checkpoint(arrays: Mapping[str, np.ndarray], path: str, extra: dict | None = None) -> None:
-    """Write named float arrays as a text manifest plus a raw little-endian blob.
+    """Write named float arrays to one file: a manifest line, then raw bytes.
 
-    The manifest at ``path`` lists names, shapes and precisions in order; the
-    values go to ``path + ".bin"``. Round-trips are bit-exact. Each file is
-    replaced whole, the data file first, so a manifest on disk never
-    describes a partly written data file.
+    Line 1 is the manifest as one line of ASCII JSON: the format, the names,
+    shapes and precisions of the tensors in order, and ``extra`` when it is
+    given and not empty. The tensors' little-endian bytes follow the line's
+    ``\n`` in that order. Round-trips are bit-exact. The file is replaced
+    whole, so a failed or killed save leaves the previous checkpoint.
     """
-    entries = []
-    with atomic_open(path + ".bin", "wb") as fh:
-        for name, arr in arrays.items():
-            arr = np.asarray(arr)
-            code = _DTYPE_CODES.get(arr.dtype)
-            if code is None:
-                raise ValueError(f"checkpoint tensors must be float32/float64, got {arr.dtype} for {name!r}")
-            entries.append({"name": name, "shape": list(arr.shape), "dtype": arr.dtype.name})
-            fh.write(np.ascontiguousarray(arr).astype(code, copy=False).tobytes())
-    manifest = {"format": "cyclegnn-checkpoint-v1", "tensors": entries}
+    arrays = {name: np.asarray(arr) for name, arr in arrays.items()}
+    for name, arr in arrays.items():
+        if arr.dtype not in _DTYPE_CODES:
+            raise ValueError(f"checkpoint tensors must be float32/float64, got {arr.dtype} for {name!r}")
+    entries = [{"name": name, "shape": list(arr.shape), "dtype": arr.dtype.name} for name, arr in arrays.items()]
+    manifest = {"format": _CHECKPOINT_FORMAT, "tensors": entries}
     if extra:
         manifest["extra"] = extra
-    with atomic_open(path) as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    with atomic_open(path, "wb") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True).encode("ascii") + b"\n")
+        for arr in arrays.values():
+            fh.write(np.ascontiguousarray(arr).astype(_DTYPE_CODES[arr.dtype], copy=False).tobytes())
 
 
 def _valid_entry(entry) -> bool:
@@ -692,23 +690,25 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     Returns the named arrays (in manifest order) and the manifest's ``extra``
-    dict. A malformed manifest or a data file of the wrong size raises
-    ValueError naming the file.
+    dict. A manifest line that is not JSON, a malformed manifest, an
+    ``extra`` that is not an object, or tensor bytes of the wrong length
+    raise ValueError naming the file.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"checkpoint manifest not found: {path}")
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            manifest = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"checkpoint manifest {path} is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != "cyclegnn-checkpoint-v1":
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        blob = fh.read()
+    try:
+        manifest = json.loads(line.decode("ascii"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"checkpoint manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != _CHECKPOINT_FORMAT:
         raise ValueError(f"unrecognized checkpoint format in {path}")
     entries = manifest.get("tensors")
     if not isinstance(entries, list) or not all(_valid_entry(e) for e in entries):
         raise ValueError(f"malformed tensor list in checkpoint manifest {path}")
-    with open(path + ".bin", "rb") as fh:
-        blob = fh.read()
+    extra = manifest.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError(f"checkpoint {path}: 'extra' must be a JSON object")
     arrays: dict[str, np.ndarray] = {}
     offset = 0
     for entry in entries:
@@ -717,7 +717,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize  # exact; an int64 product can wrap
         code = _DTYPE_CODES[np.dtype(dtype)]
         if offset + nbytes > len(blob):
-            raise ValueError(f"checkpoint data truncated in {path}.bin at tensor {entry['name']!r}")
+            raise ValueError(f"checkpoint data truncated in {path} at tensor {entry['name']!r}")
         arr = np.frombuffer(blob[offset : offset + nbytes], dtype=code).astype(dtype)
         try:
             arrays[entry["name"]] = arr.reshape(shape)
@@ -725,5 +725,5 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(f"checkpoint {path}: tensor {entry['name']!r} has an invalid shape {list(shape)}") from None
         offset += nbytes
     if offset != len(blob):
-        raise ValueError(f"checkpoint data size mismatch in {path}.bin")
-    return arrays, manifest.get("extra", {})
+        raise ValueError(f"checkpoint data size mismatch in {path}")
+    return arrays, extra

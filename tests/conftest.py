@@ -1,4 +1,6 @@
 import errno
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -41,6 +43,19 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray, err_msg: str = "") -> No
         raise AssertionError(f"{err_msg}: equal values with different bits (the sign of a zero)")
 
 
+def edit_manifest(path, edit) -> None:
+    """Call ``edit`` on the manifest of a dataset or checkpoint file, the
+    JSON object on its line 1, and write the changed object back there; the
+    rest of the file keeps its bytes."""
+    with open(path, "rb") as fh:
+        first, rest = fh.readline(), fh.read()
+    prefix = b"# " if first.startswith(b"# ") else b""
+    manifest = json.loads(first[len(prefix) :])
+    edit(manifest)
+    with open(path, "wb") as fh:
+        fh.write(prefix + json.dumps(manifest).encode("ascii") + b"\n" + rest)
+
+
 def random_graph(rng, n, p=0.3):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return plain(n, edges)
@@ -59,10 +74,12 @@ def permute_graph(g: LabeledGraph, perm: np.ndarray) -> LabeledGraph:
 
 
 class _HalfWriter:
-    """A file that stores half of each write, then fails as a full disk does."""
+    """A file that passes writes through until the ``fail_at``-th write,
+    counted by ``writes`` across every file it wraps; from then on it stores
+    half of each write and fails as a full disk does."""
 
-    def __init__(self, fh):
-        self._fh = fh
+    def __init__(self, fh, writes, fail_at):
+        self._fh, self._writes, self._fail_at = fh, writes, fail_at
 
     def __enter__(self):
         return self
@@ -71,6 +88,8 @@ class _HalfWriter:
         self._fh.close()
 
     def write(self, data):
+        if next(self._writes) < self._fail_at:
+            return self._fh.write(data)
         self._fh.write(data[: len(data) // 2])
         self._fh.flush()
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -78,10 +97,12 @@ class _HalfWriter:
 
 @pytest.fixture
 def fill_disk(monkeypatch):
-    """Call the returned function to make every later output-file write
-    fail midway."""
+    """Call the returned function to make later output-file writes fail
+    midway: every one, or with ``k``, the k-th and every one after it,
+    counted across all output files from the call on."""
 
-    def fill():
-        monkeypatch.setattr(_atomic, "open", lambda *a, **k: _HalfWriter(open(*a, **k)), raising=False)
+    def fill(k=1):
+        writes = itertools.count(1)
+        monkeypatch.setattr(_atomic, "open", lambda *a, **kw: _HalfWriter(open(*a, **kw), writes, k), raising=False)
 
     return fill

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from cyclegnn.synth import gen_cycle_union, gen_synthetic_dataset
 from cyclegnn.train import TrainConfig, evaluate, train_model
 from cyclegnn.data import Dataset
 import cyclegnn.data as data_mod
+from conftest import edit_manifest
 
 
 def run(argv, capsys=None):
@@ -42,6 +44,7 @@ class TestGen:
         assert "graphs=30" in printed and "tasks=3" in printed
         ds = load_dataset(out)
         assert len(ds) == 30 and ds.manifest.num_tasks == 3
+        assert os.listdir(tmp_path) == ["mc.jsonl"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
@@ -85,10 +88,10 @@ def trained(tmp_path_factory):
 
 class TestTrain:
     def test_writes_all_artifacts(self, trained):
-        code, _, prefix = trained
+        code, data, prefix = trained
         assert code == 0
-        for suffix in (".ckpt", ".ckpt.bin", ".history.tsv", ".summary.tsv"):
-            assert os.path.exists(prefix + suffix), suffix
+        written = sorted(os.path.basename(prefix) + s for s in (".ckpt", ".history.tsv", ".summary.tsv"))
+        assert sorted(os.listdir(os.path.dirname(prefix))) == sorted([os.path.basename(data)] + written)
 
     def test_history_has_one_record_per_epoch(self, trained):
         _, _, prefix = trained
@@ -135,31 +138,32 @@ class TestTrain:
 
     def test_malformed_dataset_manifest_exits_one_with_one_line(self, trained, tmp_path, capsys):
         _, data, _ = trained
-        copy = str(tmp_path / "d.jsonl")
-        for suffix in ("", ".manifest.json"):
-            with open(data + suffix) as src, open(copy + suffix, "w") as out:
-                out.write(src.read())
-        manifest = json.load(open(copy + ".manifest.json"))
-        del manifest["task_names"]
-        with open(copy + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh)
+        copy = copy_dataset(data, tmp_path)
+        edit_manifest(copy, lambda manifest: manifest.pop("task_names"))
         code = main(["train", "--data", copy, "--out", str(tmp_path / "x"), "--conv", "gine"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and copy + ".manifest.json" in err and "task_names" in err
+        assert err.count("\n") == 1 and f"dataset manifest {copy}: " in err and "task_names" in err
 
     def test_dataset_manifest_not_json_exits_one_naming_it(self, trained, tmp_path, capsys):
         _, data, _ = trained
-        copy = str(tmp_path / "d.jsonl")
-        for suffix in ("", ".manifest.json"):
-            with open(data + suffix) as src, open(copy + suffix, "w") as out:
-                out.write(src.read())
-        with open(copy + ".manifest.json", "r+") as fh:
+        copy = copy_dataset(data, tmp_path)
+        with open(copy, "r+") as fh:
             fh.truncate(40)
         code = main(["train", "--data", copy, "--out", str(tmp_path / "x"), "--conv", "gine"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and copy + ".manifest.json" in err and "not valid JSON" in err
+        assert err.count("\n") == 1 and f"dataset manifest {copy} " in err and "not valid JSON" in err
+
+    def test_dataset_without_a_manifest_line_exits_one_naming_it(self, trained, tmp_path, capsys):
+        _, data, _ = trained
+        copy = copy_dataset(data, tmp_path)
+        lines = open(copy).read().splitlines(keepends=True)
+        open(copy, "w").write("".join(lines[1:]))
+        code = main(["train", "--data", copy, "--out", str(tmp_path / "x"), "--conv", "gine"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: dataset {copy}: line 1 is not a dataset manifest\n"
 
     def test_non_ascii_dataset_record_exits_one_naming_it(self, trained, tmp_path, capsys):
         _, data, _ = trained
@@ -175,11 +179,11 @@ class TestTrain:
     def test_non_ascii_dataset_manifest_exits_one_naming_it(self, trained, tmp_path, capsys):
         _, data, _ = trained
         copy = copy_dataset(data, tmp_path)
-        write_non_ascii(copy + ".manifest.json", b'"task_names"', b'"t\xc3\xa4sk_names"')
+        write_non_ascii(copy, b'"task_names"', b'"t\xc3\xa4sk_names"')
         code = main(["train", "--data", copy, "--out", str(tmp_path / "x"), "--conv", "gine"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and copy + ".manifest.json" in err
+        assert err.count("\n") == 1 and err.startswith(f"error: dataset manifest {copy} ")
 
     def test_empty_split_exits_one_naming_it(self, tmp_path, capsys):
         data = str(tmp_path / "d.jsonl")
@@ -340,9 +344,7 @@ class TestReplicateSummary:
 
 def copy_dataset(data, tmp_path):
     copy = str(tmp_path / "d.jsonl")
-    for suffix in ("", ".manifest.json"):
-        with open(data + suffix, "rb") as src, open(copy + suffix, "wb") as out:
-            out.write(src.read())
+    shutil.copyfile(data, copy)
     return copy
 
 
@@ -355,9 +357,7 @@ def write_non_ascii(path, old, new):
 
 def copy_checkpoint(prefix, tmp_path):
     dest = str(tmp_path / "copy.ckpt")
-    for suffix in ("", ".bin"):
-        with open(prefix + ".ckpt" + suffix, "rb") as src, open(dest + suffix, "wb") as out:
-            out.write(src.read())
+    shutil.copyfile(prefix + ".ckpt", dest)
     return dest
 
 
@@ -376,6 +376,7 @@ class TestEval:
         run(["eval", "--checkpoint", prefix + ".ckpt", "--data", data, "--out", out])
         body = open(out).read()
         assert "has_small_cycle\t" in body and "macro\t" in body and "loss\t" in body
+        assert os.listdir(tmp_path) == ["r.tsv"]
 
     def test_failed_report_write_keeps_the_previous_report(self, trained, tmp_path, capsys, fill_disk):
         _, data, prefix = trained
@@ -407,10 +408,7 @@ class TestEval:
     def test_unknown_checkpoint_config_key_errors(self, trained, tmp_path, capsys):
         _, data, prefix = trained
         ckpt = copy_checkpoint(prefix, tmp_path)
-        manifest = json.load(open(ckpt))
-        manifest["extra"]["config"]["bogus"] = 1
-        with open(ckpt, "w") as fh:
-            json.dump(manifest, fh)
+        edit_manifest(ckpt, lambda manifest: manifest["extra"]["config"].update(bogus=1))
         code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
         assert code == 1
         err = capsys.readouterr().err
@@ -423,10 +421,7 @@ class TestEval:
     def test_checkpoint_config_field_of_the_wrong_type_errors(self, trained, tmp_path, capsys, key, value):
         _, data, prefix = trained
         ckpt = copy_checkpoint(prefix, tmp_path)
-        manifest = json.load(open(ckpt))
-        manifest["extra"]["config"][key] = value
-        with open(ckpt, "w") as fh:
-            json.dump(manifest, fh)
+        edit_manifest(ckpt, lambda manifest: manifest["extra"]["config"].update({key: value}))
         code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
         assert code == 1
         err = capsys.readouterr().err
@@ -435,21 +430,27 @@ class TestEval:
     def test_truncated_checkpoint_data_errors(self, trained, tmp_path, capsys):
         _, data, prefix = trained
         ckpt = copy_checkpoint(prefix, tmp_path)
-        blob = open(ckpt + ".bin", "rb").read()
-        with open(ckpt + ".bin", "wb") as fh:
-            fh.write(blob[:-6])
+        with open(ckpt, "r+b") as fh:
+            fh.truncate(os.path.getsize(ckpt) - 6)
         code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and ckpt + ".bin" in err and "truncated" in err
+        assert err.count("\n") == 1 and f"truncated in {ckpt} at tensor " in err
+
+    @pytest.mark.parametrize("extra", [None, 5, [1], "config"], ids=["null", "number", "list", "string"])
+    def test_checkpoint_extra_that_is_not_an_object_exits_one(self, trained, tmp_path, capsys, extra):
+        _, data, prefix = trained
+        ckpt = copy_checkpoint(prefix, tmp_path)
+        edit_manifest(ckpt, lambda manifest: manifest.update(extra=extra))
+        code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint {ckpt}: 'extra' must be a JSON object\n"
 
     def test_malformed_checkpoint_manifest_exits_one_with_one_line(self, trained, tmp_path, capsys):
         _, data, prefix = trained
         ckpt = copy_checkpoint(prefix, tmp_path)
-        manifest = json.load(open(ckpt))
-        del manifest["tensors"][1]["dtype"]
-        with open(ckpt, "w") as fh:
-            json.dump(manifest, fh)
+        edit_manifest(ckpt, lambda manifest: manifest["tensors"][1].pop("dtype"))
         code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
         assert code == 1
         err = capsys.readouterr().err
@@ -458,10 +459,7 @@ class TestEval:
     def test_checkpoint_dimension_outside_int64_exits_one(self, trained, tmp_path, capsys):
         _, data, prefix = trained
         ckpt = copy_checkpoint(prefix, tmp_path)
-        manifest = json.load(open(ckpt))
-        manifest["tensors"][0]["shape"] = [2**64]
-        with open(ckpt, "w") as fh:
-            json.dump(manifest, fh)
+        edit_manifest(ckpt, lambda manifest: manifest["tensors"][0].update(shape=[2**64]))
         code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
         assert code == 1
         err = capsys.readouterr().err
@@ -470,15 +468,13 @@ class TestEval:
     def test_checkpoint_tensor_that_cannot_be_reshaped_exits_one_naming_it(self, trained, tmp_path, capsys):
         _, data, prefix = trained
         ckpt = copy_checkpoint(prefix, tmp_path)
-        manifest = json.load(open(ckpt))
+        with open(ckpt, "rb") as fh:
+            manifest, blob = json.loads(fh.readline()), fh.read()
         first = manifest["tensors"][0]
         nbytes = math.prod(first["shape"]) * np.dtype(first["dtype"]).itemsize
         first["shape"] = [0, 2**63 - 1]
-        with open(ckpt, "w") as fh:
-            json.dump(manifest, fh)
-        blob = open(ckpt + ".bin", "rb").read()
-        with open(ckpt + ".bin", "wb") as fh:
-            fh.write(blob[nbytes:])
+        with open(ckpt, "wb") as fh:
+            fh.write(json.dumps(manifest).encode("ascii") + b"\n" + blob[nbytes:])
         code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
         assert code == 1
         err = capsys.readouterr().err
@@ -519,6 +515,7 @@ class TestCounterexample:
         assert float(report["gine_max_node_discrepancy"]) < 1e-5
         assert float(report["gineplus_graph_discrepancy"]) > 1e-3
         assert int(report["nodes_pair"]) == 2 * int(report["nodes_original"])
+        assert sorted(os.listdir(tmp_path)) == ["c6.jsonl", "pair.orig.jsonl", "pair.pair.jsonl", "pair.report.tsv"]
 
     def test_absent_edge_errors(self, cycle_file, tmp_path, capsys):
         code = main(["counterexample", "--data", cycle_file, "--edge", "0,3",
@@ -571,7 +568,7 @@ class TestConfigFile:
         out = str(tmp_path / "d.jsonl")
         assert run(["gen", "--config", str(cfg), "--size", "10", "--out", out]) == 0
         assert len(load_dataset(out)) == 10  # flag beat the file
-        spec = json.loads(open(out + ".manifest.json").read())["header"]
+        spec = json.loads(open(out).readline()[2:])["header"]
         assert spec["options"]["task"] == "has-small-cycle"  # file beat the default
         assert spec["options"]["seed"] == 5
 

@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import _scatter_add, assert_same_bits
+from conftest import _scatter_add, assert_same_bits, edit_manifest
 
 import cyclegnn.data as data_mod
 from cyclegnn.data import (
@@ -60,23 +60,29 @@ class TestDatasetValidation:
             Dataset(d.graphs, d.labels, tight)
 
 
+def assert_same_dataset(back, d, err_msg=""):
+    assert back.manifest == d.manifest, err_msg
+    assert len(back) == len(d), err_msg
+    np.testing.assert_array_equal(np.isnan(back.labels), np.isnan(d.labels), err_msg=err_msg)
+    np.testing.assert_array_equal(np.nan_to_num(back.labels), np.nan_to_num(d.labels), err_msg=err_msg)
+    for a, b in zip(d.graphs, back.graphs):
+        assert a.num_nodes == b.num_nodes, err_msg
+        np.testing.assert_array_equal(a.node_feats, b.node_feats, err_msg=err_msg)
+        np.testing.assert_array_equal(a.edges, b.edges, err_msg=err_msg)
+        np.testing.assert_array_equal(a.edge_feats, b.edge_feats, err_msg=err_msg)
+
+
+def header_of(path):
+    with open(path) as fh:
+        return json.loads(fh.readline()[2:]).get("header")
+
+
 class TestSaveLoad:
     def test_round_trip_identity(self, tmp_path):
         d = small_dataset()
         path = str(tmp_path / "d.jsonl")
         save_dataset(d, path)
-        back = load_dataset(path)
-        assert back.manifest == d.manifest
-        assert len(back) == len(d)
-        np.testing.assert_array_equal(np.isnan(back.labels), np.isnan(d.labels))
-        np.testing.assert_array_equal(
-            np.nan_to_num(back.labels), np.nan_to_num(d.labels)
-        )
-        for a, b in zip(d.graphs, back.graphs):
-            assert a.num_nodes == b.num_nodes
-            np.testing.assert_array_equal(a.node_feats, b.node_feats)
-            np.testing.assert_array_equal(a.edges, b.edges)
-            np.testing.assert_array_equal(a.edge_feats, b.edge_feats)
+        assert_same_dataset(load_dataset(path), d)
 
     def test_missing_labels_survive(self, tmp_path):
         d = small_dataset()
@@ -99,10 +105,7 @@ class TestSaveLoad:
         d = small_dataset(n=2)
         path = str(tmp_path / "d.jsonl")
         save_dataset(d, path)
-        manifest_path = path + ".manifest.json"
-        manifest = json.load(open(manifest_path))
-        manifest["node_field_cardinalities"] = [1, 1]
-        json.dump(manifest, open(manifest_path, "w"))
+        edit_manifest(path, lambda manifest: manifest.update(node_field_cardinalities=[1, 1]))
         with pytest.raises(ValueError, match="node field") as info:
             load_dataset(path)
         assert str(info.value).startswith(f"dataset {path}: graph 0: ")
@@ -116,13 +119,45 @@ class TestSaveLoad:
             save_dataset(small_dataset(n=5, seed=1), path, header={"command": "gen"})
         assert {name: open(tmp_path / name, "rb").read() for name in os.listdir(tmp_path)} == before
 
-    def test_header_line_is_skipped(self, tmp_path):
+    def test_a_save_failing_at_any_write_keeps_the_previous_dataset(self, tmp_path, fill_disk):
+        path = str(tmp_path / "d.jsonl")
+        old, new = small_dataset(n=6), small_dataset(n=9, seed=1)
+        save_dataset(old, path, header={"run": "A"})
+        k = 1
+        while True:
+            fill_disk(k)
+            try:
+                save_dataset(new, path, header={"run": "B"})
+            except OSError:
+                assert_same_dataset(load_dataset(path), old, err_msg=f"write {k} failed")
+                assert header_of(path) == {"run": "A"}, f"write {k} failed"
+                k += 1
+            else:
+                break
+        assert k > 2  # the save failed at its manifest and at a record
+        assert_same_dataset(load_dataset(path), new)
+        assert header_of(path) == {"run": "B"}
+
+    def test_header_is_written_once_in_the_manifest_line(self, tmp_path):
         d = small_dataset(n=2)
         path = str(tmp_path / "d.jsonl")
         save_dataset(d, path, header={"command": "gen"})
-        first = open(path).readline()
-        assert first.startswith("# ")
+        lines = open(path).read().splitlines()
+        assert lines[0].startswith("# ") and header_of(path) == {"command": "gen"}
+        assert len(lines) == 3 and not any(line.startswith("#") for line in lines[1:])
         assert len(load_dataset(path)) == 2
+        save_dataset(d, path)
+        assert header_of(path) is None and len(load_dataset(path)) == 2
+
+    @pytest.mark.parametrize("first", [b"", b"\n", b'{"nodes": [], "edges": [], "labels": [0, 1]}\n', b"#{}\n"])
+    def test_line_one_that_is_not_a_manifest_line_is_rejected(self, tmp_path, first):
+        path = str(tmp_path / "d.jsonl")
+        save_dataset(small_dataset(n=2), path)
+        records = open(path, "rb").read().split(b"\n", 1)[1]
+        open(path, "wb").write(first + records)
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"dataset {path}: line 1 is not a dataset manifest"
 
 
 class TestRandomSplit:
@@ -248,8 +283,9 @@ class TestCollate:
             d = small_dataset(n=int(rng.integers(2, 6)), seed=int(rng.integers(100)))
             batch = collate(d.graphs, None, k_max=3)
             bounds = np.concatenate([[0], np.cumsum(np.bincount(batch.graph_ids.ids))])
+            index = ((batch.arc_dst, batch.arc_src),) + batch.shells  # distance 1 is the arcs
             for k in range(1, 4):
-                dst, src = (plan.ids for plan in batch.shells[k - 1])
+                dst, src = (plan.ids for plan in index[k - 1])
                 for a, b in zip(dst, src):
                     ga = int(batch.graph_ids.ids[a])
                     assert bounds[ga] <= b < bounds[ga + 1]
@@ -257,13 +293,16 @@ class TestCollate:
     def test_khop_matches_per_graph_index(self):
         d = small_dataset(n=4, seed=11)
         batch = collate(d.graphs, None, k_max=3)
+        # KHopIndex's distance k + 1 is the batch's distance k + 2
         khop = KHopIndex(tuple((dst.ids, src.ids) for dst, src in batch.shells))
         offset = 0
         for g in d.graphs:
             local = build_khop_index(g, 3)
-            for k in range(1, 4):
-                for i in range(g.num_nodes):
-                    got = [v - offset for v in khop.neighbors(offset + i, k)]
+            for i in range(g.num_nodes):
+                arcs = batch.arc_src.ids[batch.arc_dst.ids == offset + i] - offset
+                assert sorted(arcs.tolist()) == local.neighbors(i, 1)
+                for k in range(2, 4):
+                    got = [v - offset for v in khop.neighbors(offset + i, k - 1)]
                     assert got == local.neighbors(i, k)
             offset += g.num_nodes
 
@@ -276,7 +315,7 @@ class TestCollate:
         assert batch.arc_edge_feats.shape == (0, 3)
         for plan in (batch.arc_src, batch.arc_dst):
             assert plan.ids.shape == (0,) and plan.ids.dtype == np.int64
-        assert len(batch.shells) == 3
+        assert len(batch.shells) == 2
         for dst, src in batch.shells:
             for plan in (dst, src):
                 assert plan.ids.shape == (0,) and plan.ids.dtype == np.int64
@@ -289,7 +328,7 @@ class TestCollate:
 def _plans(batch):
     """Every index-set plan of a batch, by name."""
     plans = {"graph_ids": batch.graph_ids, "arc_dst": batch.arc_dst, "arc_src": batch.arc_src}
-    for k, (dst, src) in enumerate(batch.shells, start=1):
+    for k, (dst, src) in enumerate(batch.shells, start=2):
         plans[f"shell{k}.dst"], plans[f"shell{k}.src"] = dst, src
     return plans
 
@@ -357,4 +396,4 @@ class TestBatchPlans:
         for name, plan in _plans(batch).items():
             out = plan.sum(np.ones((plan.ids.size, 2), dtype=np.float32))
             np.testing.assert_array_equal(out[:, 0], np.bincount(plan.ids, minlength=plan.n), err_msg=name)
-        assert batch.shells[1][0].ids.size == 0
+        assert len(batch.shells) == 1 and batch.shells[0][0].ids.size == 0

@@ -16,8 +16,9 @@ The last two are 1-hop only: the star's distance-2 shell holds about a
 million pairs, and the cycle's dense k-hop build alone takes seconds.
 
 Every index set of a batch is timed (``graph_ids``, ``arc_dst``, ``arc_src``,
-each shell's dst and src), and so is every embedding-table gradient plan:
-one per node field (``node_feats.f``) and per edge field (``arc_feats.f``).
+the dst and src of each distance-k shell from k = 2, named ``shellk``; the
+arcs are distance 1), and so is every embedding-table gradient plan: one
+per node field (``node_feats.f``) and per edge field (``arc_feats.f``).
 For each plan, ``build_sum_ms`` is one ``Segments(ids, n).sum(values)`` on a
 new plan, ``sum_ms`` one more sum on a plan whose table is built, and
 ``add_at_ms`` the same sums by ``np.add.at`` into a -0.0 fill, which adds
@@ -92,7 +93,7 @@ def measure() -> dict:
     out: dict[str, dict] = {}
     for name, batch, width in _batches():
         plans = {"graph_ids": batch.graph_ids, "arc_dst": batch.arc_dst, "arc_src": batch.arc_src}
-        for k, (dst, src) in enumerate(batch.shells, start=1):
+        for k, (dst, src) in enumerate(batch.shells, start=2):
             plans[f"shell{k}.dst"], plans[f"shell{k}.src"] = dst, src
         for field, ids in [("node_feats", batch.node_feats), ("arc_feats", batch.arc_edge_feats)]:
             for f in range(ids.shape[1]):
