@@ -111,30 +111,26 @@ class TestSaveLoad:
         assert str(info.value).startswith(f"dataset {path}: graph 0: ")
 
     def test_failed_write_keeps_the_previous_files(self, tmp_path, fill_disk):
-        path = str(tmp_path / "d.jsonl")
-        save_dataset(small_dataset(n=2), path)
-        before = {name: open(tmp_path / name, "rb").read() for name in os.listdir(tmp_path)}
-        fill_disk()
-        with pytest.raises(OSError, match="No space left"):
-            save_dataset(small_dataset(n=5, seed=1), path, header={"command": "gen"})
-        assert {name: open(tmp_path / name, "rb").read() for name in os.listdir(tmp_path)} == before
-
-    def test_a_save_failing_at_any_write_keeps_the_previous_dataset(self, tmp_path, fill_disk):
+        """A save that fails at any one of its writes leaves the previous
+        dataset whole: its records with its own header, byte for byte."""
         path = str(tmp_path / "d.jsonl")
         old, new = small_dataset(n=6), small_dataset(n=9, seed=1)
         save_dataset(old, path, header={"run": "A"})
+        before = {name: open(tmp_path / name, "rb").read() for name in os.listdir(tmp_path)}
         k = 1
         while True:
             fill_disk(k)
             try:
                 save_dataset(new, path, header={"run": "B"})
-            except OSError:
+            except OSError as exc:
+                assert "No space left" in str(exc)
                 assert_same_dataset(load_dataset(path), old, err_msg=f"write {k} failed")
                 assert header_of(path) == {"run": "A"}, f"write {k} failed"
+                assert {name: open(tmp_path / name, "rb").read() for name in os.listdir(tmp_path)} == before
                 k += 1
             else:
                 break
-        assert k > 2  # the save failed at its manifest and at a record
+        assert k > 2  # failures came at the manifest and at a record
         assert_same_dataset(load_dataset(path), new)
         assert header_of(path) == {"run": "B"}
 
@@ -293,7 +289,7 @@ class TestCollate:
     def test_khop_matches_per_graph_index(self):
         d = small_dataset(n=4, seed=11)
         batch = collate(d.graphs, None, k_max=3)
-        # KHopIndex's distance k + 1 is the batch's distance k + 2
+        # the shells start at distance 2, so this index's k - 1 is distance k
         khop = KHopIndex(tuple((dst.ids, src.ids) for dst, src in batch.shells))
         offset = 0
         for g in d.graphs:

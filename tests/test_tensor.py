@@ -698,33 +698,29 @@ class TestCheckpoint:
             save_checkpoint({"x": np.array([1, 2])}, str(tmp_path / "x.ckpt"))
 
     def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, fill_disk):
+        """A save that fails at any one of its writes leaves the previous
+        checkpoint whole: its tensors with its own extra, byte for byte."""
         path = str(tmp_path / "model.ckpt")
-        save_checkpoint({"w": np.ones((2, 3), dtype=np.float32)}, path)
-        before = {name: open(tmp_path / name, "rb").read() for name in os.listdir(tmp_path)}
-        fill_disk()
-        with pytest.raises(OSError, match="No space left"):
-            save_checkpoint({"w": np.zeros((4, 3), dtype=np.float32)}, path)
-        assert {name: open(tmp_path / name, "rb").read() for name in os.listdir(tmp_path)} == before
-
-    def test_a_save_failing_at_any_write_keeps_the_previous_checkpoint(self, tmp_path, fill_disk):
-        path = str(tmp_path / "model.ckpt")
-        # equal shapes, so new tensor bytes would also fit the old manifest
+        # equal shapes, so the new tensor bytes would also fit the old manifest
         old = {"w": np.ones((2, 3), dtype=np.float32), "b": np.full(3, 2.0)}
         new = {"w": np.zeros((2, 3), dtype=np.float32), "b": np.full(3, 5.0)}
         save_checkpoint(old, path, extra={"run": "A"})
+        before = {name: open(tmp_path / name, "rb").read() for name in os.listdir(tmp_path)}
         k = 1
         while True:
             fill_disk(k)
             try:
                 save_checkpoint(new, path, extra={"run": "B"})
-            except OSError:
+            except OSError as exc:
+                assert "No space left" in str(exc)
                 arrays, extra = load_checkpoint(path)
                 assert extra == {"run": "A"}, f"write {k} failed"
                 for name, arr in old.items():
                     assert_same_bits(arrays[name], arr, err_msg=f"write {k} failed")
+                assert {name: open(tmp_path / name, "rb").read() for name in os.listdir(tmp_path)} == before
                 k += 1
             else:
                 break
-        assert k > 2  # the save failed at its manifest and at a tensor
+        assert k > 2  # failures came at the manifest and at a tensor
         arrays, extra = load_checkpoint(path)
         assert extra == {"run": "B"} and all(np.array_equal(arrays[n], a) for n, a in new.items())
