@@ -9,8 +9,10 @@ and every output file records the resolved run spec in its header.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -275,6 +277,11 @@ def cmd_train(runspec: RunSpec) -> int:
 
     summary = training.run_replicates(run, o["seed"], o["replicates"])
     _, _, params, history = runs[0]
+    # the previous run's tables go before its checkpoint does, so a write that fails
+    # below never leaves them beside a checkpoint whose run spec they do not share
+    for suffix in (".history.tsv", ".summary.tsv"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(o["out"] + suffix)
     save_checkpoint(
         nn.named_arrays(params),
         o["out"] + ".ckpt",
@@ -314,10 +321,19 @@ def _load_model(checkpoint_path: str) -> tuple[nn.ModelConfig, nn.ModelParams, d
     return config, params, extra
 
 
+def _load_graphs(path: str) -> Dataset:
+    """The dataset at ``path``, which must hold a graph: a score or a time
+    over no graphs would be NaN or 0."""
+    dataset = load_dataset(path)
+    if len(dataset) == 0:
+        raise CliError(f"dataset {path} holds no graphs")
+    return dataset
+
+
 def cmd_eval(runspec: RunSpec) -> int:
     o = runspec.options
     config, params, _ = _load_model(o["checkpoint"])
-    dataset = load_dataset(o["data"])
+    dataset = _load_graphs(o["data"])
     if (
         dataset.manifest.node_field_cardinalities != config.node_field_cards
         or dataset.manifest.edge_field_cardinalities != config.edge_field_cards
@@ -389,7 +405,7 @@ def cmd_counterexample(runspec: RunSpec) -> int:
 def cmd_bench(runspec: RunSpec) -> int:
     o = runspec.options
     tc = training.TrainConfig(epochs=o["epochs"], batch_size=o["batch_size"], seed=o["seed"])  # rejects values < 1
-    dataset = load_dataset(o["data"])
+    dataset = _load_graphs(o["data"])
     configs = [("gine", 1)] + [("gine+", k) for k in o["radii"]]
     rows = []
     base_params = None

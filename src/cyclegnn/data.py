@@ -13,10 +13,10 @@ from itertools import chain
 import numpy as np
 
 from ._atomic import atomic_open
-from .graph import LabeledGraph, build_khop_index
+from .graph import LabeledGraph, build_khop_index, find_graph_fault, graphs_from_flat
 from .tensor import Segments
 
-MISSING = math.nan
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -47,22 +47,50 @@ class DatasetManifest:
         )
 
 
-def _check_features(g: LabeledGraph, manifest: DatasetManifest, where: str) -> None:
-    if g.node_feats.shape[1] != len(manifest.node_field_cardinalities):
-        raise ValueError(f"{where}: expected {len(manifest.node_field_cardinalities)} node fields")
-    if g.edge_feats.shape[1] != len(manifest.edge_field_cardinalities):
-        raise ValueError(f"{where}: expected {len(manifest.edge_field_cardinalities)} edge fields")
-    for f, card in enumerate(manifest.node_field_cardinalities):
-        if g.num_nodes and int(g.node_feats[:, f].max()) >= card:
-            raise ValueError(f"{where}: node field {f} value exceeds cardinality {card}")
-    for f, card in enumerate(manifest.edge_field_cardinalities):
-        if g.num_edges and int(g.edge_feats[:, f].max()) >= card:
-            raise ValueError(f"{where}: edge field {f} value exceeds cardinality {card}")
+def _check_features(graphs: list[LabeledGraph], manifest: DatasetManifest) -> None:
+    """Raise for the first graph whose node or edge fields differ in number
+    from the manifest's, or hold a value at or above the field's
+    cardinality, naming the graph's index and, for a value, the first such
+    field; one numpy pass over all the graphs."""
+    kinds = (
+        ("node", "node_feats", [g.num_nodes for g in graphs], manifest.node_field_cardinalities),
+        ("edge", "edge_feats", [g.num_edges for g in graphs], manifest.edge_field_cardinalities),
+    )
+    faults = [
+        next(
+            (
+                (i, f"expected {len(cards)} {kind} fields")
+                for i, g in enumerate(graphs)
+                for kind, attr, _, cards in kinds
+                if getattr(g, attr).shape[1] != len(cards)
+            ),
+            (len(graphs), None),
+        )
+    ]
+    checked = faults[0][0]  # the graphs before the first of the wrong shape
+    for kind, attr, counts, cards in kinds:
+        bounds = np.concatenate([[0], np.cumsum(counts[:checked], dtype=np.int64)])
+        feats = [np.empty((0, len(cards)), np.int64)] + [getattr(g, attr) for g in graphs[:checked]]
+        over = np.concatenate(feats) >= np.asarray(cards, dtype=np.int64)  # (rows, fields)
+        rows = np.flatnonzero(over.any(axis=1))[:1]
+        if rows.size:
+            idx = int(np.searchsorted(bounds, rows[0], side="right")) - 1
+            f = int(np.argmax(over[bounds[idx] : bounds[idx + 1]].any(axis=0)))
+            faults.append((idx, f"{kind} field {f} value exceeds cardinality {cards[f]}"))
+    idx, message = min(faults, key=lambda fault: fault[0])  # a graph's node fault before its edge fault
+    if message is not None:
+        raise ValueError(f"graph {idx}: {message}")
 
 
 @dataclass
 class Dataset:
-    """Graphs plus a (num_graphs, num_tasks) label matrix; NaN marks missing."""
+    """Graphs plus a (num_graphs, num_tasks) label matrix; NaN marks missing.
+
+    Construction checks that every label is 0, 1 or missing, and that every
+    graph has the manifest's number of node and edge fields with values
+    below their cardinalities, in one pass over all the graphs; an error
+    names the first bad graph's index.
+    """
 
     graphs: list[LabeledGraph]
     labels: np.ndarray
@@ -81,8 +109,7 @@ class Dataset:
         observed = self.labels[~np.isnan(self.labels)]
         if observed.size and not np.isin(observed, (0.0, 1.0)).all():
             raise ValueError("labels must be 0, 1 or missing")
-        for idx, g in enumerate(self.graphs):
-            _check_features(g, self.manifest, f"graph {idx}")
+        _check_features(self.graphs, self.manifest)
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -123,38 +150,68 @@ def save_dataset(dataset: Dataset, path: str, header: dict | None = None) -> Non
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _read_manifest(first: bytes, path: str) -> DatasetManifest:
+    """The manifest on a dataset file's line 1, ``first``; a one-line error names ``path``."""
+    if not first.startswith(b"# "):
+        raise ValueError(f"dataset {path}: line 1 is not a dataset manifest")
+    try:
+        raw = json.loads(first[2:].decode("ascii"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"dataset manifest {path} is not valid JSON: {exc}") from None
+    expected = {"node_field_cardinalities": int, "edge_field_cardinalities": int, "task_names": str}
+    for key, kind in expected.items():
+        values = raw.get(key) if isinstance(raw, dict) else None
+        if not isinstance(values, list) or not all(type(v) is kind for v in values):
+            raise ValueError(f"dataset manifest {path}: {key!r} must be a list of {kind.__name__}")
+    try:
+        return DatasetManifest(**{key: tuple(raw[key]) for key in expected})
+    except ValueError as exc:
+        raise ValueError(f"dataset manifest {path}: {exc}") from None
+
+
+def _int_rows(rows: list, values: list, width: int) -> list[int]:
+    """The integers of ``rows``, flattened to ``values``, once each row is
+    known to hold ``width`` of them and each fits in int64. Rows that are not
+    so go through numpy, which raises what it finds wrong with them."""
+    regular = type(rows) is list and set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {width}
+    if regular and (not values or (_INT64_MIN <= min(values) and max(values) <= _INT64_MAX)):
+        return values
+    try:
+        return np.asarray(rows, dtype=np.int64).reshape(len(rows), width).ravel().tolist()
+    except OverflowError:
+        raise ValueError("node features, edge endpoints and edge features must fit in int64") from None
+
+
 def load_dataset(path: str) -> Dataset:
     """Read a dataset written by :func:`save_dataset`.
 
     A line 1 that is not a manifest line, or a malformed manifest, is
-    reported with the path; malformed records with their line number (a node
-    feature, edge endpoint or edge feature that is not a JSON integer within
-    int64, or a label that is not JSON 0, 1 or null, makes a record
-    malformed). Feature values are checked against the manifest
-    cardinalities, once per graph, and a violation names the path and the
-    graph's index.
+    reported with the path; malformed records with their line number. A
+    record is malformed when a node feature, edge endpoint or edge feature
+    is not a JSON integer within int64, a node is not a list of the
+    manifest's node fields, an edge is not ``[u, v, [edge features]]``, a
+    label is not JSON 0, 1 or null, or its graph breaks an invariant of
+    :class:`LabeledGraph`. When several lines are malformed, the first is
+    named. Feature values are then checked against the manifest
+    cardinalities, and a violation names the path and the graph's index. A
+    file with no records is a dataset of no graphs.
+
+    The records are read one at a time into flat, file-wide lists of
+    integers. The graphs are checked all at once (see
+    :func:`find_graph_fault`) and are row slices of the shared arrays (see
+    :func:`graphs_from_flat`).
     """
     with open(path, "rb") as fh:
-        first = fh.readline()
-        if not first.startswith(b"# "):
-            raise ValueError(f"dataset {path}: line 1 is not a dataset manifest")
-        try:
-            raw = json.loads(first[2:].decode("ascii"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"dataset manifest {path} is not valid JSON: {exc}") from None
-        expected = {"node_field_cardinalities": int, "edge_field_cardinalities": int, "task_names": str}
-        for key, kind in expected.items():
-            values = raw.get(key) if isinstance(raw, dict) else None
-            if not isinstance(values, list) or not all(type(v) is kind for v in values):
-                raise ValueError(f"dataset manifest {path}: {key!r} must be a list of {kind.__name__}")
-        try:
-            manifest = DatasetManifest(**{key: tuple(raw[key]) for key in expected})
-        except ValueError as exc:
-            raise ValueError(f"dataset manifest {path}: {exc}") from None
+        manifest = _read_manifest(fh.readline(), path)
         node_fields = len(manifest.node_field_cardinalities)
         edge_fields = len(manifest.edge_field_cardinalities)
-        graphs: list[LabeledGraph] = []
-        rows: list[list[float]] = []
+        node_ints: list[int] = []
+        edge_ints: list[int] = []  # (u, v, edge features) per edge
+        node_counts: list[int] = []
+        edge_counts: list[int] = []
+        linenos: list[int] = []  # per graph
+        rows: list[list[int | None]] = []
+        error = None  # the first malformed line's message; the file is read no further
         for lineno, line in enumerate(fh, start=2):
             try:
                 line = line.decode("ascii").strip()
@@ -162,31 +219,45 @@ def load_dataset(path: str) -> Dataset:
                     continue
                 record = json.loads(line)
                 nodes = record["nodes"]
-                edges = [(e[0], e[1], *e[2]) for e in record["edges"]]  # endpoints, then features
+                edges = record["edges"]
+                flat_edges = [(e[0], e[1], *e[2]) for e in edges]  # endpoints, then features
+                if not set(map(len, edges)) <= {3}:
+                    raise ValueError("an edge must be [u, v, [edge features]]")
+                node_values = list(chain.from_iterable(nodes))
+                edge_values = list(chain.from_iterable(flat_edges))
                 # np.asarray would turn 0.7, "0" and false into 0
-                if not set(map(type, chain(chain.from_iterable(nodes), chain.from_iterable(edges)))) <= {int}:
+                if not set(map(type, node_values)).union(map(type, edge_values)) <= {int}:
                     raise ValueError("node features, edge endpoints and edge features must be JSON integers")
-                try:
-                    nodes = np.asarray(nodes, dtype=np.int64).reshape(len(nodes), node_fields)
-                    edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2 + edge_fields)
-                except OverflowError:
-                    raise ValueError("node features, edge endpoints and edge features must fit in int64") from None
-                g = LabeledGraph(
-                    num_nodes=len(nodes), node_feats=nodes, edges=edges[:, :2], edge_feats=edges[:, 2:]
-                )
+                node_values = _int_rows(nodes, node_values, node_fields)
+                edge_values = _int_rows(flat_edges, edge_values, 2 + edge_fields)
+                # the graph is kept before its labels are read, since its checks come before theirs
+                node_ints += node_values
+                edge_ints += edge_values
+                node_counts.append(len(nodes))
+                edge_counts.append(len(flat_edges))
+                linenos.append(lineno)
                 labels = record["labels"]
-                # float() would turn true, "0" and 1.0 into labels
-                if not all(x is None or (type(x) is int and x in (0, 1)) for x in labels):
+                # np.array would turn true, "0" and 1.0 into labels; it turns null into NaN, which marks a missing one
+                if not (set(map(type, labels)) <= {int, type(None)} and set(labels) <= {0, 1, None}):
                     raise ValueError("labels must be JSON 0, 1 or null")
-                row = [MISSING if x is None else float(x) for x in labels]
             except (KeyError, IndexError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            if len(row) != manifest.num_tasks:
-                raise ValueError(f"{path}:{lineno}: expected {manifest.num_tasks} labels, got {len(row)}")
-            graphs.append(g)
-            rows.append(row)
+                error = f"{path}:{lineno}: malformed record: {exc}"
+                break
+            if len(labels) != manifest.num_tasks:
+                error = f"{path}:{lineno}: expected {manifest.num_tasks} labels, got {len(labels)}"
+                break
+            rows.append(labels)
+    node_feats = np.array(node_ints, dtype=np.int64).reshape(sum(node_counts), node_fields)
+    edge_rows = np.array(edge_ints, dtype=np.int64).reshape(sum(edge_counts), 2 + edge_fields)
+    edges, edge_feats = np.ascontiguousarray(edge_rows[:, :2]), np.ascontiguousarray(edge_rows[:, 2:])
+    fault = find_graph_fault(node_counts, node_feats, edge_counts, edges, edge_feats)
+    if fault is not None:  # on a line before the malformed one, or on it, where the graph's checks come first
+        raise ValueError(f"{path}:{linenos[fault[0]]}: malformed record: {fault[1]}")
+    if error is not None:
+        raise ValueError(error)
+    graphs = graphs_from_flat(node_counts, node_feats, edge_counts, edges, edge_feats)
     try:
-        return Dataset(graphs, np.asarray(rows, dtype=np.float64).reshape(len(graphs), -1), manifest)
+        return Dataset(graphs, np.array(rows, dtype=np.float64).reshape(len(rows), manifest.num_tasks), manifest)
     except ValueError as exc:
         raise ValueError(f"dataset {path}: {exc}") from None
 

@@ -17,7 +17,9 @@ class LabeledGraph:
     """Undirected graph with categorical node and edge feature vectors.
 
     Each undirected edge is stored once; no self-loops or parallel edges.
-    Arrays are treated as immutable after construction.
+    Construction checks these with :func:`find_graph_fault`. Arrays are
+    treated as immutable after construction; graphs made by
+    :func:`graphs_from_flat` are row slices (views) of arrays they share.
     """
 
     num_nodes: int
@@ -34,18 +36,9 @@ class LabeledGraph:
             raise ValueError(f"node_feats must be ({n}, fields), got {self.node_feats.shape}")
         if self.edge_feats.ndim != 2 or self.edge_feats.shape[0] != edges.shape[0]:
             raise ValueError("edge_feats must align with edges")
-        if self.node_feats.size and self.node_feats.min() < 0:
-            raise ValueError("node features must be non-negative")
-        if self.edge_feats.size and self.edge_feats.min() < 0:
-            raise ValueError("edge features must be non-negative")
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            if (edges[:, 0] == edges[:, 1]).any():
-                raise ValueError("self-loops are not allowed")
-            canon = {tuple(sorted(e)) for e in edges.tolist()}
-            if len(canon) != edges.shape[0]:
-                raise ValueError("duplicate undirected edge")
+        fault = find_graph_fault([n], self.node_feats, [edges.shape[0]], edges, self.edge_feats)
+        if fault is not None:
+            raise ValueError(fault[1])
 
     @property
     def num_edges(self) -> int:
@@ -61,6 +54,81 @@ class LabeledGraph:
 
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
+
+
+_GRAPH_FAULTS = (
+    "node features must be non-negative",
+    "edge features must be non-negative",
+    "edge endpoint out of range",
+    "self-loops are not allowed",
+    "duplicate undirected edge",
+)
+
+
+def find_graph_fault(node_counts, node_feats, edge_counts, edges, edge_feats) -> tuple[int, str] | None:
+    """The index of the first graph that breaks a :class:`LabeledGraph`
+    invariant, and the message naming it; None when every graph holds.
+
+    The graphs come as flat int64 arrays: graph i owns the next
+    ``node_counts[i]`` rows of ``node_feats`` and the next ``edge_counts[i]``
+    rows of ``edges`` (endpoints numbered within graph i) and
+    ``edge_feats``. The checks, whose order picks the message for a graph
+    that fails several: non-negative node features, non-negative edge
+    features, endpoints in range, no self-loops, and no edge stored twice in
+    either orientation. Each is one numpy pass over all the graphs;
+    duplicates show as equal neighbours among sorted per-graph edge codes.
+    """
+    node_counts = np.asarray(node_counts, dtype=np.int64)
+    if node_counts.size == 1:  # one graph: its node count broadcasts over its edges, which need no offset
+        total, size, first = int(node_counts[0]), node_counts, 0
+    else:  # per edge, its graph's node count and the number of that graph's first node in the union
+        total = int(node_counts.sum())
+        size, first = np.repeat(node_counts, edge_counts), np.repeat(np.cumsum(node_counts) - node_counts, edge_counts)
+    u, v = edges[:, 0], edges[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    out = (lo < 0) | (hi >= size)
+    # in-range edges coded as (first + lo) * total + (first + hi): the sorted codes fall in graph order
+    codes = lo * total + hi + first * (total + 1)
+    codes = np.sort(codes[~out] if out.any() else codes)
+    faults = (node_feats < 0, edge_feats < 0, out, u == v, codes[1:] == codes[:-1])
+    failed = [check for check, mask in enumerate(faults) if mask.any()]
+    if not failed:
+        return None
+    node_ends, edge_ends = np.cumsum(node_counts), np.cumsum(edge_counts)
+    culprits = []
+    for check in failed:
+        at = int(np.argmax(faults[check]))  # the first failing entry, in row-major order
+        if check == 0:
+            graph = np.searchsorted(node_ends, at // node_feats.shape[1], side="right")
+        elif check == 1:
+            graph = np.searchsorted(edge_ends, at // edge_feats.shape[1], side="right")
+        elif check == 4:
+            graph = np.searchsorted(node_ends, codes[at] // total, side="right")
+        else:
+            graph = np.searchsorted(edge_ends, at, side="right")
+        culprits.append((int(graph), _GRAPH_FAULTS[check]))
+    return min(culprits, key=lambda culprit: culprit[0])  # a tie keeps the order of the checks
+
+
+def graphs_from_flat(node_counts, node_feats, edge_counts, edges, edge_feats) -> list[LabeledGraph]:
+    """The graphs of flat arrays laid out as for :func:`find_graph_fault`,
+    each made of row slices (views) of them and not checked again: the
+    caller has checked them all at once with :func:`find_graph_fault`. The
+    arrays must be C-contiguous int64 with ``edges`` of shape (M, 2)."""
+    graphs = []
+    node_start = edge_start = 0
+    for n, m in zip(node_counts, edge_counts):
+        node_end, edge_end = node_start + n, edge_start + m
+        g = object.__new__(LabeledGraph)
+        g.__dict__.update(
+            num_nodes=n,
+            node_feats=node_feats[node_start:node_end],
+            edges=edges[edge_start:edge_end],
+            edge_feats=edge_feats[edge_start:edge_end],
+        )
+        graphs.append(g)
+        node_start, edge_start = node_end, edge_end
+    return graphs
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset, DatasetManifest
-from .graph import LabeledGraph
+from .graph import LabeledGraph, graphs_from_flat
 
 # Ways to write 12 as a sum of cycle lengths >= 3, keyed by smallest part.
 _TWELVE_NODE_PARTITIONS = {
@@ -51,15 +51,13 @@ def gen_cycle_union(cycle_lengths) -> LabeledGraph:
 
 
 def _permute_nodes(g: LabeledGraph, rng: np.random.Generator) -> LabeledGraph:
+    """``g`` with its nodes renumbered at random; a renumbering keeps every
+    invariant of ``g``, so the copy is not checked again."""
     perm = rng.permutation(g.num_nodes)
     inv = np.empty_like(perm)
     inv[perm] = np.arange(g.num_nodes)
-    return LabeledGraph(
-        num_nodes=g.num_nodes,
-        node_feats=g.node_feats[inv],
-        edges=perm[g.edges] if g.num_edges else g.edges,
-        edge_feats=g.edge_feats,
-    )
+    (permuted,) = graphs_from_flat([g.num_nodes], g.node_feats[inv], [g.num_edges], perm[g.edges], g.edge_feats)
+    return permuted
 
 
 def random_tree(num_nodes: int, rng: np.random.Generator) -> LabeledGraph:

@@ -1,11 +1,13 @@
 import errno
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cyclegnn import _atomic
+from cyclegnn.data import DatasetManifest
 from cyclegnn.graph import LabeledGraph
 
 
@@ -54,6 +56,92 @@ def edit_manifest(path, edit) -> None:
     edit(manifest)
     with open(path, "wb") as fh:
         fh.write(prefix + json.dumps(manifest).encode("ascii") + b"\n" + rest)
+
+
+def reference_load_dataset(path):
+    """Read a dataset file one record at a time, checking each graph on its
+    own, as ``load_dataset`` did before it read whole files; the tests'
+    reference for :func:`cyclegnn.data.load_dataset`.
+
+    Returns the manifest, a list of ``(num_nodes, node_feats, edges,
+    edge_feats)`` int64 arrays per graph, and the label matrix, or raises
+    the ValueError that loader raised. Two cases differ on purpose: a file
+    with no records fails here, and an edge with more than three entries
+    loads here with the extra entries dropped."""
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        if not first.startswith(b"# "):
+            raise ValueError(f"dataset {path}: line 1 is not a dataset manifest")
+        try:
+            raw = json.loads(first[2:].decode("ascii"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"dataset manifest {path} is not valid JSON: {exc}") from None
+        expected = {"node_field_cardinalities": int, "edge_field_cardinalities": int, "task_names": str}
+        for key, kind in expected.items():
+            values = raw.get(key) if isinstance(raw, dict) else None
+            if not isinstance(values, list) or not all(type(v) is kind for v in values):
+                raise ValueError(f"dataset manifest {path}: {key!r} must be a list of {kind.__name__}")
+        try:
+            manifest = DatasetManifest(**{key: tuple(raw[key]) for key in expected})
+        except ValueError as exc:
+            raise ValueError(f"dataset manifest {path}: {exc}") from None
+        node_fields = len(manifest.node_field_cardinalities)
+        edge_fields = len(manifest.edge_field_cardinalities)
+        graphs = []
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                line = line.decode("ascii").strip()
+                if not line:
+                    continue
+                record = json.loads(line)
+                nodes = record["nodes"]
+                edges = [(e[0], e[1], *e[2]) for e in record["edges"]]
+                if not set(map(type, itertools.chain(itertools.chain.from_iterable(nodes), itertools.chain.from_iterable(edges)))) <= {int}:
+                    raise ValueError("node features, edge endpoints and edge features must be JSON integers")
+                try:
+                    nodes = np.asarray(nodes, dtype=np.int64).reshape(len(nodes), node_fields)
+                    edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2 + edge_fields)
+                except OverflowError:
+                    raise ValueError("node features, edge endpoints and edge features must fit in int64") from None
+                g = (len(nodes), nodes, np.ascontiguousarray(edges[:, :2]), np.ascontiguousarray(edges[:, 2:]))
+                _reference_graph_checks(*g)
+                labels = record["labels"]
+                if not all(x is None or (type(x) is int and x in (0, 1)) for x in labels):
+                    raise ValueError("labels must be JSON 0, 1 or null")
+                row = [math.nan if x is None else float(x) for x in labels]
+            except (KeyError, IndexError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed record: {exc}") from exc
+            if len(row) != manifest.num_tasks:
+                raise ValueError(f"{path}:{lineno}: expected {manifest.num_tasks} labels, got {len(row)}")
+            graphs.append(g)
+            rows.append(row)
+    try:
+        labels = np.asarray(rows, dtype=np.float64).reshape(len(graphs), -1)
+        for idx, (n, node_feats, edges, edge_feats) in enumerate(graphs):
+            for f, card in enumerate(manifest.node_field_cardinalities):
+                if n and int(node_feats[:, f].max()) >= card:
+                    raise ValueError(f"graph {idx}: node field {f} value exceeds cardinality {card}")
+            for f, card in enumerate(manifest.edge_field_cardinalities):
+                if len(edges) and int(edge_feats[:, f].max()) >= card:
+                    raise ValueError(f"graph {idx}: edge field {f} value exceeds cardinality {card}")
+    except ValueError as exc:
+        raise ValueError(f"dataset {path}: {exc}") from None
+    return manifest, graphs, labels
+
+
+def _reference_graph_checks(n, node_feats, edges, edge_feats):
+    if node_feats.size and node_feats.min() < 0:
+        raise ValueError("node features must be non-negative")
+    if edge_feats.size and edge_feats.min() < 0:
+        raise ValueError("edge features must be non-negative")
+    if edges.size:
+        if edges.min() < 0 or edges.max() >= n:
+            raise ValueError("edge endpoint out of range")
+        if (edges[:, 0] == edges[:, 1]).any():
+            raise ValueError("self-loops are not allowed")
+        if len({tuple(sorted(e)) for e in edges.tolist()}) != edges.shape[0]:
+            raise ValueError("duplicate undirected edge")
 
 
 def random_graph(rng, n, p=0.3):

@@ -11,6 +11,7 @@ from cyclegnn.cli import main
 from cyclegnn.data import load_dataset, random_split, save_dataset
 from cyclegnn.nn import ModelConfig
 from cyclegnn.synth import gen_cycle_union, gen_synthetic_dataset
+from cyclegnn.tensor import load_checkpoint
 from cyclegnn.train import TrainConfig, evaluate, train_model
 from cyclegnn.data import Dataset
 import cyclegnn.data as data_mod
@@ -136,6 +137,36 @@ class TestTrain:
         assert ", batch " in err
         assert not os.path.exists(str(tmp_path / "x.ckpt"))
 
+    def test_failed_write_never_leaves_tables_of_another_run(self, trained, tmp_path, capsys, fill_disk):
+        """A train whose k-th write fails, for every k, leaves no history or
+        summary table beside a checkpoint of another run spec."""
+        _, data, _ = trained
+        prefix = str(tmp_path / "run")
+        argv = ["train", "--data", data, "--out", prefix, "--conv", "gine", "--layers", "1", "--hidden", "4",
+                "--epochs", "1", "--replicates", "1"]
+
+        def runspecs():
+            specs = {".ckpt": load_checkpoint(prefix + ".ckpt")[1]["runspec"]}
+            for suffix in (".history.tsv", ".summary.tsv"):
+                if os.path.exists(prefix + suffix):
+                    first = open(prefix + suffix).readline()
+                    specs[suffix] = json.loads(first[len("# runspec "):])
+            return specs
+
+        assert run(argv + ["--seed", "0"]) == 0
+        k = 1
+        while True:
+            fill_disk(k)
+            if run(argv + ["--seed", "1"]) == 0:
+                break
+            assert "No space left" in capsys.readouterr().err
+            specs = runspecs()
+            assert all(spec == specs[".ckpt"] for spec in specs.values()), f"write {k} failed: {specs}"
+            k += 1
+        assert k > 3  # failures came at the checkpoint, the history and the summary
+        specs = runspecs()
+        assert len(specs) == 3 and all(spec["options"]["seed"] == 1 for spec in specs.values())
+
     def test_malformed_dataset_manifest_exits_one_with_one_line(self, trained, tmp_path, capsys):
         _, data, _ = trained
         copy = copy_dataset(data, tmp_path)
@@ -228,6 +259,19 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {copy}:3: malformed record: ")
         assert "JSON integers" in err
+
+    def test_edge_of_four_entries_exits_one(self, trained, tmp_path, capsys):
+        _, data, prefix = trained
+        copy = copy_dataset(data, tmp_path)
+        lines = open(copy).read().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        record["edges"][0].append(7)  # once dropped without a word
+        lines[2] = json.dumps(record) + "\n"
+        open(copy, "w").write("".join(lines))
+        code = main(["eval", "--checkpoint", prefix + ".ckpt", "--data", copy, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {copy}:3: malformed record: an edge must be [u, v, [edge features]]\n"
 
     @pytest.mark.parametrize("value", [True, "0", 1.0], ids=["bool-label", "string-label", "float-label"])
     def test_label_that_is_not_json_0_1_or_null_exits_one(self, trained, tmp_path, capsys, value):
@@ -388,6 +432,17 @@ class TestEval:
         assert run(argv + ["--metric", "prc"]) == 1
         assert "No space left" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["r.tsv"] and open(out, "rb").read() == before
+
+    @pytest.mark.parametrize("command", ["eval", "bench"])
+    def test_dataset_with_no_records_exits_one_naming_it(self, trained, tmp_path, capsys, command):
+        _, data, prefix = trained
+        empty = str(tmp_path / "empty.jsonl")
+        save_dataset(load_dataset(data).subset([]), empty)
+        out = ["--out", str(tmp_path / "r.tsv")]
+        argv = ["eval", "--checkpoint", prefix + ".ckpt"] if command == "eval" else ["bench", "--radii", "2"]
+        assert main(argv + ["--data", empty] + out) == 1
+        assert capsys.readouterr().err == f"error: dataset {empty} holds no graphs\n"
+        assert os.listdir(tmp_path) == ["empty.jsonl"]
 
     def test_missing_checkpoint_errors(self, trained, tmp_path, capsys):
         _, data, _ = trained

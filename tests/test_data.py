@@ -1,9 +1,12 @@
+import collections
 import json
 import os
+import random
+import re
 
 import numpy as np
 import pytest
-from conftest import _scatter_add, assert_same_bits, edit_manifest
+from conftest import _scatter_add, assert_same_bits, edit_manifest, reference_load_dataset
 
 import cyclegnn.data as data_mod
 from cyclegnn.data import (
@@ -60,6 +63,35 @@ class TestDatasetValidation:
             Dataset(d.graphs, d.labels, tight)
 
 
+    def test_first_bad_graph_and_its_first_bad_field_are_named(self):
+        d = small_dataset(n=6)
+        graphs = list(d.graphs)
+
+        def with_feats(g, node_feats=None, edge_feats=None):
+            return LabeledGraph(
+                g.num_nodes,
+                g.node_feats if node_feats is None else node_feats,
+                g.edges,
+                g.edge_feats if edge_feats is None else edge_feats,
+            )
+
+        def message(graphs):
+            with pytest.raises(ValueError) as info:
+                Dataset(graphs, d.labels, d.manifest)
+            return str(info.value)
+
+        node_feats = graphs[4].node_feats.copy()
+        node_feats[0], node_feats[-1] = [0, 3], [5, 0]  # the first row breaks field 1, a later one field 0
+        graphs[4] = with_feats(graphs[4], node_feats=node_feats)
+        assert message(graphs) == "graph 4: node field 0 value exceeds cardinality 3"
+        graphs[5] = with_feats(graphs[5], node_feats=np.zeros((graphs[5].num_nodes, 3)))
+        assert message(graphs) == "graph 4: node field 0 value exceeds cardinality 3"
+        graphs[3] = with_feats(graphs[3], edge_feats=np.full((graphs[3].num_edges, 1), 2))
+        assert graphs[3].num_edges and message(graphs) == "graph 3: edge field 0 value exceeds cardinality 2"
+        graphs[1] = with_feats(graphs[1], edge_feats=np.zeros((graphs[1].num_edges, 2)))
+        assert message(graphs) == "graph 1: expected 1 edge fields"
+
+
 def assert_same_dataset(back, d, err_msg=""):
     assert back.manifest == d.manifest, err_msg
     assert len(back) == len(d), err_msg
@@ -83,6 +115,52 @@ class TestSaveLoad:
         path = str(tmp_path / "d.jsonl")
         save_dataset(d, path)
         assert_same_dataset(load_dataset(path), d)
+
+    def test_dataset_of_no_graphs_round_trips(self, tmp_path):
+        d = small_dataset(tasks=3)
+        path = str(tmp_path / "d.jsonl")
+        save_dataset(d.subset([]), path)
+        back = load_dataset(path)
+        assert len(back) == 0 and back.manifest == d.manifest
+        assert_same_bits(back.labels, np.zeros((0, 3)))
+
+    def test_graphs_are_views_of_shared_arrays(self, tmp_path):
+        d = small_dataset(n=5)
+        path = str(tmp_path / "d.jsonl")
+        save_dataset(d, path)
+        graphs = load_dataset(path).graphs
+        for attr in ("node_feats", "edges", "edge_feats"):
+            arrays = [getattr(g, attr) for g in graphs]
+            assert all(a.base is not None and a.base is arrays[0].base for a in arrays), attr
+            assert all(a.flags.c_contiguous and a.dtype == np.int64 for a in arrays), attr
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        """Faults on several lines name the first, whichever stage finds each;
+        a feature over its cardinality is named only when no line is bad."""
+        d = small_dataset(n=6)
+        path = str(tmp_path / "d.jsonl")
+        save_dataset(d, path)
+        good = open(path).read().splitlines(keepends=True)
+        lines = list(good)
+
+        def edit(lineno, change):
+            record = json.loads(lines[lineno - 1])
+            change(record)
+            lines[lineno - 1] = json.dumps(record) + "\n"
+
+        edge = json.loads(good[2])["edges"][0]
+        edit(2, lambda r: r["nodes"][0].__setitem__(0, 3))  # over the cardinality
+        edit(3, lambda r: r["edges"].append([edge[1], edge[0], edge[2]]))  # duplicate: the whole-file check
+        edit(5, lambda r: r["nodes"][0].__setitem__(0, 0.5))  # not an integer: found while parsing
+        edit(6, lambda r: r["labels"].append(0))
+        for first in (3, 5, 6):
+            open(path, "w").write("".join(lines))
+            with pytest.raises(ValueError, match=f"^{re.escape(path)}:{first}: "):
+                load_dataset(path)
+            lines[first - 1] = good[first - 1]
+        open(path, "w").write("".join(lines))
+        with pytest.raises(ValueError, match=f"^dataset {re.escape(path)}: graph 0: node field 0 value exceeds cardinality 3$"):
+            load_dataset(path)
 
     def test_missing_labels_survive(self, tmp_path):
         d = small_dataset()
@@ -393,3 +471,167 @@ class TestBatchPlans:
             out = plan.sum(np.ones((plan.ids.size, 2), dtype=np.float32))
             np.testing.assert_array_equal(out[:, 0], np.bincount(plan.ids, minlength=plan.n), err_msg=name)
         assert len(batch.shells) == 1 and batch.shells[0][0].ids.size == 0
+
+
+class TestLoadAgainstReference:
+    """Whole-file loading against the per-record reference loader, on
+    seeded mutations of a small file: the same dataset, or the same error."""
+
+    TRIALS = 400
+    CARDS = {"node": (3, 3), "edge": (2,)}
+
+    def base_records(self, rng):
+        records = []
+        for _ in range(8):
+            n = rng.randint(1, 6)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in rng.sample(pairs, rng.randint(0, len(pairs)))]
+            records.append({
+                "nodes": [[rng.randrange(3), rng.randrange(3)] for _ in range(n)],
+                "edges": [[u, v, [rng.randrange(2)]] for u, v in edges],
+                "labels": [rng.choice([0, 1, None]) for _ in range(2)],
+            })
+        return records
+
+    @staticmethod
+    def mutate(rng, record):
+        """One fault, or a harmless change, in a copy of ``record``; also
+        whether it is an edge of four entries, which only the reference accepts."""
+        r = json.loads(json.dumps(record))
+        n, edges = len(r["nodes"]), r["edges"]
+        bad_ints = [0.5, 1.0, True, False, "0", None, [0], 2**64, -(2**64) - 1, 2**63, -1, -(2**63)]
+        kind = rng.choice([
+            "node-value", "endpoint", "edge-value", "out-of-range", "self-loop", "duplicate", "node-fields",
+            "edge-fields", "edge-shape", "four-entry-edge", "label", "label-count", "labels-shape", "key",
+            "record-shape", "nodes-shape", "cardinality", "harmless",
+        ])
+        if kind == "node-value":
+            r["nodes"][rng.randrange(n)][rng.randrange(2)] = rng.choice(bad_ints)
+        elif kind in ("endpoint", "edge-value", "out-of-range", "self-loop", "edge-fields", "edge-shape", "four-entry-edge"):
+            if not edges:
+                edges.append([0, n, [0]])  # out of range: endpoint n
+            i = rng.randrange(len(edges))
+            e = edges[i]
+            if kind == "endpoint":
+                e[rng.randrange(2)] = rng.choice(bad_ints)
+            elif kind == "edge-value":
+                e[2][0] = rng.choice(bad_ints)
+            elif kind == "out-of-range":
+                e[rng.randrange(2)] = rng.choice([n, n + 3, -1, -n])
+            elif kind == "self-loop":
+                e[1] = e[0]
+            elif kind == "edge-fields":
+                e[2] = rng.choice([[], [0, 1], 1, [[0]], {}, ""])
+            elif kind == "edge-shape":
+                edges[i] = rng.choice([[e[0], e[1]], [e[0]], [], 5, "abc", [e[0], e[1], 1]])
+            else:
+                e.append(rng.choice([7, [0], None]))
+                return r, True
+        elif kind == "duplicate":
+            if not edges:
+                if n < 2:
+                    r["nodes"].append([0, 0])
+                edges.append([0, 1, [0]])
+            u, v, feats = rng.choice(edges)
+            edges.insert(rng.randrange(len(edges) + 1), [v, u, feats] if rng.random() < 0.5 else [u, v, [1 - feats[0]]])
+        elif kind == "node-fields":
+            node = r["nodes"][rng.randrange(n)]
+            if rng.random() < 0.5:
+                node.append(0)
+            else:
+                node.pop()
+            if rng.random() < 0.3:
+                r["nodes"] = [node[:] for _ in range(n)]  # every node the same wrong width
+        elif kind == "label":
+            r["labels"][rng.randrange(2)] = rng.choice([2, -1, 0.5, 1.0, 0.0, True, False, "1", [0]])
+        elif kind == "label-count":
+            r["labels"] = r["labels"][:1] if rng.random() < 0.5 else r["labels"] + [0]
+        elif kind == "labels-shape":
+            r["labels"] = rng.choice([0, None, "01", "", {}, {"0": 1}])
+        elif kind == "key":
+            del r[rng.choice(["nodes", "edges", "labels"])]
+        elif kind == "record-shape":
+            r = rng.choice([[], 5, "x", None, [r]])
+        elif kind == "nodes-shape":
+            r["nodes"] = rng.choice([[], {}, "", [0] * n, [[0, 0]] * n + [[0]], [[[0, 0]]] * n, "ab", None])
+        elif kind == "cardinality":
+            if rng.random() < 0.5:
+                r["nodes"][rng.randrange(n)][rng.randrange(2)] = 3
+            elif edges:
+                rng.choice(edges)[2][0] = 2
+        return r, False
+
+    def make_file(self, rng, path):
+        """A mutated file; the line of its first four-entry edge, or None;
+        and whether it was cut short."""
+        records = self.base_records(rng)
+        manifest = {"node_field_cardinalities": [3, 3], "edge_field_cardinalities": [2], "task_names": ["a", "b"]}
+        lines = [[json.dumps(r).encode("ascii"), False] for r in records]
+        for i in sorted(rng.sample(range(len(lines)), rng.choice([0, 1, 1, 2, 3]))):  # faults on up to three lines
+            choice = rng.random()
+            if choice < 0.1:
+                raw = lines[i][0]
+                at = rng.randrange(len(raw) + 1)
+                lines[i][0] = raw[:at] + rng.choice([b"\xc3\xa9", b"\xff", b"\x80"]) + raw[at:]
+            elif choice < 0.15:
+                raw = lines[i][0]
+                at = rng.randrange(len(raw))
+                lines[i][0] = raw[:at] + raw[at + 1 :]  # one byte gone: usually not JSON
+            else:
+                record, four = self.mutate(rng, records[i])
+                lines[i] = [json.dumps(record).encode("ascii"), four]
+        if rng.random() < 0.2:
+            lines.insert(rng.randrange(len(lines) + 1), [rng.choice([b"", b"  ", b"\t"]), False])
+        data = b"# " + json.dumps(manifest).encode("ascii") + b"\n" + b"".join(line + b"\n" for line, _ in lines)
+        four_line = next((i + 2 for i, (_, four) in enumerate(lines) if four), None)
+        cut = four_line is None and rng.random() < 0.1
+        if cut:  # anywhere, or just after the manifest line
+            data = data[: rng.choice([rng.randrange(len(data)), data.index(b"\n") + 1])]
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return four_line, cut
+
+    @staticmethod
+    def outcome(load, path):
+        try:
+            return "loaded", load(path)
+        except ValueError as exc:
+            return "error", str(exc)
+
+    def test_same_dataset_or_same_error(self, tmp_path):
+        rng = random.Random(18)
+        path = str(tmp_path / "d.jsonl")
+        seen = collections.Counter()
+        for trial in range(self.TRIALS):
+            four_line, cut = self.make_file(rng, path)
+            kind, want = self.outcome(reference_load_dataset, path)
+            got_kind, got = self.outcome(load_dataset, path)
+            context = f"trial {trial}: {open(path, 'rb').read()!r}"
+            named = re.match(rf"{re.escape(path)}:(\d+): ", want) if kind == "error" else None
+            want_line = int(named.group(1)) if named else None
+            if four_line is not None and (want_line is None or want_line >= four_line):
+                # the reference loads this edge, or names its line or a later one: whole-file loading rejects
+                # the edge before it checks anything else on that line
+                assert got == f"{path}:{four_line}: malformed record: an edge must be [u, v, [edge features]]", context
+                seen["four-entry edge"] += 1
+            elif kind == "error" and "cannot reshape array of size 0 into shape (0,newaxis)" in want:
+                # a file with no records is a dataset of no graphs
+                assert got_kind == "loaded" and len(got) == 0, context
+                assert_same_bits(got.labels, np.zeros((0, 2)), err_msg=context)
+                seen["no records"] += 1
+            elif kind == "error":
+                assert got == want, context
+                seen["line error" if want_line else "file error"] += 1
+            else:
+                assert got_kind == "loaded", (context, got)
+                manifest, graphs, labels = want
+                assert got.manifest == manifest and len(got.graphs) == len(graphs), context
+                assert_same_bits(got.labels, labels, err_msg=context)
+                for g, (n, node_feats, edges, edge_feats) in zip(got.graphs, graphs):
+                    assert g.num_nodes == n, context
+                    for a, b in ((g.node_feats, node_feats), (g.edges, edges), (g.edge_feats, edge_feats)):
+                        assert_same_bits(a, b, err_msg=context)
+                seen["loaded"] += 1
+            seen["cut"] += cut
+        # every kind of outcome came up often enough to mean something
+        assert min(seen[k] for k in ("loaded", "line error", "file error", "four-entry edge", "no records", "cut")) >= 3, seen

@@ -8,11 +8,14 @@ from cyclegnn.graph import (
     bfs_distances,
     build_khop_index,
     enumerate_simple_cycles,
+    find_graph_fault,
+    graphs_from_flat,
     make_counterexample_pair,
     wl_graph_hash,
     wl_refine,
 )
 from cyclegnn.synth import gen_cycle_union
+from conftest import _reference_graph_checks
 
 
 def plain(num_nodes, edges):
@@ -60,6 +63,69 @@ def cycles_by_sequence_enumeration(g: LabeledGraph, max_len: int) -> set[tuple]:
     return found
 
 
+class TestFindGraphFault:
+    """The whole-file graph check against a per-graph reference."""
+
+    @staticmethod
+    def random_flat(rng):
+        """Flat arrays of a few small graphs, some of them faulty."""
+        counts, nodes, edges = [], [], []
+        for _ in range(int(rng.integers(1, 7))):
+            n = int(rng.integers(0, 6))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            chosen = [pairs[i] for i in rng.permutation(len(pairs))[: int(rng.integers(0, len(pairs) + 1))]]
+            e = np.asarray(chosen, dtype=np.int64).reshape(-1, 2)
+            if rng.random() < 0.3:  # swap some orientations
+                e = np.where(rng.random((len(e), 1)) < 0.5, e, e[:, ::-1])
+            if rng.random() < 0.5 and len(e) + n:
+                fault = rng.integers(5)
+                if fault == 0 and n:
+                    e = np.concatenate([e, [[int(rng.integers(n)), n + int(rng.integers(3))]]])
+                elif fault == 1 and n:
+                    e = np.concatenate([e, [[int(rng.integers(n))] * 2]])
+                elif fault == 2 and len(e):
+                    e = np.concatenate([e, e[rng.integers(len(e))][None, ::-1]])
+                elif fault == 3:
+                    e = np.concatenate([e, [[-1, 0]]])
+            counts.append((n, len(e)))
+            nodes.append(rng.integers(-1 if rng.random() < 0.1 else 0, 3, (n, 2)))
+            edges.append(np.concatenate([e, rng.integers(-1 if rng.random() < 0.1 else 0, 2, (len(e), 1))], axis=1))
+        node_counts, edge_counts = zip(*counts)
+        flat_edges = np.concatenate(edges)
+        return (list(node_counts), np.concatenate(nodes), list(edge_counts),
+                np.ascontiguousarray(flat_edges[:, :2]), np.ascontiguousarray(flat_edges[:, 2:]))
+
+    def test_names_the_graph_and_fault_the_reference_finds_first(self):
+        rng = np.random.default_rng(18)
+        found = 0
+        for _ in range(300):
+            node_counts, node_feats, edge_counts, edges, edge_feats = self.random_flat(rng)
+            want = None
+            n0 = e0 = 0
+            for i, (n, m) in enumerate(zip(node_counts, edge_counts)):
+                try:
+                    _reference_graph_checks(n, node_feats[n0 : n0 + n], edges[e0 : e0 + m], edge_feats[e0 : e0 + m])
+                except ValueError as exc:
+                    want = (i, str(exc))
+                    break
+                n0, e0 = n0 + n, e0 + m
+            assert find_graph_fault(node_counts, node_feats, edge_counts, edges, edge_feats) == want
+            found += want is not None
+        assert 50 < found < 250
+
+    def test_graphs_from_flat_are_row_slices(self):
+        node_feats = np.arange(10, dtype=np.int64).reshape(5, 2)
+        edges = np.asarray([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
+        edge_feats = np.zeros((3, 1), dtype=np.int64)
+        a, b, c = graphs_from_flat([2, 0, 3], node_feats, [1, 0, 2], edges, edge_feats)
+        assert (a.num_nodes, b.num_nodes, c.num_nodes) == (2, 0, 3)
+        assert np.shares_memory(a.node_feats, node_feats) and np.shares_memory(c.edges, edges)
+        np.testing.assert_array_equal(c.node_feats, node_feats[2:])
+        np.testing.assert_array_equal(c.edges, [[0, 2], [1, 2]])
+        assert b.edges.shape == (0, 2) and b.edge_feats.shape == (0, 1)
+        assert c.adjacency == ((2,), (2,), (0, 1))
+
+
 class TestLabeledGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -72,6 +138,12 @@ class TestLabeledGraph:
     def test_rejects_out_of_range_endpoint(self):
         with pytest.raises(ValueError, match="out of range"):
             plain(2, [(0, 5)])
+
+    def test_rejects_negative_features(self):
+        with pytest.raises(ValueError, match="node features must be non-negative"):
+            LabeledGraph(2, np.array([[0], [-1]]), np.array([[0, 1]]), np.array([[0]]))
+        with pytest.raises(ValueError, match="edge features must be non-negative"):
+            LabeledGraph(2, np.array([[0], [1]]), np.array([[0, 1]]), np.array([[-1]]))
 
     def test_adjacency(self):
         g = plain(4, [(0, 1), (0, 2)])

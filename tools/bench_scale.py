@@ -1,6 +1,7 @@
-"""Per-call time of ``tensor.Segments`` plans, build plus sum, in two checkouts.
+"""Per-call time of ``tensor.Segments`` plans, build plus sum, and of
+``data.load_dataset``, in two checkouts.
 
-    python3 tools/bench_scale.py --before DIR --after DIR --out BENCH_16.json
+    python3 tools/bench_scale.py --before DIR --after DIR --out BENCH_18.json
 
 Each DIR is a source checkout of one commit, as for ``tools/bench_pairs.py``.
 The plans are those of fixed batches, collated by each checkout's own code
@@ -30,6 +31,13 @@ that keep their layout and code across the two checkouts show how far
 identical code reads apart. If ``--out``
 exists (``tools/bench_pairs.py`` writes it), the result is added to it under
 ``segments_per_call``; nothing else in it changes.
+
+``load_dataset`` is timed on two files, each written by the checkout's own
+``save_dataset`` into a temporary directory: ``multitask-4000``, the
+4000-graph random-multitask file that the multitask-score workload scores,
+and ``large-graphs``, one 8000-node cycle with 40 chords and one 1000-leaf
+star. ``load_ms`` is the median of at least ``MIN_LOADS`` calls; the
+result goes under ``load_per_call`` in the same way.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -48,12 +57,13 @@ SIDES = ("before", "after")
 ROUNDS = 10  # the same code timed in two processes can read 1.5x apart, so few rounds show little
 MIN_CALLS = 20
 MIN_SECONDS = 0.2  # per plan and timing, calls go on until both minimums are met
+MIN_LOADS = 7  # a load of the 4000-graph file takes 0.1-0.3 s
 
 
-def _median_ms(fn) -> float:
+def _median_ms(fn, min_calls: int = MIN_CALLS) -> float:
     times: list[float] = []
     start = time.perf_counter()
-    while len(times) < MIN_CALLS or time.perf_counter() - start < MIN_SECONDS:
+    while len(times) < min_calls or time.perf_counter() - start < MIN_SECONDS:
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -67,14 +77,19 @@ def _add_at(ids: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _graph(n, edges):
+    """A graph with one all-zero node field and one all-zero edge field."""
+    from cyclegnn.graph import LabeledGraph
+
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return LabeledGraph(num_nodes=n, node_feats=np.zeros((n, 1), np.int64), edges=edges, edge_feats=np.zeros((len(edges), 1), np.int64))
+
+
 def _batches():
     """(name, batched graph, width H) of every fixed batch."""
     from cyclegnn import data, synth
-    from cyclegnn.graph import LabeledGraph
 
-    def graph(n, edges):
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        return LabeledGraph(num_nodes=n, node_feats=np.zeros((n, 1), np.int64), edges=edges, edge_feats=np.zeros((len(edges), 1), np.int64))
+    graph = _graph
 
     cycles = synth.gen_synthetic_dataset(synth.TASK_MIN_CYCLE, 64, 7).graphs
     multitask = synth.gen_synthetic_dataset(synth.TASK_RANDOM_MULTITASK, 256, 7).graphs
@@ -83,6 +98,37 @@ def _batches():
     yield "multitask-256", data.collate(multitask, None, k_max=2), 100
     yield "star-1000", data.collate([graph(1001, [(0, i) for i in range(1, 1001)])], None, k_max=1), 32
     yield "cycle-8000", data.collate([graph(8000, [(i, (i + 1) % 8000) for i in range(8000)])], None, k_max=1), 32
+
+
+def _datasets():
+    """(name, dataset) of every fixed dataset file."""
+    from cyclegnn import data, synth
+
+    yield "multitask-4000", synth.gen_synthetic_dataset(synth.TASK_RANDOM_MULTITASK, 4000, 7)
+    n = 8000
+    cycle = _graph(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(0, n // 2, 100)])
+    star = _graph(1001, [(0, i) for i in range(1, 1001)])
+    manifest = data.DatasetManifest((1,), (1,), ("task",))
+    yield "large-graphs", data.Dataset([cycle, star], np.full((2, 1), np.nan), manifest)
+
+
+def measure_loads() -> dict:
+    """Per-call medians, in ms, of ``load_dataset`` on every fixed dataset file, in this process's cyclegnn."""
+    from cyclegnn import data
+
+    out: dict[str, dict] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, dataset in _datasets():
+            path = os.path.join(tmp, name + ".jsonl")
+            data.save_dataset(dataset, path)
+            out[name] = {
+                "graphs": len(dataset),
+                "nodes": sum(g.num_nodes for g in dataset.graphs),
+                "edges": sum(g.num_edges for g in dataset.graphs),
+                "bytes": os.path.getsize(path),
+                "load_ms": _median_ms(lambda: data.load_dataset(path), MIN_LOADS),
+            }
+    return out
 
 
 def measure() -> dict:
@@ -143,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--measure", action="store_true", help="measure the cyclegnn on PYTHONPATH and print one JSON line")
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure()))
+        print(json.dumps({"plans": measure(), "loads": measure_loads()}))
         return 0
     if not (args.before and args.after and args.out):
         parser.error("--before, --after and --out are required")
@@ -152,30 +198,38 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(ROUNDS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             rounds[side].append(_run_side(checkouts[side]))
-    plans = {}
-    for key, first in rounds["after"][0].items():
-        plans[key] = {k: first[k] for k in ("entries", "buckets", "largest_bucket")}
-        for side in SIDES:
-            for timing in ("build_sum_ms", "sum_ms", "add_at_ms"):
-                per_round = [round(r[key][timing], 4) for r in rounds[side]]
-                plans[key][f"{side}_{timing}"] = statistics.median(per_round)
-                plans[key][f"{side}_{timing}_rounds"] = per_round
+    def medians(part: str, sizes: tuple[str, ...], timings: tuple[str, ...]) -> dict:
+        table = {}
+        for key, first in rounds["after"][0][part].items():
+            table[key] = {k: first[k] for k in sizes}
+            for side in SIDES:
+                for timing in timings:
+                    per_round = [round(r[part][key][timing], 4) for r in rounds[side]]
+                    table[key][f"{side}_{timing}"] = statistics.median(per_round)
+                    table[key][f"{side}_{timing}_rounds"] = per_round
+        return table
+
+    plans = medians("plans", ("entries", "buckets", "largest_bucket"), ("build_sum_ms", "sum_ms", "add_at_ms"))
+    loads = medians("loads", ("graphs", "nodes", "edges", "bytes"), ("load_ms",))
     report = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="ascii") as fh:
             report = json.load(fh)
-    report["segments_per_call"] = {
+    provenance = {
         "rounds": ROUNDS,
         "commits": {side: _commit(checkouts[side]) for side in SIDES},
         "machine": {"cpu": _cpu(), "nproc": len(os.sched_getaffinity(0)), "numpy": np.__version__, "python": sys.version.split()[0], "blas_threads": 1},
-        "plans": plans,
     }
+    report["segments_per_call"] = {**provenance, "plans": plans}
+    report["load_per_call"] = {**provenance, "files": loads}
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
     for key, p in plans.items():
         print(f"{key:32s} largest {p['largest_bucket']:5d}  build+sum {p['before_build_sum_ms']:8.3f} -> {p['after_build_sum_ms']:8.3f} ms"
               f"  sum {p['before_sum_ms']:8.3f} -> {p['after_sum_ms']:8.3f} ms  np.add.at {p['after_add_at_ms']:8.3f} ms")
+    for key, f in loads.items():
+        print(f"load_dataset {key:19s} {f['graphs']:5d} graphs  {f['before_load_ms']:8.2f} -> {f['after_load_ms']:8.2f} ms")
     return 0
 
 
