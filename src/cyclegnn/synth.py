@@ -112,23 +112,26 @@ def _gen_random_multitask(size: int, rng: np.random.Generator) -> Dataset:
     node_cards = (5, 3)
     edge_cards = (4,)
     num_tasks = 4
-    graphs = []
+    node_counts, node_blocks, edge_counts, edge_blocks, feat_blocks = [], [], [], [], []
     labels = np.full((size, num_tasks), np.nan)
     for idx in range(size):
         n = int(rng.integers(6, 13))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         keep = rng.random(len(pairs)) < 0.3
         edges = np.asarray([p for p, k in zip(pairs, keep) if k], dtype=np.int64).reshape(-1, 2)
-        node_feats = np.stack([rng.integers(0, c, size=n) for c in node_cards], axis=1)
-        edge_feats = np.stack(
-            [rng.integers(0, c, size=edges.shape[0]) for c in edge_cards], axis=1
-        )
-        graphs.append(
-            LabeledGraph(num_nodes=n, node_feats=node_feats, edges=edges, edge_feats=edge_feats)
-        )
+        node_counts.append(n)
+        node_blocks.append(np.stack([rng.integers(0, c, size=n) for c in node_cards], axis=1))
+        edge_counts.append(edges.shape[0])
+        edge_blocks.append(edges)
+        feat_blocks.append(np.stack([rng.integers(0, c, size=edges.shape[0]) for c in edge_cards], axis=1))
         observed = rng.random(num_tasks) >= 0.4
         values = (rng.random(num_tasks) < 0.3).astype(float)
         labels[idx, observed] = values[observed]
+    # edges are pairs u < v of range(n) and features lie below their cardinalities, so every
+    # graph holds by construction and is not checked on its own
+    graphs = graphs_from_flat(
+        node_counts, np.concatenate(node_blocks), edge_counts, np.concatenate(edge_blocks), np.concatenate(feat_blocks)
+    )
     manifest = DatasetManifest(
         node_field_cardinalities=node_cards,
         edge_field_cardinalities=edge_cards,
