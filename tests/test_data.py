@@ -478,7 +478,6 @@ class TestLoadAgainstReference:
     seeded mutations of a small file: the same dataset, or the same error."""
 
     TRIALS = 400
-    CARDS = {"node": (3, 3), "edge": (2,)}
 
     def base_records(self, rng):
         records = []

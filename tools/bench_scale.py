@@ -89,15 +89,13 @@ def _batches():
     """(name, batched graph, width H) of every fixed batch."""
     from cyclegnn import data, synth
 
-    graph = _graph
-
     cycles = synth.gen_synthetic_dataset(synth.TASK_MIN_CYCLE, 64, 7).graphs
     multitask = synth.gen_synthetic_dataset(synth.TASK_RANDOM_MULTITASK, 256, 7).graphs
     yield "cycles-64", data.collate(cycles, None, k_max=3), 32
     yield "multitask-64", data.collate(multitask[:64], None, k_max=2), 100
     yield "multitask-256", data.collate(multitask, None, k_max=2), 100
-    yield "star-1000", data.collate([graph(1001, [(0, i) for i in range(1, 1001)])], None, k_max=1), 32
-    yield "cycle-8000", data.collate([graph(8000, [(i, (i + 1) % 8000) for i in range(8000)])], None, k_max=1), 32
+    yield "star-1000", data.collate([_graph(1001, [(0, i) for i in range(1, 1001)])], None, k_max=1), 32
+    yield "cycle-8000", data.collate([_graph(8000, [(i, (i + 1) % 8000) for i in range(8000)])], None, k_max=1), 32
 
 
 def _datasets():
