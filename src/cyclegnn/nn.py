@@ -445,7 +445,11 @@ def named_arrays(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def load_arrays(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into an initialized parameter structure."""
+    """Copy checkpoint arrays into an initialized parameter structure.
+
+    Parameters are written in place, so a parameter that ``Adam`` packed
+    keeps its views into the optimizer's buffers; running statistics are
+    replaced by copies."""
     named, states = _named_entries(params)
     expected = set(named) | {f"{prefix}.{stat}" for prefix in states for stat in _RUNNING_STATS}
     if expected != set(arrays):
@@ -456,7 +460,7 @@ def load_arrays(params: ModelParams, arrays: dict[str, np.ndarray]) -> None:
         arr = arrays[name]
         if arr.shape != tensor.data.shape:
             raise ValueError(f"{name}: checkpoint shape {arr.shape} != model shape {tensor.data.shape}")
-        tensor.data = arr.astype(tensor.data.dtype).copy()
+        tensor.data[...] = arr
     for prefix, state in states.items():
         for stat in _RUNNING_STATS:
             setattr(state, stat, arrays[f"{prefix}.{stat}"].astype(getattr(state, stat).dtype).copy())

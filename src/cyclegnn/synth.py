@@ -22,12 +22,13 @@ TASK_SPECS = (TASK_MIN_CYCLE, TASK_HAS_SMALL_CYCLE, TASK_RANDOM_MULTITASK)
 
 
 def _featureless(num_nodes: int, edges) -> LabeledGraph:
-    return LabeledGraph(
-        num_nodes=num_nodes,
-        node_feats=np.zeros((num_nodes, 1), dtype=np.int64),
-        edges=edges,
-        edge_feats=np.zeros((len(edges), 1), dtype=np.int64),
-    )
+    """The graph of ``edges`` with all-zero features, not checked: each
+    generator's edges join distinct nodes of range(num_nodes), once each, by
+    construction once its arguments have been checked."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    node_feats, edge_feats = np.zeros((num_nodes, 1), dtype=np.int64), np.zeros((len(edges), 1), dtype=np.int64)
+    (graph,) = graphs_from_flat([num_nodes], node_feats, [len(edges)], edges, edge_feats)
+    return graph
 
 
 def _attachments(first: int, num_nodes: int, rng: np.random.Generator) -> list[tuple[int, int]]:

@@ -592,34 +592,64 @@ def backward(loss: Tensor) -> None:
 
 class Adam:
     """Adam with bias correction, betas (0.9, 0.999) and eps 1e-8, updating
-    parameters in place."""
+    parameters in place.
+
+    The parameters are packed on construction: per dtype, one data buffer
+    and one gradient buffer hold them all in the order given, and each
+    parameter's ``data`` and ``grad`` are rebound to reshaped views of them
+    (a parameter with no gradient gets a zero one). So ``zero_grad`` is one
+    fill per buffer and ``step`` one update per buffer, whose elementwise
+    float operations are those of a step one tensor at a time, in the same
+    order: the results are bit-identical. Write parameters and gradients in
+    place (``p.data[...] = ...``, as ``nn.load_arrays`` does): ``step``
+    raises ValueError, naming the parameter's position, when its ``data`` or
+    ``grad`` is no longer the view it was given. A tensor listed twice
+    raises ValueError here.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-3):
         self.params = list(params)
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ValueError("Adam got the same tensor twice; list each parameter once")
         self.lr = lr
         self.step_count = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        groups: dict[np.dtype, list[Tensor]] = {}
+        for p in self.params:
+            groups.setdefault(p.data.dtype, []).append(p)
+        self._buffers: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []  # data, grad, m, v
+        for dtype, group in groups.items():
+            data = np.empty(sum(p.data.size for p in group), dtype=dtype)
+            grad = np.zeros_like(data)
+            start = 0
+            for p in group:
+                end, shape = start + p.data.size, p.data.shape
+                data[start:end] = p.data.reshape(-1)
+                if p.grad is not None:
+                    grad[start:end] = p.grad.reshape(-1)
+                p.data, p.grad = data[start:end].reshape(shape), grad[start:end].reshape(shape)
+                start = end
+            self._buffers.append((data, grad, np.zeros_like(data), np.zeros_like(data)))
+        self._views = [(p.data, p.grad) for p in self.params]
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        for _, grad, _, _ in self._buffers:
+            grad.fill(0.0)
 
     def step(self) -> None:
+        for i, (p, (data, grad)) in enumerate(zip(self.params, self._views)):
+            if p.data is not data or p.grad is not grad:
+                raise ValueError(f"parameter {i} was rebound, so Adam no longer updates it; write p.data and p.grad in place")
         self.step_count += 1
         beta1, beta2 = _ADAM_BETAS
         t = self.step_count
         bc1 = 1.0 - beta1**t
         bc2 = 1.0 - beta2**t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
+        for data, g, m, v in self._buffers:
             m *= beta1
             m += (1.0 - beta1) * g
             v *= beta2
             v += (1.0 - beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+            data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
 
 
 def gradcheck(f: Callable[[], Tensor], params: Sequence[Tensor], step: float = 1e-5) -> float:

@@ -36,6 +36,42 @@ def _scatter_add(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+class ReferenceAdam:
+    """Adam one tensor at a time, each with its own moments: the tests'
+    reference for :class:`cyclegnn.tensor.Adam`, which packs its parameters
+    into one buffer per dtype and must update them to the same bits. A
+    tensor with no gradient steps with a zero one."""
+
+    def __init__(self, params, lr=1e-3):
+        self.params, self.lr, self.step_count = list(params), lr, 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self):
+        for p in self.params:
+            p.zero_grad()
+
+    def step(self):
+        self.step_count += 1
+        beta1, beta2 = 0.9, 0.999
+        bc1, bc2 = 1.0 - beta1**self.step_count, 1.0 - beta2**self.step_count
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+
+def assert_packed(opt) -> None:
+    """Every parameter of the :class:`cyclegnn.tensor.Adam` ``opt`` still
+    holds its data and gradient in the optimizer's buffers of its dtype."""
+    for i, p in enumerate(opt.params):
+        ((data, grad, _, _),) = [b for b in opt._buffers if b[0].dtype == p.data.dtype]
+        assert np.shares_memory(p.data, data) and np.shares_memory(p.grad, grad), f"parameter {i} left the store"
+
+
 def assert_same_bits(got: np.ndarray, want: np.ndarray, err_msg: str = "") -> None:
     """Equal dtype, shape and bytes: unlike ``assert_array_equal``, this tells
     -0.0 from +0.0 and one NaN payload from another."""

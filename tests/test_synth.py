@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cyclegnn.graph import enumerate_simple_cycles
+from cyclegnn.graph import enumerate_simple_cycles, find_graph_fault
 from cyclegnn.synth import (
+    TASK_SPECS,
     gen_cycle_union,
     gen_synthetic_dataset,
     random_tree,
@@ -121,3 +122,43 @@ class TestHelpers:
     def test_size_must_be_positive(self):
         with pytest.raises(ValueError):
             gen_synthetic_dataset("min-cycle-class", 0, seed=0)
+
+
+def assert_holds(g):
+    """``g`` has the arrays that a checked ``LabeledGraph`` has, and
+    ``find_graph_fault`` finds nothing in them."""
+    arrays = (g.node_feats, g.edges, g.edge_feats)
+    assert all(a.dtype == np.int64 and a.ndim == 2 and a.flags.c_contiguous for a in arrays)
+    assert g.node_feats.shape[0] == g.num_nodes and g.edges.shape == (g.num_edges, 2) == (g.edge_feats.shape[0], 2)
+    assert find_graph_fault([g.num_nodes], g.node_feats, [g.num_edges], g.edges, g.edge_feats) is None
+
+
+class TestGeneratedGraphsHold:
+    """The generators build their graphs without checking them; every
+    graph they make passes the checks."""
+
+    def test_cycle_unions(self):
+        for lengths in [(3,), (3, 3), (4, 8), (3, 4, 5), (3, 3, 3, 3), (6, 6), (12,), (7, 3, 100)]:
+            assert_holds(gen_cycle_union(lengths))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trees_and_unicyclic_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 3, 4, 7, 16, 50):
+            tree = random_tree(n, rng)
+            assert_holds(tree)
+            assert tree.num_edges == n - 1
+            for cycle_len in range(3, n + 1):
+                assert_holds(random_unicyclic(n, cycle_len, rng))
+
+    @pytest.mark.parametrize("task", TASK_SPECS)
+    def test_every_task(self, task):
+        for seed in range(3):
+            for g in gen_synthetic_dataset(task, 40, seed).graphs:
+                assert_holds(g)
+
+    def test_bad_arguments_are_still_rejected(self):
+        rng = np.random.default_rng(0)
+        for bad in (lambda: random_unicyclic(5, 2, rng), lambda: random_unicyclic(5, 6, rng), lambda: gen_cycle_union([2])):
+            with pytest.raises(ValueError):
+                bad()

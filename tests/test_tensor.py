@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import _scatter_add, assert_same_bits
+from conftest import ReferenceAdam, _scatter_add, assert_packed, assert_same_bits
 
 import cyclegnn.tensor as tensor_mod
 from cyclegnn.tensor import (
@@ -646,6 +646,67 @@ class TestAdam:
         assert opt.step_count == 1
         opt.step()
         assert opt.step_count == 2
+
+
+class TestPackedAdam:
+    """Adam packs its parameters into one buffer per dtype; the per-tensor
+    ``ReferenceAdam`` in conftest is the oracle."""
+
+    @staticmethod
+    def _params(seed):
+        rng = np.random.default_rng(seed)
+        layout = [((3, 4), np.float32), ((5,), np.float64), ((), np.float32), ((2, 3), np.float64), ((4,), np.float32)]
+        params = [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True) for shape, dtype in layout]
+        return params + [Tensor(np.ones(3, np.float32))]  # no gradient at all: grad is None
+
+    @pytest.mark.parametrize("lr", [1e-3, 0.05, 0.0])
+    def test_fifty_steps_equal_the_per_tensor_reference(self, lr):
+        packed, reference = Adam(self._params(0), lr=lr), ReferenceAdam(self._params(0), lr=lr)
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            packed.zero_grad()
+            reference.zero_grad()
+            for a, b in zip(packed.params[:-2], reference.params[:-2]):  # the last two never get a gradient
+                g = (rng.normal(size=a.data.shape) * rng.choice([1e-4, 1.0, 30.0])).astype(a.data.dtype)
+                a.grad += g
+                b.grad += g
+            packed.step()
+            reference.step()
+        for a, b in zip(packed.params, reference.params):
+            assert_same_bits(a.data, b.data)
+        assert_packed(packed)
+
+    def test_packing_keeps_values_and_gradients(self):
+        params = self._params(2)
+        params[1].grad[...] = 7.0
+        before = [(p.data.copy(), None if p.grad is None else p.grad.copy()) for p in params]
+        opt = Adam(params)
+        assert_packed(opt)
+        assert len(opt._buffers) == 2
+        for p, (data, grad) in zip(params, before):
+            assert_same_bits(p.data, data)
+            assert_same_bits(p.grad, np.zeros_like(data) if grad is None else grad)
+
+    def test_zero_grad_clears_every_gradient(self):
+        opt = Adam(self._params(3))
+        for p in opt.params:
+            p.grad[...] = 1.5
+        opt.zero_grad()
+        assert all(not p.grad.any() for p in opt.params)
+
+    @pytest.mark.parametrize("field, value", [("data", "copy"), ("grad", "copy"), ("grad", None)])
+    def test_a_rebound_array_makes_step_raise(self, field, value):
+        opt = Adam(self._params(4))
+        p = opt.params[2]
+        setattr(p, field, getattr(p, field).copy() if value == "copy" else value)
+        with pytest.raises(ValueError, match="parameter 2 was rebound"):
+            opt.step()
+        assert opt.step_count == 0
+
+    def test_a_tensor_listed_twice_is_rejected(self):
+        p = t64([1.0], grad=True)
+        with pytest.raises(ValueError, match="same tensor twice"):
+            Adam([p, t64([2.0], grad=True), p])
 
 
 class TestGradcheckOracle:

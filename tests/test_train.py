@@ -2,6 +2,7 @@ import contextlib
 
 import numpy as np
 import pytest
+from conftest import assert_packed
 
 import cyclegnn.nn as nn_mod
 import cyclegnn.tensor as tensor_mod
@@ -12,13 +13,14 @@ from cyclegnn.nn import (
     ModelConfig,
     graph_embeddings,
     init_params,
+    load_arrays,
     model_forward,
     named_arrays,
     norm_states,
     parameters,
 )
 from cyclegnn.synth import gen_synthetic_dataset
-from cyclegnn.tensor import EVAL, TRAIN, Adam, Tensor, backward, bce_with_logits_masked
+from cyclegnn.tensor import EVAL, TRAIN, Adam, Tensor, backward, bce_with_logits_masked, load_checkpoint, save_checkpoint
 from cyclegnn.train import (
     TrainConfig,
     evaluate,
@@ -300,6 +302,59 @@ class TestTrainEpoch:
         opt = Adam(parameters(params))
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged at epoch 7, batch 1"):
             train_epoch(cfg, params, opt, train_set, None, 32, np.random.default_rng(0), 7)
+
+
+class TestParameterStore:
+    """Adam's parameters stay views of its buffers through everything that
+    writes them; a parameter that left them would silently stop training."""
+
+    def test_a_training_step_keeps_the_store(self, small_cycle_splits):
+        train_set, _, _ = small_cycle_splits
+        cfg = quick_config()
+        params = init_params(cfg, 0)
+        opt = Adam(parameters(params))
+        before = [p.data.copy() for p in opt.params]
+        train_epoch(cfg, params, opt, train_set.subset(range(32)), None, 32, np.random.default_rng(0), 1)
+        assert opt.step_count == 1
+        assert_packed(opt)
+        assert any((p.data != b).any() for p, b in zip(opt.params, before))
+
+    def test_a_best_epoch_restore_keeps_the_store(self, small_cycle_splits, monkeypatch):
+        train_set, valid_set, _ = small_cycle_splits
+        made, restores = [], []
+
+        class RecordingAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        def recording_load(params, arrays):
+            restores.append(arrays)
+            load_arrays(params, arrays)
+
+        monkeypatch.setattr(train_mod, "Adam", RecordingAdam)
+        monkeypatch.setattr(train_mod, "load_arrays", recording_load)
+        tc = TrainConfig(epochs=4, batch_size=32, patience=2, seed=0)
+        params, _ = train_model(quick_config(), train_set, valid_set, tc)
+        ((opt,), (best,)) = made, restores
+        assert [id(p) for p in opt.params] == [id(p) for p in parameters(params)]
+        assert_packed(opt)
+        for name, t in nn_mod.named_parameters(params).items():
+            np.testing.assert_array_equal(t.data, best[name])
+        opt.step()  # the restored views are still the ones Adam checks
+
+    def test_a_checkpoint_load_keeps_the_store(self, tmp_path):
+        cfg = quick_config()
+        params = init_params(cfg, 0)
+        opt = Adam(parameters(params))
+        path = str(tmp_path / "other.ckpt")
+        save_checkpoint(named_arrays(init_params(cfg, 1)), path)
+        arrays = load_checkpoint(path)[0]
+        load_arrays(params, arrays)
+        assert_packed(opt)
+        for name, arr in named_arrays(params).items():
+            np.testing.assert_array_equal(arr, arrays[name])
+        opt.step()
 
 
 class TestEvaluate:

@@ -1,7 +1,7 @@
-"""Per-call time of ``tensor.Segments`` plans, build plus sum, and of
-``data.load_dataset``, in two checkouts.
+"""Per-call time of ``tensor.Segments`` plans, build plus sum, of
+``data.load_dataset`` and of an Adam step, in two checkouts.
 
-    python3 tools/bench_scale.py --before DIR --after DIR --out BENCH_18.json
+    python3 tools/bench_scale.py --before DIR --after DIR --out BENCH_19.json
 
 Each DIR is a source checkout of one commit, as for ``tools/bench_pairs.py``.
 The plans are those of fixed batches, collated by each checkout's own code
@@ -38,6 +38,13 @@ exists (``tools/bench_pairs.py`` writes it), the result is added to it under
 and ``large-graphs``, one 8000-node cycle with 40 chords and one 1000-leaf
 star. ``load_ms`` is the median of at least ``MIN_LOADS`` calls; the
 result goes under ``load_per_call`` in the same way.
+
+``Adam.zero_grad()`` plus ``Adam.step()`` is timed on the parameters of two
+models initialised by the checkout's own ``init_params``: ``cycles-gineplus``,
+the acceptance gine+ model (K=3, L=3, H=32, three tasks), and
+``multitask-score``, that workload's model (gine+, K=2, L=3, H=100, virtual
+node). ``zero_grad_step_us`` is the median of at least ``MIN_CALLS`` pairs
+of calls; the result goes under ``optimizer_per_call``.
 """
 
 from __future__ import annotations
@@ -129,6 +136,33 @@ def measure_loads() -> dict:
     return out
 
 
+def measure_optimizer() -> dict:
+    """Per-call medians, in us, of ``zero_grad()`` plus ``step()`` of Adam over
+    each fixed model's parameters, in this process's cyclegnn."""
+    from cyclegnn import nn
+    from cyclegnn.tensor import Adam
+
+    models = {
+        "cycles-gineplus": nn.ModelConfig(nn.CONV_GINE_PLUS, (1,), (1,), num_tasks=3, hidden=32, num_layers=3, radius=3, dropout=0.0),
+        "multitask-score": nn.ModelConfig(nn.CONV_GINE_PLUS, (5, 3), (4,), num_tasks=4, hidden=100, num_layers=3, radius=2, virtual_node=True),
+    }
+    out: dict[str, dict] = {}
+    for name, config in models.items():
+        params = nn.parameters(nn.init_params(config, 0))
+        opt = Adam(params)
+
+        def zero_grad_step():
+            opt.zero_grad()
+            opt.step()
+
+        out[name] = {
+            "tensors": len(params),
+            "scalars": sum(p.data.size for p in params),
+            "zero_grad_step_us": 1e3 * _median_ms(zero_grad_step),
+        }
+    return out
+
+
 def measure() -> dict:
     """Per-call medians, in ms, of every plan of every fixed batch, in this process's cyclegnn."""
     from cyclegnn.tensor import Segments
@@ -187,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--measure", action="store_true", help="measure the cyclegnn on PYTHONPATH and print one JSON line")
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps({"plans": measure(), "loads": measure_loads()}))
+        print(json.dumps({"plans": measure(), "loads": measure_loads(), "optimizer": measure_optimizer()}))
         return 0
     if not (args.before and args.after and args.out):
         parser.error("--before, --after and --out are required")
@@ -209,6 +243,7 @@ def main(argv: list[str] | None = None) -> int:
 
     plans = medians("plans", ("entries", "buckets", "largest_bucket"), ("build_sum_ms", "sum_ms", "add_at_ms"))
     loads = medians("loads", ("graphs", "nodes", "edges", "bytes"), ("load_ms",))
+    optimizer = medians("optimizer", ("tensors", "scalars"), ("zero_grad_step_us",))
     report = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="ascii") as fh:
@@ -220,6 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     report["segments_per_call"] = {**provenance, "plans": plans}
     report["load_per_call"] = {**provenance, "files": loads}
+    report["optimizer_per_call"] = {**provenance, "models": optimizer}
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
@@ -228,6 +264,8 @@ def main(argv: list[str] | None = None) -> int:
               f"  sum {p['before_sum_ms']:8.3f} -> {p['after_sum_ms']:8.3f} ms  np.add.at {p['after_add_at_ms']:8.3f} ms")
     for key, f in loads.items():
         print(f"load_dataset {key:19s} {f['graphs']:5d} graphs  {f['before_load_ms']:8.2f} -> {f['after_load_ms']:8.2f} ms")
+    for key, m in optimizer.items():
+        print(f"zero_grad+step {key:17s} {m['tensors']:3d} tensors {m['scalars']:7d} scalars  {m['before_zero_grad_step_us']:8.1f} -> {m['after_zero_grad_step_us']:8.1f} us")
     return 0
 
 
