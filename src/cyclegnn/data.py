@@ -13,7 +13,7 @@ from itertools import chain
 import numpy as np
 
 from ._atomic import atomic_open
-from .graph import LabeledGraph, build_khop_index, find_graph_fault, graphs_from_flat
+from .graph import LabeledGraph, build_khop_index, build_khop_shells, find_graph_fault, graphs_from_flat
 from .tensor import Segments
 
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -336,7 +336,11 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
 
     ``k_max`` >= 2 additionally offsets every component's memoised
     exact-distance shells 2..``k_max`` (see :func:`build_khop_index`) into
-    one neighbor index per distance. Every index set becomes a :class:`Segments` plan whose table is
+    one neighbor index per distance. The graphs not yet memoised that deep
+    are built first, all together, by :func:`build_khop_shells`, in chunks
+    of graphs of one node count instead of one dense n x n build per graph;
+    a chunk holds O(``graph.KHOP_CHUNK_CELLS``) transient memory, or O(n^2)
+    for a graph larger than that. Every index set becomes a :class:`Segments` plan whose table is
     built on its first sum, so a scoring pass, which never sums over the
     src side, never builds those tables. Labels, when given, are split into
     a zero-filled matrix and an observation mask.
@@ -357,6 +361,7 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
 
     shells = ()
     if k_max >= 2:
+        build_khop_shells(graphs, k_max)
         per_graph = [build_khop_index(g, k_max).pairs for g in graphs]
         for k in range(1, k_max):  # distances 2..k_max; the arcs are distance 1
             shift = np.repeat(offsets, [p[k][0].size for p in per_graph])

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -172,31 +173,70 @@ def bfs_distances(g: LabeledGraph, start: int) -> np.ndarray:
     return dist
 
 
+# Cells g * n^2 of the (g, n, n) reach matrices that one chunk expands at
+# once: the size of one 2048-node graph's matrix. A larger graph is a chunk alone.
+KHOP_CHUNK_CELLS = 1 << 22
+
+
+def build_khop_shells(graphs: Sequence[LabeledGraph], k_max: int) -> None:
+    """Memoise every graph's exact-distance shells 1..``k_max`` on it.
+
+    Graphs whose memo already reaches ``k_max`` are skipped; the rest are
+    grouped by node count n, and each group expands in chunks of at most
+    ``KHOP_CHUNK_CELLS`` cells g * n^2 (one graph at least): all sources of
+    all g graphs at once, by one stacked (g, n, n) reach-matrix product and
+    one ``np.nonzero`` per distance. That result is ordered by graph, dst,
+    then src, and each graph's memo is read-only slices of it, so a chunk
+    holds O(``KHOP_CHUNK_CELLS``) transient memory, or O(n^2) for a larger
+    graph. A graph with a shallower memo is rebuilt to ``k_max``.
+    """
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    groups: dict[int, dict[int, LabeledGraph]] = {}
+    for g in graphs:
+        if len(getattr(g, "_khop_pairs", ())) < k_max:
+            groups.setdefault(g.num_nodes, {})[id(g)] = g  # a graph listed twice is built once
+    for n, group in groups.items():
+        cold = list(group.values())
+        per_chunk = max(1, KHOP_CHUNK_CELLS // max(1, n * n))
+        for start in range(0, len(cold), per_chunk):
+            _expand_shells(cold[start : start + per_chunk], n, k_max)
+
+
+def _expand_shells(graphs: list[LabeledGraph], n: int, k_max: int) -> None:
+    """Build and memoise the shells of graphs that all have ``n`` nodes."""
+    edges = np.concatenate([g.edges for g in graphs])
+    owner = np.repeat(np.arange(len(graphs)), [g.num_edges for g in graphs])
+    adj = np.zeros((len(graphs), n, n), dtype=np.float32)
+    adj[owner, edges[:, 0], edges[:, 1]] = adj[owner, edges[:, 1], edges[:, 0]] = 1.0
+    reached = frontier = np.eye(n, dtype=bool)
+    shells = []  # per distance, each graph's (dst, src) slices
+    for _ in range(k_max):
+        frontier = (frontier @ adj > 0) & ~reached
+        reached = reached | frontier
+        which, dst, src = np.nonzero(frontier)  # row-major: sorted by graph, dst, then src
+        dst.setflags(write=False)
+        src.setflags(write=False)
+        bounds = np.searchsorted(which, np.arange(len(graphs) + 1)).tolist()
+        shells.append([(dst[a:b], src[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+    for g, pairs in zip(graphs, zip(*shells)):
+        object.__setattr__(g, "_khop_pairs", pairs)
+
+
 def build_khop_index(g: LabeledGraph, k_max: int) -> KHopIndex:
     """Per-distance (dst, src) index arrays of every node's exact-distance shells.
 
-    Built once per graph and memoised on it at the deepest ``k_max`` requested
-    so far; every call shares those read-only arrays, a smaller ``k_max`` a
-    prefix of them. All sources expand at once over a dense n x n reach
-    matrix, so a build holds O(n^2) transient memory.
+    Memoised on the graph at the deepest ``k_max`` requested so far; every
+    call shares those read-only arrays, a smaller ``k_max`` a prefix of them.
+    A graph without a deep enough memo is built by :func:`build_khop_shells`
+    as a batch of one, which holds O(n^2) transient memory for it.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     pairs = getattr(g, "_khop_pairs", ())
     if len(pairs) < k_max:
-        n = g.num_nodes
-        adj = np.zeros((n, n), dtype=np.float32)
-        adj[g.edges[:, 0], g.edges[:, 1]] = adj[g.edges[:, 1], g.edges[:, 0]] = 1.0
-        reached = frontier = np.eye(n, dtype=bool)
-        pairs = ()
-        for _ in range(k_max):
-            frontier = (frontier @ adj > 0) & ~reached
-            reached = reached | frontier
-            shell = np.nonzero(frontier)  # row-major: sorted by dst then src
-            for arr in shell:
-                arr.setflags(write=False)
-            pairs += (shell,)
-        object.__setattr__(g, "_khop_pairs", pairs)
+        build_khop_shells([g], k_max)
+        pairs = g._khop_pairs
     return KHopIndex(pairs[:k_max])
 
 

@@ -645,11 +645,17 @@ class Adam:
         bc1 = 1.0 - beta1**t
         bc2 = 1.0 - beta2**t
         for data, g, m, v in self._buffers:
+            # (1 - beta1) g, (1 - beta2) g g and lr (m / bc1) / (sqrt(v / bc2) + eps), each operation
+            # in the same order as written so, into two scratch buffers that live for one step
+            work, denom = np.empty_like(data), np.empty_like(data)
             m *= beta1
-            m += (1.0 - beta1) * g
+            m += np.multiply(1.0 - beta1, g, out=work)
             v *= beta2
-            v += (1.0 - beta2) * g * g
-            data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
+            v += np.multiply(np.multiply(1.0 - beta2, g, out=work), g, out=work)
+            np.sqrt(np.divide(v, bc2, out=denom), out=denom)
+            denom += _ADAM_EPS
+            np.multiply(self.lr, np.divide(m, bc1, out=work), out=work)
+            data -= np.divide(work, denom, out=work)
 
 
 def gradcheck(f: Callable[[], Tensor], params: Sequence[Tensor], step: float = 1e-5) -> float:

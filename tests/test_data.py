@@ -380,6 +380,24 @@ class TestCollate:
                     assert got == local.neighbors(i, k)
             offset += g.num_nodes
 
+    def test_collate_leaves_deep_enough_memos_untouched(self):
+        d = small_dataset(n=6, seed=12)
+        for g in d.graphs[::2]:
+            build_khop_index(g, 3)
+        for g in d.graphs[1::2]:
+            build_khop_index(g, 2)
+        memos = [g._khop_pairs for g in d.graphs]
+        arrays = [[a for pair in memo for a in pair] for memo in memos]
+        collate(d.graphs, None, k_max=2)  # every memo reaches 2
+        for g, memo, kept in zip(d.graphs, memos, arrays):
+            assert g._khop_pairs is memo
+            assert all(a is b for a, b in zip((a for pair in g._khop_pairs for a in pair), kept))
+        collate(d.graphs, None, k_max=3)  # only the depth-2 memos are rebuilt
+        for g, memo in zip(d.graphs[::2], memos[::2]):
+            assert g._khop_pairs is memo
+        for g in d.graphs[1::2]:
+            assert len(g._khop_pairs) == 3
+
     def test_edgeless_batch_has_empty_typed_arcs_and_shells(self):
         graphs = [
             LabeledGraph(num_nodes=n, node_feats=np.zeros((n, 2)), edges=np.zeros((0, 2)), edge_feats=np.zeros((0, 3)))

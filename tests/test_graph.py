@@ -3,10 +3,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import cyclegnn.graph as graph_mod
 from cyclegnn.graph import (
+    KHopIndex,
     LabeledGraph,
     bfs_distances,
     build_khop_index,
+    build_khop_shells,
     enumerate_simple_cycles,
     find_graph_fault,
     graphs_from_flat,
@@ -189,6 +192,15 @@ def khop_by_bfs(g: LabeledGraph, k_max: int) -> list[tuple[np.ndarray, np.ndarra
     return [(np.asarray(d, dtype=np.int64), np.asarray(s, dtype=np.int64)) for d, s in pairs]
 
 
+def assert_shells_match_bfs(idx: KHopIndex, g: LabeledGraph, k_max: int) -> None:
+    """The index has ``k_max`` shells, each int64, read-only and equal to the BFS oracle's."""
+    assert idx.k_max == k_max and len(idx.pairs) == k_max
+    for (dst, src), (want_dst, want_src) in zip(idx.pairs, khop_by_bfs(g, k_max)):
+        for got, want in ((dst, want_dst), (src, want_src)):
+            assert got.dtype == np.int64 and not got.flags.writeable
+            np.testing.assert_array_equal(got, want)
+
+
 class TestKHopIndex:
     def test_c6_shells(self):
         idx = build_khop_index(gen_cycle_union([6]), 3)
@@ -234,14 +246,45 @@ class TestKHopIndex:
             graphs.append(random_graph(rng, int(rng.integers(4, 16)), p=0.05))  # isolated nodes
             a, b = random_graph(rng, 6), random_graph(rng, 9)
             graphs.append(plain(15, np.concatenate([a.edges, b.edges + 6])))  # disconnected
-        for g in graphs:
+        for g in graphs:  # one graph at a time
             for k_max in (1, 3, g.num_nodes + 2):  # the last lies beyond the diameter
-                idx = build_khop_index(g, k_max)
-                assert idx.k_max == k_max and len(idx.pairs) == k_max
-                for (dst, src), (want_dst, want_src) in zip(idx.pairs, khop_by_bfs(g, k_max)):
-                    assert dst.dtype == src.dtype == np.int64
-                    np.testing.assert_array_equal(dst, want_dst)
-                    np.testing.assert_array_equal(src, want_src)
+                assert_shells_match_bfs(build_khop_index(g, k_max), g, k_max)
+        deepest = max(g.num_nodes for g in graphs) + 2
+        for k_max in (1, 3, deepest):  # the whole mixed-size list as one batch of cold graphs
+            batch = [plain(g.num_nodes, g.edges) for g in graphs]
+            build_khop_shells(batch, k_max)
+            for g in batch:
+                assert_shells_match_bfs(KHopIndex(g._khop_pairs), g, k_max)
+
+    def test_batch_rebuilds_only_the_graphs_memoised_too_shallow(self):
+        rng = np.random.default_rng(6)
+        graphs = [random_graph(rng, int(rng.integers(1, 13))) for _ in range(30)]
+        shallow, deep = graphs[::3], graphs[1::3]  # the rest stay cold
+        for g in shallow:
+            build_khop_index(g, 2)
+        for g in deep:
+            build_khop_index(g, 4)
+        kept = {id(g): g._khop_pairs for g in deep}
+        build_khop_shells(graphs, 3)
+        for g in graphs:
+            if id(g) in kept:
+                assert g._khop_pairs is kept[id(g)]
+                assert_shells_match_bfs(KHopIndex(g._khop_pairs), g, 4)
+            else:
+                assert_shells_match_bfs(KHopIndex(g._khop_pairs), g, 3)
+
+    def test_cell_cap_splits_a_group_into_chunks(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        five = [random_graph(rng, 6) for _ in range(5)]
+        big = random_graph(rng, 9)  # more cells than the cap: a chunk alone
+        monkeypatch.setattr(graph_mod, "KHOP_CHUNK_CELLS", 2 * 6 * 6)
+        build_khop_shells(five + [big], 3)
+        for g in five + [big]:
+            assert_shells_match_bfs(KHopIndex(g._khop_pairs), g, 3)
+        # graphs of one chunk slice the same arrays; those of different chunks do not
+        bases = [g._khop_pairs[0][0].base for g in five]
+        assert bases[0] is bases[1] and bases[2] is bases[3]
+        assert len({id(b) for b in bases}) == 3
 
     def test_shallower_request_returns_prefix_of_memoised_shells(self):
         g = random_graph(np.random.default_rng(4), 12)
@@ -251,6 +294,12 @@ class TestKHopIndex:
         assert shallow.k_max == 2 and len(shallow.pairs) == 2 and again.k_max == 3
         for got, want in zip(shallow.pairs + again.pairs, deep.pairs[:2] + deep.pairs):
             assert got[0] is want[0] and got[1] is want[1]
+        batched = [random_graph(np.random.default_rng(4), 12) for _ in range(3)]
+        build_khop_shells(batched, 3)
+        for h in batched:  # a memo a batch built reads the same way
+            deep = h._khop_pairs
+            for got, want in zip(build_khop_index(h, 2).pairs, deep[:2]):
+                assert got[0] is want[0] and got[1] is want[1]
 
     def test_deeper_request_rebuilds_like_a_fresh_graph(self):
         g = random_graph(np.random.default_rng(5), 12)
