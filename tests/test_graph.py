@@ -297,8 +297,7 @@ class TestKHopIndex:
         batched = [random_graph(np.random.default_rng(4), 12) for _ in range(3)]
         build_khop_shells(batched, 3)
         for h in batched:  # a memo a batch built reads the same way
-            deep = h._khop_pairs
-            for got, want in zip(build_khop_index(h, 2).pairs, deep[:2]):
+            for got, want in zip(build_khop_index(h, 2).pairs, h._khop_pairs[:2]):
                 assert got[0] is want[0] and got[1] is want[1]
 
     def test_deeper_request_rebuilds_like_a_fresh_graph(self):

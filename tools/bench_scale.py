@@ -1,7 +1,8 @@
 """Per-call time of ``tensor.Segments`` plans, build plus sum, of
-``data.load_dataset`` and of an Adam step, in two checkouts.
+``data.load_dataset``, of an Adam step and of the k-hop build, in two
+checkouts.
 
-    python3 tools/bench_scale.py --before DIR --after DIR --out BENCH_19.json
+    python3 tools/bench_scale.py --before DIR --after DIR --out BENCH_20.json
 
 Each DIR is a source checkout of one commit, as for ``tools/bench_pairs.py``.
 The plans are those of fixed batches, collated by each checkout's own code
@@ -44,7 +45,18 @@ models initialised by the checkout's own ``init_params``: ``cycles-gineplus``,
 the acceptance gine+ model (K=3, L=3, H=32, three tasks), and
 ``multitask-score``, that workload's model (gine+, K=2, L=3, H=100, virtual
 node). ``zero_grad_step_us`` is the median of at least ``MIN_CALLS`` pairs
-of calls; the result goes under ``optimizer_per_call``.
+of calls, and ``step_peak_bytes`` the ``tracemalloc`` peak of one such pair
+after a first; the result goes under ``optimizer_per_call``.
+
+The k-hop shells are timed cold, on graphs whose memo is dropped before each
+call (outside the timer), and warm, on the memo the cold call left:
+``cycles-64`` and ``multitask-256`` as ``data.collate`` batches (K=3 and
+K=2), whose cold minus warm time is the build of one batch's shells, and
+``cycle-2000``, one 2000-node cycle with 20 chords, by ``build_khop_index``
+(K=3), the one-graph path, whose 2000 x 2000 reach matrix fills a whole
+chunk (``graph.KHOP_CHUNK_CELLS``).
+``cold_ms`` and ``warm_ms`` are medians of at least ``MIN_CALLS`` calls,
+``MIN_BUILDS`` for the large graph; the result goes under ``khop_per_call``.
 """
 
 from __future__ import annotations
@@ -57,6 +69,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -65,12 +78,16 @@ ROUNDS = 10  # the same code timed in two processes can read 1.5x apart, so few 
 MIN_CALLS = 20
 MIN_SECONDS = 0.2  # per plan and timing, calls go on until both minimums are met
 MIN_LOADS = 7  # a load of the 4000-graph file takes 0.1-0.3 s
+MIN_BUILDS = 3  # a cold k-hop build of the 2000-node graph takes about half a second
 
 
-def _median_ms(fn, min_calls: int = MIN_CALLS) -> float:
+def _median_ms(fn, min_calls: int = MIN_CALLS, setup=None) -> float:
+    """Median ms of ``fn()``; ``setup()``, when given, runs untimed before each call."""
     times: list[float] = []
     start = time.perf_counter()
     while len(times) < min_calls or time.perf_counter() - start < MIN_SECONDS:
+        if setup is not None:
+            setup()
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
@@ -155,10 +172,52 @@ def measure_optimizer() -> dict:
             opt.zero_grad()
             opt.step()
 
+        zero_grad_step()
+        tracemalloc.start()
+        zero_grad_step()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         out[name] = {
             "tensors": len(params),
             "scalars": sum(p.data.size for p in params),
             "zero_grad_step_us": 1e3 * _median_ms(zero_grad_step),
+            "step_peak_bytes": peak,
+        }
+    return out
+
+
+def measure_khop() -> dict:
+    """Cold and warm per-call medians, in ms, of the k-hop shells of every
+    fixed batch and of one large graph, in this process's cyclegnn."""
+    from cyclegnn import data, synth
+    from cyclegnn.graph import build_khop_index
+
+    n = 2000
+    cycle = _graph(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(0, n // 2, n // 40)])
+    cases = [
+        ("cycles-64", synth.gen_synthetic_dataset(synth.TASK_MIN_CYCLE, 64, 7).graphs, 3, MIN_CALLS),
+        ("multitask-256", synth.gen_synthetic_dataset(synth.TASK_RANDOM_MULTITASK, 256, 7).graphs, 2, MIN_CALLS),
+        ("cycle-2000", [cycle], 3, MIN_BUILDS),
+    ]
+    out: dict[str, dict] = {}
+    for name, graphs, k_max, min_calls in cases:
+        if len(graphs) > 1:
+            call, fn = "collate", lambda: data.collate(graphs, None, k_max=k_max)
+        else:
+            call, fn = "build_khop_index", lambda: build_khop_index(graphs[0], k_max)
+
+        def forget():
+            for g in graphs:
+                g.__dict__.pop("_khop_pairs", None)  # the memo, named alike in both checkouts
+
+        out[name] = {
+            "call": call,
+            "graphs": len(graphs),
+            "nodes": sum(g.num_nodes for g in graphs),
+            "k_max": k_max,
+            "cold_ms": _median_ms(fn, min_calls, setup=forget),
+            "warm_ms": _median_ms(fn, min_calls),
+            "pairs": sum(int(dst.size) for g in graphs for dst, _ in build_khop_index(g, k_max).pairs),
         }
     return out
 
@@ -221,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--measure", action="store_true", help="measure the cyclegnn on PYTHONPATH and print one JSON line")
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps({"plans": measure(), "loads": measure_loads(), "optimizer": measure_optimizer()}))
+        print(json.dumps({"plans": measure(), "loads": measure_loads(), "optimizer": measure_optimizer(), "khop": measure_khop()}))
         return 0
     if not (args.before and args.after and args.out):
         parser.error("--before, --after and --out are required")
@@ -243,7 +302,8 @@ def main(argv: list[str] | None = None) -> int:
 
     plans = medians("plans", ("entries", "buckets", "largest_bucket"), ("build_sum_ms", "sum_ms", "add_at_ms"))
     loads = medians("loads", ("graphs", "nodes", "edges", "bytes"), ("load_ms",))
-    optimizer = medians("optimizer", ("tensors", "scalars"), ("zero_grad_step_us",))
+    optimizer = medians("optimizer", ("tensors", "scalars"), ("zero_grad_step_us", "step_peak_bytes"))
+    khop = medians("khop", ("call", "graphs", "nodes", "k_max", "pairs"), ("cold_ms", "warm_ms"))
     report = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="ascii") as fh:
@@ -256,6 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     report["segments_per_call"] = {**provenance, "plans": plans}
     report["load_per_call"] = {**provenance, "files": loads}
     report["optimizer_per_call"] = {**provenance, "models": optimizer}
+    report["khop_per_call"] = {**provenance, "cases": khop}
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
@@ -265,7 +326,11 @@ def main(argv: list[str] | None = None) -> int:
     for key, f in loads.items():
         print(f"load_dataset {key:19s} {f['graphs']:5d} graphs  {f['before_load_ms']:8.2f} -> {f['after_load_ms']:8.2f} ms")
     for key, m in optimizer.items():
-        print(f"zero_grad+step {key:17s} {m['tensors']:3d} tensors {m['scalars']:7d} scalars  {m['before_zero_grad_step_us']:8.1f} -> {m['after_zero_grad_step_us']:8.1f} us")
+        print(f"zero_grad+step {key:17s} {m['tensors']:3d} tensors {m['scalars']:7d} scalars  {m['before_zero_grad_step_us']:8.1f} -> {m['after_zero_grad_step_us']:8.1f} us"
+              f"  peak {m['before_step_peak_bytes']:9.0f} -> {m['after_step_peak_bytes']:9.0f} B")
+    for key, c in khop.items():
+        print(f"k-hop {key:14s} {c['call']:16s} {c['graphs']:3d} graphs K={c['k_max']}  cold {c['before_cold_ms']:8.3f} -> {c['after_cold_ms']:8.3f} ms"
+              f"  warm {c['before_warm_ms']:8.3f} -> {c['after_warm_ms']:8.3f} ms")
     return 0
 
 
