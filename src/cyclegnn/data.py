@@ -129,8 +129,9 @@ def save_dataset(dataset: Dataset, path: str, header: dict | None = None) -> Non
 
     Line 1 is ``# `` and one line of JSON: the feature-field cardinalities,
     the task names and, when given, the ``header`` dict. The records follow
-    from line 2. The file is replaced whole, so a failed or killed save
-    leaves the previous dataset.
+    from line 2. Each graph's arrays and the label matrix become Python
+    lists with one ``tolist()`` each, not element by element. The file is
+    replaced whole, so a failed or killed save leaves the previous dataset.
     """
     manifest = {
         "node_field_cardinalities": list(dataset.manifest.node_field_cardinalities),
@@ -139,15 +140,13 @@ def save_dataset(dataset: Dataset, path: str, header: dict | None = None) -> Non
     }
     if header is not None:
         manifest["header"] = header
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps(..., sort_keys=True) builds per call
+    labels = [[None if math.isnan(x) else int(x) for x in row] for row in dataset.labels.tolist()]
     with atomic_open(path) as fh:
-        fh.write("# " + json.dumps(manifest, sort_keys=True) + "\n")
-        for g, row in zip(dataset.graphs, dataset.labels):
-            record = {
-                "nodes": g.node_feats.tolist(),
-                "edges": [[int(u), int(v), feats.tolist()] for (u, v), feats in zip(g.edges, g.edge_feats)],
-                "labels": [None if math.isnan(x) else int(x) for x in row],
-            }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.write("# " + encode(manifest) + "\n")
+        for g, row in zip(dataset.graphs, labels):
+            edges = [[u, v, feats] for (u, v), feats in zip(g.edges.tolist(), g.edge_feats.tolist())]
+            fh.write(encode({"nodes": g.node_feats.tolist(), "edges": edges, "labels": row}) + "\n")
 
 
 def _read_manifest(first: bytes, path: str) -> DatasetManifest:

@@ -21,19 +21,25 @@ TASK_RANDOM_MULTITASK = "random-multitask"
 TASK_SPECS = (TASK_MIN_CYCLE, TASK_HAS_SMALL_CYCLE, TASK_RANDOM_MULTITASK)
 
 
-def _featureless(num_nodes: int, edges) -> LabeledGraph:
-    """The graph of ``edges`` with all-zero features, not checked: each
+def _featureless(node_counts: list[int], edge_blocks) -> list[LabeledGraph]:
+    """The graphs whose edges are ``edge_blocks``, one block of (u, v) pairs
+    per graph, with all-zero features, built at once as views of one array
+    per field (see :func:`graphs_from_flat`). They are not checked: each
     generator's edges join distinct nodes of range(num_nodes), once each, by
     construction once its arguments have been checked."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    node_feats, edge_feats = np.zeros((num_nodes, 1), dtype=np.int64), np.zeros((len(edges), 1), dtype=np.int64)
-    (graph,) = graphs_from_flat([num_nodes], node_feats, [len(edges)], edges, edge_feats)
-    return graph
+    edges = np.concatenate([np.asarray(block, dtype=np.int64).reshape(-1, 2) for block in edge_blocks])
+    node_feats, edge_feats = np.zeros((sum(node_counts), 1), dtype=np.int64), np.zeros((len(edges), 1), dtype=np.int64)
+    return graphs_from_flat(node_counts, node_feats, [len(block) for block in edge_blocks], edges, edge_feats)
 
 
 def _attachments(first: int, num_nodes: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     """Edges joining each node first..num_nodes-1 to a uniformly drawn earlier node."""
     return [(int(rng.integers(0, v)), v) for v in range(first, num_nodes)]
+
+
+def _unicyclic_edges(num_nodes: int, cycle_len: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """The edges of one cycle on nodes 0..cycle_len-1 with the remaining nodes attached as a tree."""
+    return [(t, (t + 1) % cycle_len) for t in range(cycle_len)] + _attachments(cycle_len, num_nodes, rng)
 
 
 def gen_cycle_union(cycle_lengths) -> LabeledGraph:
@@ -48,91 +54,89 @@ def gen_cycle_union(cycle_lengths) -> LabeledGraph:
     for c in lengths:
         edges.extend((offset + t, offset + (t + 1) % c) for t in range(c))
         offset += c
-    return _featureless(offset, edges)
-
-
-def _permute_nodes(g: LabeledGraph, rng: np.random.Generator) -> LabeledGraph:
-    """``g`` with its nodes renumbered at random; a renumbering keeps every
-    invariant of ``g``, so the copy is not checked again."""
-    perm = rng.permutation(g.num_nodes)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(g.num_nodes)
-    (permuted,) = graphs_from_flat([g.num_nodes], g.node_feats[inv], [g.num_edges], perm[g.edges], g.edge_feats)
-    return permuted
+    return _featureless([offset], [edges])[0]
 
 
 def random_tree(num_nodes: int, rng: np.random.Generator) -> LabeledGraph:
     """Uniform random-attachment tree with all-zero features."""
-    return _featureless(num_nodes, _attachments(1, num_nodes, rng))
+    return _featureless([num_nodes], [_attachments(1, num_nodes, rng)])[0]
 
 
 def random_unicyclic(num_nodes: int, cycle_len: int, rng: np.random.Generator) -> LabeledGraph:
     """One cycle of the given length with the remaining nodes attached as a tree."""
     if cycle_len < 3 or cycle_len > num_nodes:
         raise ValueError("cycle_len must lie in 3..num_nodes")
-    cycle = [(t, (t + 1) % cycle_len) for t in range(cycle_len)]
-    return _featureless(num_nodes, cycle + _attachments(cycle_len, num_nodes, rng))
+    return _featureless([num_nodes], [_unicyclic_edges(num_nodes, cycle_len, rng)])[0]
 
 
-def _shuffled(graphs: list[LabeledGraph], labels: np.ndarray, task_names, rng: np.random.Generator) -> Dataset:
-    """The featureless ``graphs`` and their label rows in one random order."""
-    order = rng.permutation(len(graphs))
+def _shuffled(node_counts: list[int], edge_blocks: list, labels: np.ndarray, task_names, rng) -> Dataset:
+    """The featureless graphs of ``edge_blocks`` (see :func:`_featureless`)
+    and their label rows, in one random order."""
+    order = rng.permutation(len(edge_blocks)).tolist()
+    graphs = _featureless([node_counts[i] for i in order], [edge_blocks[i] for i in order])
     manifest = DatasetManifest(
         node_field_cardinalities=(1,), edge_field_cardinalities=(1,), task_names=task_names
     )
-    return Dataset([graphs[i] for i in order], labels[order], manifest)
+    return Dataset(graphs, labels[order], manifest)
 
 
 def _gen_min_cycle_class(size: int, rng: np.random.Generator) -> Dataset:
     classes = (3, 4, 6)
-    graphs = []
+    union_edges = {parts: gen_cycle_union(parts).edges for options in _TWELVE_NODE_PARTITIONS.values() for parts in options}
+    blocks = []
     labels = np.zeros((size, 3))
     for idx in range(size):
         cls = classes[idx % 3]  # round robin keeps the classes balanced
         options = _TWELVE_NODE_PARTITIONS[cls]
         parts = options[int(rng.integers(0, len(options)))]
-        graphs.append(_permute_nodes(gen_cycle_union(parts), rng))
+        blocks.append(rng.permutation(12)[union_edges[parts]])  # the union with its nodes renumbered at random
         labels[idx, classes.index(cls)] = 1.0
-    return _shuffled(graphs, labels, ("min_cycle_3", "min_cycle_4", "min_cycle_6"), rng)
+    return _shuffled([12] * size, blocks, labels, ("min_cycle_3", "min_cycle_4", "min_cycle_6"), rng)
 
 
 def _gen_has_small_cycle(size: int, rng: np.random.Generator) -> Dataset:
-    graphs = []
+    node_counts, blocks = [], []
     labels = np.zeros((size, 1))
     for idx in range(size):
         n = int(rng.integers(10, 17))
         if idx % 2 == 0:
-            graphs.append(random_tree(n, rng))
+            edges = _attachments(1, n, rng)
         else:
-            graphs.append(random_unicyclic(n, int(rng.integers(3, 7)), rng))
+            edges = _unicyclic_edges(n, int(rng.integers(3, 7)), rng)
             labels[idx, 0] = 1.0
-    return _shuffled(graphs, labels, ("has_small_cycle",), rng)
+        node_counts.append(n)
+        blocks.append(edges)
+    return _shuffled(node_counts, blocks, labels, ("has_small_cycle",), rng)
 
 
 def _gen_random_multitask(size: int, rng: np.random.Generator) -> Dataset:
     node_cards = (5, 3)
     edge_cards = (4,)
     num_tasks = 4
-    node_counts, node_blocks, edge_counts, edge_blocks, feat_blocks = [], [], [], [], []
-    labels = np.full((size, num_tasks), np.nan)
-    for idx in range(size):
+    pair_tables = {n: np.stack(np.triu_indices(n, 1), axis=1).astype(np.int64) for n in range(6, 13)}  # u < v, by u then v
+    node_counts, edge_counts, edge_blocks = [], [], []
+    node_columns = [[] for _ in node_cards]
+    edge_columns = [[] for _ in edge_cards]
+    draws = []  # per graph, the uniforms that pick its observed labels, then those of their values
+    for _ in range(size):
         n = int(rng.integers(6, 13))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        keep = rng.random(len(pairs)) < 0.3
-        edges = np.asarray([p for p, k in zip(pairs, keep) if k], dtype=np.int64).reshape(-1, 2)
+        pairs = pair_tables[n]
+        edges = pairs[rng.random(len(pairs)) < 0.3]
         node_counts.append(n)
-        node_blocks.append(np.stack([rng.integers(0, c, size=n) for c in node_cards], axis=1))
-        edge_counts.append(edges.shape[0])
+        for column, c in zip(node_columns, node_cards):
+            column.append(rng.integers(0, c, size=n))
+        edge_counts.append(len(edges))
         edge_blocks.append(edges)
-        feat_blocks.append(np.stack([rng.integers(0, c, size=edges.shape[0]) for c in edge_cards], axis=1))
-        observed = rng.random(num_tasks) >= 0.4
-        values = (rng.random(num_tasks) < 0.3).astype(float)
-        labels[idx, observed] = values[observed]
+        for column, c in zip(edge_columns, edge_cards):
+            column.append(rng.integers(0, c, size=len(edges)))
+        draws.append((rng.random(num_tasks), rng.random(num_tasks)))
+    draws = np.array(draws)  # (size, 2, num_tasks)
+    labels = np.where(draws[:, 0] >= 0.4, (draws[:, 1] < 0.3).astype(float), np.nan)
     # edges are pairs u < v of range(n) and features lie below their cardinalities, so every
     # graph holds by construction and is not checked on its own
-    graphs = graphs_from_flat(
-        node_counts, np.concatenate(node_blocks), edge_counts, np.concatenate(edge_blocks), np.concatenate(feat_blocks)
-    )
+    node_feats = np.stack([np.concatenate(column) for column in node_columns], axis=1)
+    edge_feats = np.stack([np.concatenate(column) for column in edge_columns], axis=1)
+    graphs = graphs_from_flat(node_counts, node_feats, edge_counts, np.concatenate(edge_blocks), edge_feats)
     manifest = DatasetManifest(
         node_field_cardinalities=node_cards,
         edge_field_cardinalities=edge_cards,
@@ -151,6 +155,13 @@ def gen_synthetic_dataset(task_spec: str, size: int, seed: int) -> Dataset:
         has length at most 6 (1).
       - ``random-multitask``: random graphs with sparse random labels and
         missing entries, for pipeline tests.
+
+    Each generator makes its random draws in one loop over the graphs and
+    then builds the whole dataset at once: every graph is a row slice of
+    one array per field (see :func:`graph.graphs_from_flat`). The loop
+    stays because each draw's size depends on earlier draws (a graph's edge
+    count on its node count), so batching them would change the stream;
+    a test pins the bytes of each task's saved files.
     """
     if size < 1:
         raise ValueError("size must be at least 1")

@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from conftest import assert_same_bits
+from cyclegnn.data import load_dataset, save_dataset
 from cyclegnn.graph import enumerate_simple_cycles, find_graph_fault
 from cyclegnn.synth import (
     TASK_SPECS,
@@ -162,3 +166,55 @@ class TestGeneratedGraphsHold:
         for bad in (lambda: random_unicyclic(5, 2, rng), lambda: random_unicyclic(5, 6, rng), lambda: gen_cycle_union([2])):
             with pytest.raises(ValueError):
                 bad()
+
+
+# SHA-256 of the file that save_dataset writes for gen_synthetic_dataset(task, size, seed),
+# recorded from the per-graph generators and per-element save that the flat builds replaced
+GOLDEN_SHA256 = {
+    ("min-cycle-class", 50, 3): "2a27461b958c1d20290e6cbae526e534c83efd9c5255e7e115893d7198a63993",
+    ("min-cycle-class", 7, 0): "3b9e6fa80fc388eee4ac3742e944b4a4cf11518b50fb4b0acb20badf89eb42a8",
+    ("has-small-cycle", 50, 3): "fdfb53180efafb17f8f32d8da74104a7d382b1d0fe6affc4c1744f4033b56847",
+    ("has-small-cycle", 7, 0): "c2a182ca302d27a49cc21f4c3559d65e7fa1cf2a6286443ff02f3c6c67d9cdf2",
+    ("random-multitask", 50, 3): "68d5868f7c5c22a55948c38a2e04396ea3f64ff215c1a2692ab682fbe19ffce0",
+    ("random-multitask", 7, 0): "2b361e4683f9af5460178ff15f68dafd5150c9c75ac8a1777ab7f96c5ffca799",
+}
+
+
+class TestGeneratedBytes:
+    """Generation plus save keeps its RNG stream and its bytes; the saved
+    file loads back to the dataset that was generated."""
+
+    @pytest.mark.parametrize("task, size, seed", sorted(GOLDEN_SHA256))
+    def test_saved_file_is_golden_and_round_trips(self, tmp_path, task, size, seed):
+        dataset = gen_synthetic_dataset(task, size, seed)
+        path = str(tmp_path / "d.jsonl")
+        save_dataset(dataset, path)
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == GOLDEN_SHA256[task, size, seed]
+        back = load_dataset(path)
+        assert back.manifest == dataset.manifest and len(back) == len(dataset)
+        assert_same_bits(back.labels, dataset.labels)
+        for a, b in zip(dataset.graphs, back.graphs):
+            assert type(a.num_nodes) is int and a.num_nodes == b.num_nodes
+            for attr in ("node_feats", "edges", "edge_feats"):
+                assert_same_bits(getattr(b, attr), getattr(a, attr), attr)
+
+    def test_every_task_is_covered(self):
+        assert {task for task, _, _ in GOLDEN_SHA256} == set(TASK_SPECS)
+
+
+@pytest.mark.parametrize("task", TASK_SPECS)
+def test_generated_datasets_are_flat(task):
+    """Each field of every generated graph is a row slice of one array that
+    the whole dataset shares, in dataset order, as one flat build makes."""
+    graphs = gen_synthetic_dataset(task, 30, 5).graphs
+    for attr in ("node_feats", "edges", "edge_feats"):
+        base = getattr(graphs[0], attr).base
+        assert base is not None, attr
+        rows = 0
+        for g in graphs:
+            a = getattr(g, attr)
+            assert a.base is base and np.shares_memory(a, base), attr
+            assert a.__array_interface__["data"][0] == base[rows:].__array_interface__["data"][0], attr
+            rows += len(a)
+        assert rows == len(base), attr

@@ -1,8 +1,8 @@
 """Per-call time of ``tensor.Segments`` plans, build plus sum, of
-``data.load_dataset``, of an Adam step and of the k-hop build, in two
-checkouts.
+``data.load_dataset``, of an Adam step, of the k-hop build and of dataset
+generation and saving, in two checkouts.
 
-    python3 tools/bench_scale.py --before DIR --after DIR --out BENCH_20.json
+    python3 tools/bench_scale.py --before DIR --after DIR --out BENCH_21.json
 
 Each DIR is a source checkout of one commit, as for ``tools/bench_pairs.py``.
 The plans are those of fixed batches, collated by each checkout's own code
@@ -57,6 +57,12 @@ K=2), whose cold minus warm time is the build of one batch's shells, and
 chunk (``graph.KHOP_CHUNK_CELLS``).
 ``cold_ms`` and ``warm_ms`` are medians of at least ``MIN_CALLS`` calls,
 ``MIN_BUILDS`` for the large graph; the result goes under ``khop_per_call``.
+
+``synth.gen_synthetic_dataset`` is timed on ``min-cycle-class-600`` and
+``random-multitask-4000`` (seed 7, the sizes the two benchmark workloads
+generate at every set-up), and ``data.save_dataset`` on the 4000-graph
+dataset, written into a temporary directory. ``call_ms`` is the median of at
+least ``MIN_LOADS`` calls; the result goes under ``gen_per_call``.
 """
 
 from __future__ import annotations
@@ -222,6 +228,33 @@ def measure_khop() -> dict:
     return out
 
 
+def measure_gen() -> dict:
+    """Per-call medians, in ms, of generating each fixed synthetic dataset and
+    of saving the multitask one, in this process's cyclegnn."""
+    from cyclegnn import data, synth
+
+    out: dict[str, dict] = {}
+    for task, size in ((synth.TASK_MIN_CYCLE, 600), (synth.TASK_RANDOM_MULTITASK, 4000)):
+        dataset = synth.gen_synthetic_dataset(task, size, 7)
+        out[f"{task}-{size}"] = {
+            "call": "gen_synthetic_dataset",
+            "graphs": size,
+            "nodes": sum(g.num_nodes for g in dataset.graphs),
+            "edges": sum(g.num_edges for g in dataset.graphs),
+            "call_ms": _median_ms(lambda: synth.gen_synthetic_dataset(task, size, 7), MIN_LOADS),
+        }
+    name = f"{synth.TASK_RANDOM_MULTITASK}-4000"
+    dataset = synth.gen_synthetic_dataset(synth.TASK_RANDOM_MULTITASK, 4000, 7)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name + ".jsonl")
+        out["save-" + name] = {
+            **out[name],
+            "call": "save_dataset",
+            "call_ms": _median_ms(lambda: data.save_dataset(dataset, path), MIN_LOADS),
+        }
+    return out
+
+
 def measure() -> dict:
     """Per-call medians, in ms, of every plan of every fixed batch, in this process's cyclegnn."""
     from cyclegnn.tensor import Segments
@@ -280,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--measure", action="store_true", help="measure the cyclegnn on PYTHONPATH and print one JSON line")
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps({"plans": measure(), "loads": measure_loads(), "optimizer": measure_optimizer(), "khop": measure_khop()}))
+        print(json.dumps({"plans": measure(), "loads": measure_loads(), "optimizer": measure_optimizer(), "khop": measure_khop(), "gen": measure_gen()}))
         return 0
     if not (args.before and args.after and args.out):
         parser.error("--before, --after and --out are required")
@@ -304,6 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     loads = medians("loads", ("graphs", "nodes", "edges", "bytes"), ("load_ms",))
     optimizer = medians("optimizer", ("tensors", "scalars"), ("zero_grad_step_us", "step_peak_bytes"))
     khop = medians("khop", ("call", "graphs", "nodes", "k_max", "pairs"), ("cold_ms", "warm_ms"))
+    gen = medians("gen", ("call", "graphs", "nodes", "edges"), ("call_ms",))
     report = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="ascii") as fh:
@@ -317,6 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     report["load_per_call"] = {**provenance, "files": loads}
     report["optimizer_per_call"] = {**provenance, "models": optimizer}
     report["khop_per_call"] = {**provenance, "cases": khop}
+    report["gen_per_call"] = {**provenance, "cases": gen}
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
@@ -331,6 +366,8 @@ def main(argv: list[str] | None = None) -> int:
     for key, c in khop.items():
         print(f"k-hop {key:14s} {c['call']:16s} {c['graphs']:3d} graphs K={c['k_max']}  cold {c['before_cold_ms']:8.3f} -> {c['after_cold_ms']:8.3f} ms"
               f"  warm {c['before_warm_ms']:8.3f} -> {c['after_warm_ms']:8.3f} ms")
+    for key, c in gen.items():
+        print(f"{c['call']:21s} {key:30s} {c['graphs']:5d} graphs  {c['before_call_ms']:8.2f} -> {c['after_call_ms']:8.2f} ms")
     return 0
 
 
