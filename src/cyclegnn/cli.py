@@ -316,6 +316,8 @@ def _load_model(checkpoint_path: str) -> tuple[nn.ModelConfig, nn.ModelParams, d
         config = nn.ModelConfig(**extra["config"])
     except (TypeError, ValueError) as exc:
         raise CliError(f"checkpoint {checkpoint_path} has an invalid model config: {exc}") from None
+    if config.num_layers * config.required_radius > len(arrays):  # each layer holds that many tensors at least
+        raise CliError(f"checkpoint {checkpoint_path} holds fewer tensors than its model config has layers and shells")
     params = nn.init_params(config, seed=0)
     nn.load_arrays(params, arrays)
     return config, params, extra

@@ -82,7 +82,7 @@ def _check_features(graphs: list[LabeledGraph], manifest: DatasetManifest) -> No
         raise ValueError(f"graph {idx}: {message}")
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
     """Graphs plus a (num_graphs, num_tasks) label matrix; NaN marks missing.
 
@@ -303,7 +303,7 @@ def combine_datasets(a: Dataset, b: Dataset) -> Dataset:
     return Dataset(a.graphs + b.graphs, labels, manifest)
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchedGraph:
     """Disjoint union of graphs, ready for model evaluation.
 

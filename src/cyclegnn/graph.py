@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # over arrays: compares and hashes by identity
 class LabeledGraph:
     """Undirected graph with categorical node and edge feature vectors.
 
@@ -132,7 +132,7 @@ def graphs_from_flat(node_counts, node_feats, edge_counts, edges, edge_feats) ->
     return graphs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KHopIndex:
     """For every node, the nodes at shortest-path distance exactly k, k=1..k_max.
 
@@ -192,12 +192,12 @@ def build_khop_shells(graphs: Sequence[LabeledGraph], k_max: int) -> None:
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    groups: dict[int, dict[int, LabeledGraph]] = {}
+    groups: dict[int, dict[LabeledGraph, None]] = {}
     for g in graphs:
         if len(getattr(g, "_khop_pairs", ())) < k_max:
-            groups.setdefault(g.num_nodes, {})[id(g)] = g  # a graph listed twice is built once
+            groups.setdefault(g.num_nodes, {})[g] = None  # a graph listed twice is built once
     for n, group in groups.items():
-        cold = list(group.values())
+        cold = list(group)
         per_chunk = max(1, KHOP_CHUNK_CELLS // max(1, n * n))
         for start in range(0, len(cold), per_chunk):
             _expand_shells(cold[start : start + per_chunk], n, k_max)

@@ -453,7 +453,7 @@ def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = No
     return mul(x, Tensor(keep))
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchNormState:
     """Running statistics for one batchnorm; not trainable parameters.
 
@@ -716,7 +716,8 @@ def _valid_entry(entry) -> bool:
     return (
         isinstance(entry, dict)
         and isinstance(entry.get("name"), str)
-        and entry.get("dtype") in _DTYPE_NAMES
+        and isinstance(entry.get("dtype"), str)
+        and entry["dtype"] in _DTYPE_NAMES
         and isinstance(entry.get("shape"), list)
         and all(type(d) is int and 0 <= d <= _INT64_MAX for d in entry["shape"])
     )

@@ -166,6 +166,124 @@ def reference_load_dataset(path):
     return manifest, graphs, labels
 
 
+# The manifest of the dataset files ``make_file`` writes: two node fields, one
+# edge field, two tasks.
+RECORDS_MANIFEST = {"node_field_cardinalities": [3, 3], "edge_field_cardinalities": [2], "task_names": ["a", "b"]}
+
+
+def base_records(rng):
+    """Eight small valid records for ``RECORDS_MANIFEST``."""
+    records = []
+    for _ in range(8):
+        n = rng.randint(1, 6)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in rng.sample(pairs, rng.randint(0, len(pairs)))]
+        records.append({
+            "nodes": [[rng.randrange(3), rng.randrange(3)] for _ in range(n)],
+            "edges": [[u, v, [rng.randrange(2)]] for u, v in edges],
+            "labels": [rng.choice([0, 1, None]) for _ in range(2)],
+        })
+    return records
+
+
+def mutate(rng, record):
+    """One fault, or a harmless change, in a copy of ``record``; also
+    whether it is an edge of four entries, which only the reference accepts."""
+    r = json.loads(json.dumps(record))
+    n, edges = len(r["nodes"]), r["edges"]
+    bad_ints = [0.5, 1.0, True, False, "0", None, [0], 2**64, -(2**64) - 1, 2**63, -1, -(2**63)]
+    kind = rng.choice([
+        "node-value", "endpoint", "edge-value", "out-of-range", "self-loop", "duplicate", "node-fields",
+        "edge-fields", "edge-shape", "four-entry-edge", "label", "label-count", "labels-shape", "key",
+        "record-shape", "nodes-shape", "cardinality", "harmless",
+    ])
+    if kind == "node-value":
+        r["nodes"][rng.randrange(n)][rng.randrange(2)] = rng.choice(bad_ints)
+    elif kind in ("endpoint", "edge-value", "out-of-range", "self-loop", "edge-fields", "edge-shape", "four-entry-edge"):
+        if not edges:
+            edges.append([0, n, [0]])  # out of range: endpoint n
+        i = rng.randrange(len(edges))
+        e = edges[i]
+        if kind == "endpoint":
+            e[rng.randrange(2)] = rng.choice(bad_ints)
+        elif kind == "edge-value":
+            e[2][0] = rng.choice(bad_ints)
+        elif kind == "out-of-range":
+            e[rng.randrange(2)] = rng.choice([n, n + 3, -1, -n])
+        elif kind == "self-loop":
+            e[1] = e[0]
+        elif kind == "edge-fields":
+            e[2] = rng.choice([[], [0, 1], 1, [[0]], {}, ""])
+        elif kind == "edge-shape":
+            edges[i] = rng.choice([[e[0], e[1]], [e[0]], [], 5, "abc", [e[0], e[1], 1]])
+        else:
+            e.append(rng.choice([7, [0], None]))
+            return r, True
+    elif kind == "duplicate":
+        if not edges:
+            if n < 2:
+                r["nodes"].append([0, 0])
+            edges.append([0, 1, [0]])
+        u, v, feats = rng.choice(edges)
+        edges.insert(rng.randrange(len(edges) + 1), [v, u, feats] if rng.random() < 0.5 else [u, v, [1 - feats[0]]])
+    elif kind == "node-fields":
+        node = r["nodes"][rng.randrange(n)]
+        if rng.random() < 0.5:
+            node.append(0)
+        else:
+            node.pop()
+        if rng.random() < 0.3:
+            r["nodes"] = [node[:] for _ in range(n)]  # every node the same wrong width
+    elif kind == "label":
+        r["labels"][rng.randrange(2)] = rng.choice([2, -1, 0.5, 1.0, 0.0, True, False, "1", [0]])
+    elif kind == "label-count":
+        r["labels"] = r["labels"][:1] if rng.random() < 0.5 else r["labels"] + [0]
+    elif kind == "labels-shape":
+        r["labels"] = rng.choice([0, None, "01", "", {}, {"0": 1}])
+    elif kind == "key":
+        del r[rng.choice(["nodes", "edges", "labels"])]
+    elif kind == "record-shape":
+        r = rng.choice([[], 5, "x", None, [r]])
+    elif kind == "nodes-shape":
+        r["nodes"] = rng.choice([[], {}, "", [0] * n, [[0, 0]] * n + [[0]], [[[0, 0]]] * n, "ab", None])
+    elif kind == "cardinality":
+        if rng.random() < 0.5:
+            r["nodes"][rng.randrange(n)][rng.randrange(2)] = 3
+        elif edges:
+            rng.choice(edges)[2][0] = 2
+    return r, False
+
+
+def make_file(rng, path):
+    """A mutated file of ``base_records``; the line of its first four-entry edge, or None;
+    and whether it was cut short."""
+    records = base_records(rng)
+    lines = [[json.dumps(r).encode("ascii"), False] for r in records]
+    for i in sorted(rng.sample(range(len(lines)), rng.choice([0, 1, 1, 2, 3]))):  # faults on up to three lines
+        choice = rng.random()
+        if choice < 0.1:
+            raw = lines[i][0]
+            at = rng.randrange(len(raw) + 1)
+            lines[i][0] = raw[:at] + rng.choice([b"\xc3\xa9", b"\xff", b"\x80"]) + raw[at:]
+        elif choice < 0.15:
+            raw = lines[i][0]
+            at = rng.randrange(len(raw))
+            lines[i][0] = raw[:at] + raw[at + 1 :]  # one byte gone: usually not JSON
+        else:
+            record, four = mutate(rng, records[i])
+            lines[i] = [json.dumps(record).encode("ascii"), four]
+    if rng.random() < 0.2:
+        lines.insert(rng.randrange(len(lines) + 1), [rng.choice([b"", b"  ", b"\t"]), False])
+    data = b"# " + json.dumps(RECORDS_MANIFEST).encode("ascii") + b"\n" + b"".join(line + b"\n" for line, _ in lines)
+    four_line = next((i + 2 for i, (_, four) in enumerate(lines) if four), None)
+    cut = four_line is None and rng.random() < 0.1
+    if cut:  # anywhere, or just after the manifest line
+        data = data[: rng.choice([rng.randrange(len(data)), data.index(b"\n") + 1])]
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return four_line, cut
+
+
 def _reference_graph_checks(n, node_feats, edges, edge_feats):
     if node_feats.size and node_feats.min() < 0:
         raise ValueError("node features must be non-negative")

@@ -511,6 +511,29 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and ckpt in err
 
+    @pytest.mark.parametrize("dtype", [[], {}, ["float32"]])
+    def test_checkpoint_dtype_that_is_not_a_string_exits_one(self, trained, tmp_path, capsys, dtype):
+        # found by tests/test_fuzz.py: an unhashable dtype raised TypeError out of ``main``
+        _, data, prefix = trained
+        ckpt = copy_checkpoint(prefix, tmp_path)
+        edit_manifest(ckpt, lambda manifest: manifest["tensors"][0].update(dtype=dtype))
+        code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: malformed tensor list in checkpoint manifest {ckpt}\n"
+
+    @pytest.mark.parametrize("key", ["num_layers", "radius"])
+    def test_checkpoint_config_larger_than_its_tensors_exits_one_before_building_it(self, trained, tmp_path, capsys, monkeypatch, key):
+        # a manifest token tests/test_fuzz.py can write: 2**63 layers or shells were built until memory ran out
+        _, data, prefix = trained
+        ckpt = copy_checkpoint(prefix, tmp_path)
+        edit_manifest(ckpt, lambda manifest: manifest["extra"]["config"].update({key: 2**63}))
+        monkeypatch.setattr("cyclegnn.nn.init_params", lambda *args, **kwargs: pytest.fail("the model was built"))
+        code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint {ckpt} holds fewer tensors than its model config has layers and shells\n"
+
     def test_checkpoint_dimension_outside_int64_exits_one(self, trained, tmp_path, capsys):
         _, data, prefix = trained
         ckpt = copy_checkpoint(prefix, tmp_path)

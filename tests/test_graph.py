@@ -264,11 +264,11 @@ class TestKHopIndex:
             build_khop_index(g, 2)
         for g in deep:
             build_khop_index(g, 4)
-        kept = {id(g): g._khop_pairs for g in deep}
+        kept = {g: g._khop_pairs for g in deep}
         build_khop_shells(graphs, 3)
         for g in graphs:
-            if id(g) in kept:
-                assert g._khop_pairs is kept[id(g)]
+            if g in kept:
+                assert g._khop_pairs is kept[g]
                 assert_shells_match_bfs(KHopIndex(g._khop_pairs), g, 4)
             else:
                 assert_shells_match_bfs(KHopIndex(g._khop_pairs), g, 3)

@@ -1,0 +1,104 @@
+"""The two pair tools, ``tools/bench_pairs.py`` and ``tools/bench_scale.py``,
+with their measuring runs replaced by canned rounds."""
+
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SUMMARY_KEYS = {"median", "q1", "q3", "runs"}
+
+
+@pytest.fixture
+def tools(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "tools"))
+    import bench_pairs
+    import bench_scale
+
+    return bench_pairs, bench_scale
+
+
+def assert_compared(c, rounds):
+    assert set(c) == {"before", "after", "change", "pairs_won", "pairs_lost"}
+    for side in ("before", "after"):
+        assert set(c[side]) == SUMMARY_KEYS and len(c[side]["runs"]) == rounds
+
+
+def test_compare_counts_a_lower_after_time_as_a_win(tools):
+    bench_pairs, _ = tools
+    c = bench_pairs.compare([2.0, 2.0, 2.0, 2.0], [1.0, 3.0, 1.0, 2.0])
+    assert (c["pairs_won"], c["pairs_lost"]) == (2, 1)
+    assert c["before"] == {"median": 2.0, "q1": 2.0, "q3": 2.0, "runs": [2.0, 2.0, 2.0, 2.0]}
+    assert c["change"] == pytest.approx(1.5 / 2.0 - 1.0)
+    higher = bench_pairs.compare([2.0, 2.0], [1.0, 3.0], higher_is_better=True)
+    assert (higher["pairs_won"], higher["pairs_lost"]) == (1, 1)
+
+
+def test_alternate_swaps_the_first_side_every_round(tools):
+    bench_pairs, _ = tools
+    calls = []
+    results = bench_pairs.alternate(3, lambda side, i: calls.append((i, side)) or f"{side}{i}")
+    assert calls == [(0, "before"), (0, "after"), (1, "after"), (1, "before"), (2, "before"), (2, "after")]
+    assert results == {"before": ["before0", "before1", "before2"], "after": ["after0", "after1", "after2"]}
+
+
+def test_bench_pairs_writes_every_workload_metric(tools, tmp_path, monkeypatch):
+    bench_pairs, _ = tools
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="ascii") as fh:
+        bench = json.load(fh)
+    names = [m["name"] for m in bench["end_to_end"]]
+
+    def run_once(checkout, workload, seed, seconds):
+        value = 100.0 + seed + (1.0 if checkout == "new" else 0.0)  # the after side is higher every pair
+        result = {"metrics": {n: {"value": value, "unit": "u"} for n in names}, "failed": 0, "attempted": 2, "correct": True}
+        env = {"git_commit": checkout, "cpu": "cpu", "nproc": 2}
+        return result, env, {"minor_faults": 10 - (checkout == "new"), "sys_s": 0.5}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--before", "old", "--after", "new", "--out", str(out), "--seed", "5"]) == 0
+    report = json.loads(out.read_text())
+    assert report["seeds"] == list(range(5, 5 + bench_pairs.PAIRS)) and report["commits"] == {"before": "old", "after": "new"}
+    assert set(report["workloads"]) == {w["name"] for w in bench["workloads"]}
+    for wl in report["workloads"].values():
+        assert wl["correct"] == {"before": True, "after": True}
+        assert set(wl["metrics"]) == set(names)
+        for m in bench["end_to_end"]:
+            c = wl["metrics"][m["name"]]
+            assert (c["unit"], c["better"]) == (m["unit"], m["better"])
+            assert_compared({k: v for k, v in c.items() if k not in ("unit", "better")}, bench_pairs.PAIRS)
+            won = bench_pairs.PAIRS if m["better"] == "higher" else 0
+            assert (c["pairs_won"], c["pairs_lost"]) == (won, bench_pairs.PAIRS - won)
+        assert set(wl["usage"]) == {"minor_faults", "sys_s"}
+        assert_compared(wl["usage"]["sys_s"], bench_pairs.PAIRS)
+        assert wl["usage"]["minor_faults"]["pairs_won"] == bench_pairs.PAIRS  # fewer faults after: a win
+
+
+def test_bench_scale_writes_every_section_case_and_timing(tools, tmp_path, monkeypatch):
+    _, bench_scale = tools
+    sizes = {"graphs": 3, "call": "collate"}
+
+    def run_side(checkout):
+        slower = 2.0 if checkout == "old" else 1.0  # the after side is faster every round
+        return {
+            section: {f"{section}-a": [sizes, {"x_ms": slower, "y_us": 5.0}], f"{section}-b": [sizes, {"x_ms": slower}]}
+            for section, _ in bench_scale.SECTIONS
+        }
+
+    monkeypatch.setattr(bench_scale, "_run_side", run_side)
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"workloads": {"kept": 1}}))
+    assert bench_scale.main(["--before", "old", "--after", "new", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["workloads"] == {"kept": 1}
+    assert list(report)[1:] == [section for section, _ in bench_scale.SECTIONS]
+    for section, _ in bench_scale.SECTIONS:
+        assert report[section]["rounds"] == bench_scale.ROUNDS
+        cases = report[section]["cases"]
+        assert list(cases) == [f"{section}-a", f"{section}-b"]
+        for case in cases.values():
+            assert {k: case[k] for k in sizes} == sizes
+            assert_compared(case["x_ms"], bench_scale.ROUNDS)
+            assert (case["x_ms"]["pairs_won"], case["x_ms"]["change"]) == (bench_scale.ROUNDS, -0.5)
+        assert cases[f"{section}-a"]["y_us"]["pairs_won"] == 0 == cases[f"{section}-a"]["y_us"]["pairs_lost"]

@@ -6,14 +6,15 @@ Each DIR is a source checkout of one commit: ``--before`` the change's parent
 commit, ``--after`` the change. For every workload in ``BENCHMARK.json``, pair
 i of ``PAIRS`` runs ``perfbench/run.py --seed SEED+i --trace 0`` for
 ``BENCHMARK.json``'s ``run_seconds`` once in each checkout, one at a time,
-the before side first in even pairs and the after side first in odd ones. Each run's last stdout line (the result JSON) and its ``env`` line
-are read, and the run's minor page faults and system CPU seconds are taken
-as the change in ``getrusage(RUSAGE_CHILDREN)`` across it. The output holds,
-per workload and end-to-end metric, each side's runs, median and quartiles,
-and the pairs the after side won; per workload, each side's faults and system
-seconds in the same form; and the seeds, run length, commits and machine
-(CPU, nproc, numpy, BLAS) they ran on. It exits 1 if any run exits non-zero
-or reports ``"correct": false``.
+the before side first in even pairs and the after side first in odd ones
+(``alternate``). Each run's last stdout line (the result JSON) and its ``env``
+line are read, and the run's minor page faults and system CPU seconds are
+taken as the change in ``getrusage(RUSAGE_CHILDREN)`` across it. Per workload,
+each end-to-end metric and the faults and system seconds (lower-is-better)
+get ``compare``'s form: each side's runs, median and quartiles, the change of
+the after median and the pairs the after side won and lost. The seeds, run
+length, commits and machine (CPU, nproc, numpy, BLAS) are recorded too. It
+exits 1 if any run exits non-zero or reports ``"correct": false``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,32 @@ def summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def compare(before: list[float], after: list[float], higher_is_better: bool = False) -> dict:
+    """Each side's summary, the change of the after median, and the pairs
+    (same index on both sides) that the after side won and lost."""
+    sign = 1 if higher_is_better else -1
+    diffs = [sign * (a - b) for a, b in zip(after, before)]
+    b, a = summary(before), summary(after)
+    return {
+        "before": b,
+        "after": a,
+        "change": a["median"] / b["median"] - 1.0 if b["median"] else None,
+        "pairs_won": sum(d > 0 for d in diffs),
+        "pairs_lost": sum(d < 0 for d in diffs),
+    }
+
+
+def alternate(rounds: int, run) -> dict[str, list]:
+    """``run(side, i)`` for every round i and both sides, the before side first
+    in even rounds and the after side first in odd ones; each side's results
+    in round order."""
+    results: dict[str, list] = {side: [] for side in SIDES}
+    for i in range(rounds):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            results[side].append(run(side, i))
+    return results
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", required=True, help="checkout of the parent commit")
@@ -70,43 +97,31 @@ def main(argv: list[str] | None = None) -> int:
     report = {"seeds": seeds, "seconds": seconds, "pairs": PAIRS, "workloads": {}}
     ok = True
     for wl in (w["name"] for w in bench["workloads"]):
-        runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-        usages: dict[str, list[dict]] = {side: [] for side in SIDES}
-        for i, seed in enumerate(seeds):
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                result, env, usage = run_once(checkouts[side], wl, seed, seconds)
-                ok &= bool(result.get("correct"))
-                runs[side].append(result)
-                usages[side].append(usage)
-                report.setdefault("machine", {k: env.get(k) for k in ("cpu", "nproc", "python", "numpy", "blas", "blas_threads")})
-                report.setdefault("commits", {})[side] = env.get("git_commit")
-                print(f"{wl} seed {seed} {side}: " + " ".join(
-                    f"{name}={m['value']:.6g}" for name, m in result["metrics"].items())
-                    + f" minor_faults={usage['minor_faults']} sys_s={usage['sys_s']:.3f}", file=sys.stderr)
+
+        def run(side: str, i: int) -> tuple[dict, dict]:
+            result, env, usage = run_once(checkouts[side], wl, seeds[i], seconds)
+            report.setdefault("machine", {k: env.get(k) for k in ("cpu", "nproc", "python", "numpy", "blas", "blas_threads")})
+            report.setdefault("commits", {})[side] = env.get("git_commit")
+            print(f"{wl} seed {seeds[i]} {side}: " + " ".join(
+                f"{name}={m['value']:.6g}" for name, m in result["metrics"].items())
+                + f" minor_faults={usage['minor_faults']} sys_s={usage['sys_s']:.3f}", file=sys.stderr)
+            return result, usage
+
+        runs = alternate(PAIRS, run)
+        results = {side: [r for r, _ in runs[side]] for side in SIDES}
+        usages = {side: [u for _, u in runs[side]] for side in SIDES}
         metrics = {}
         for m in bench["end_to_end"]:
-            name, sign = m["name"], 1 if m["better"] == "higher" else -1
-            values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
-            diffs = [sign * (a - b) for a, b in zip(values["after"], values["before"])]
-            before, after = summary(values["before"]), summary(values["after"])
-            metrics[name] = {
-                "unit": m["unit"],
-                "better": m["better"],
-                "before": before,
-                "after": after,
-                "change": after["median"] / before["median"] - 1.0 if before["median"] else None,
-                "pairs_won": sum(d > 0 for d in diffs),
-                "pairs_lost": sum(d < 0 for d in diffs),
-            }
+            before, after = ([r["metrics"][m["name"]]["value"] for r in results[side]] for side in SIDES)
+            metrics[m["name"]] = {"unit": m["unit"], "better": m["better"], **compare(before, after, m["better"] == "higher")}
+        correct = {side: all(r["correct"] for r in results[side]) for side in SIDES}
+        ok &= all(correct.values())
         report["workloads"][wl] = {
-            "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
-            "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
-            "correct": {side: all(r["correct"] for r in runs[side]) for side in SIDES},
+            "failed": {side: sum(r["failed"] for r in results[side]) for side in SIDES},
+            "attempted": {side: sum(r["attempted"] for r in results[side]) for side in SIDES},
+            "correct": correct,
             "metrics": metrics,
-            "usage": {
-                key: {side: summary([u[key] for u in usages[side]]) for side in SIDES}
-                for key in ("minor_faults", "sys_s")
-            },
+            "usage": {key: compare(*([u[key] for u in usages[side]] for side in SIDES)) for key in ("minor_faults", "sys_s")},
         }
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=1)

@@ -25,13 +25,9 @@ For each plan, ``build_sum_ms`` is one ``Segments(ids, n).sum(values)`` on a
 new plan, ``sum_ms`` one more sum on a plan whose table is built, and
 ``add_at_ms`` the same sums by ``np.add.at`` into a -0.0 fill, which adds
 each bucket in ``ids`` order by definition and needs no table, each the
-median of at least ``MIN_CALLS`` calls. Each checkout is measured in its own
-process, with one BLAS thread, ``ROUNDS`` times, alternating which side goes
-first; the file gets each side's per-round values and their median. Plans
-that keep their layout and code across the two checkouts show how far
-identical code reads apart. If ``--out``
-exists (``tools/bench_pairs.py`` writes it), the result is added to it under
-``segments_per_call``; nothing else in it changes.
+median of at least ``MIN_CALLS`` calls. Plans that keep their layout and
+code across the two checkouts show how far identical code reads apart. The
+result goes under ``segments_per_call``.
 
 ``load_dataset`` is timed on two files, each written by the checkout's own
 ``save_dataset`` into a temporary directory: ``multitask-4000``, the
@@ -63,11 +59,20 @@ chunk (``graph.KHOP_CHUNK_CELLS``).
 generate at every set-up), and ``data.save_dataset`` on the 4000-graph
 dataset, written into a temporary directory. ``call_ms`` is the median of at
 least ``MIN_LOADS`` calls; the result goes under ``gen_per_call``.
+
+Each fixed graph and dataset is built once per process. Each checkout is
+measured in its own process, with one BLAS thread, ``ROUNDS`` times, sides
+alternating as in ``tools/bench_pairs.py``. Each section holds the rounds'
+provenance and, under ``cases``, each case's sizes and, per timing (every one
+lower-is-better), ``bench_pairs.compare``'s form: each side's per-round
+values, median and quartiles, the change and the rounds won and lost. If
+``--out`` exists, the sections are added to it; nothing else in it changes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import statistics
@@ -79,7 +84,8 @@ import tracemalloc
 
 import numpy as np
 
-SIDES = ("before", "after")
+from bench_pairs import SIDES, alternate, compare
+
 ROUNDS = 10  # the same code timed in two processes can read 1.5x apart, so few rounds show little
 MIN_CALLS = 20
 MIN_SECONDS = 0.2  # per plan and timing, calls go on until both minimums are met
@@ -115,16 +121,33 @@ def _graph(n, edges):
     return LabeledGraph(num_nodes=n, node_feats=np.zeros((n, 1), np.int64), edges=edges, edge_feats=np.zeros((len(edges), 1), np.int64))
 
 
+def _counts(graphs) -> dict:
+    return {"graphs": len(graphs), "nodes": sum(g.num_nodes for g in graphs), "edges": sum(g.num_edges for g in graphs)}
+
+
+# The fixed inputs that several sections share, built once per process.
+@functools.cache
+def _star():
+    return _graph(1001, [(0, i) for i in range(1, 1001)])
+
+
+@functools.cache
+def _dataset(task: str, size: int):
+    from cyclegnn import synth
+
+    return synth.gen_synthetic_dataset(task, size, 7)
+
+
 def _batches():
     """(name, batched graph, width H) of every fixed batch."""
     from cyclegnn import data, synth
 
-    cycles = synth.gen_synthetic_dataset(synth.TASK_MIN_CYCLE, 64, 7).graphs
-    multitask = synth.gen_synthetic_dataset(synth.TASK_RANDOM_MULTITASK, 256, 7).graphs
+    cycles = _dataset(synth.TASK_MIN_CYCLE, 64).graphs
+    multitask = _dataset(synth.TASK_RANDOM_MULTITASK, 256).graphs
     yield "cycles-64", data.collate(cycles, None, k_max=3), 32
     yield "multitask-64", data.collate(multitask[:64], None, k_max=2), 100
     yield "multitask-256", data.collate(multitask, None, k_max=2), 100
-    yield "star-1000", data.collate([_graph(1001, [(0, i) for i in range(1, 1001)])], None, k_max=1), 32
+    yield "star-1000", data.collate([_star()], None, k_max=1), 32
     yield "cycle-8000", data.collate([_graph(8000, [(i, (i + 1) % 8000) for i in range(8000)])], None, k_max=1), 32
 
 
@@ -132,12 +155,37 @@ def _datasets():
     """(name, dataset) of every fixed dataset file."""
     from cyclegnn import data, synth
 
-    yield "multitask-4000", synth.gen_synthetic_dataset(synth.TASK_RANDOM_MULTITASK, 4000, 7)
+    yield "multitask-4000", _dataset(synth.TASK_RANDOM_MULTITASK, 4000)
     n = 8000
     cycle = _graph(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(0, n // 2, 100)])
-    star = _graph(1001, [(0, i) for i in range(1, 1001)])
     manifest = data.DatasetManifest((1,), (1,), ("task",))
-    yield "large-graphs", data.Dataset([cycle, star], np.full((2, 1), np.nan), manifest)
+    yield "large-graphs", data.Dataset([cycle, _star()], np.full((2, 1), np.nan), manifest)
+
+
+def measure_segments() -> dict:
+    """Per-call medians, in ms, of every plan of every fixed batch, in this process's cyclegnn."""
+    from cyclegnn.tensor import Segments
+
+    rng = np.random.default_rng(0)
+    out: dict[str, dict] = {}
+    for name, batch, width in _batches():
+        plans = {"graph_ids": batch.graph_ids, "arc_dst": batch.arc_dst, "arc_src": batch.arc_src}
+        for k, (dst, src) in enumerate(batch.shells, start=2):
+            plans[f"shell{k}.dst"], plans[f"shell{k}.src"] = dst, src
+        for field, ids in [("node_feats", batch.node_feats), ("arc_feats", batch.arc_edge_feats)]:
+            for f in range(ids.shape[1]):
+                plans[f"{field}.{f}"] = Segments(ids[:, f], int(ids[:, f].max(initial=0)) + 1)
+        for plan_name, plan in plans.items():
+            values = rng.normal(size=(plan.ids.size, width)).astype(np.float32)
+            built = Segments(plan.ids, plan.n)
+            built.sum(values)
+            sizes = {"entries": int(plan.ids.size), "buckets": int(plan.n), "largest_bucket": int(np.bincount(plan.ids, minlength=1).max())}
+            out[f"{name}/{plan_name}"] = sizes, {
+                "build_sum_ms": _median_ms(lambda: Segments(plan.ids, plan.n).sum(values)),
+                "sum_ms": _median_ms(lambda: built.sum(values)),
+                "add_at_ms": _median_ms(lambda: _add_at(plan.ids, plan.n, values)),
+            }
+    return out
 
 
 def measure_loads() -> dict:
@@ -149,13 +197,8 @@ def measure_loads() -> dict:
         for name, dataset in _datasets():
             path = os.path.join(tmp, name + ".jsonl")
             data.save_dataset(dataset, path)
-            out[name] = {
-                "graphs": len(dataset),
-                "nodes": sum(g.num_nodes for g in dataset.graphs),
-                "edges": sum(g.num_edges for g in dataset.graphs),
-                "bytes": os.path.getsize(path),
-                "load_ms": _median_ms(lambda: data.load_dataset(path), MIN_LOADS),
-            }
+            sizes = {**_counts(dataset.graphs), "bytes": os.path.getsize(path)}
+            out[name] = sizes, {"load_ms": _median_ms(lambda: data.load_dataset(path), MIN_LOADS)}
     return out
 
 
@@ -183,12 +226,8 @@ def measure_optimizer() -> dict:
         zero_grad_step()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        out[name] = {
-            "tensors": len(params),
-            "scalars": sum(p.data.size for p in params),
-            "zero_grad_step_us": 1e3 * _median_ms(zero_grad_step),
-            "step_peak_bytes": peak,
-        }
+        sizes = {"tensors": len(params), "scalars": sum(p.data.size for p in params)}
+        out[name] = sizes, {"zero_grad_step_us": 1e3 * _median_ms(zero_grad_step), "step_peak_bytes": peak}
     return out
 
 
@@ -201,8 +240,8 @@ def measure_khop() -> dict:
     n = 2000
     cycle = _graph(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(0, n // 2, n // 40)])
     cases = [
-        ("cycles-64", synth.gen_synthetic_dataset(synth.TASK_MIN_CYCLE, 64, 7).graphs, 3, MIN_CALLS),
-        ("multitask-256", synth.gen_synthetic_dataset(synth.TASK_RANDOM_MULTITASK, 256, 7).graphs, 2, MIN_CALLS),
+        ("cycles-64", _dataset(synth.TASK_MIN_CYCLE, 64).graphs, 3, MIN_CALLS),
+        ("multitask-256", _dataset(synth.TASK_RANDOM_MULTITASK, 256).graphs, 2, MIN_CALLS),
         ("cycle-2000", [cycle], 3, MIN_BUILDS),
     ]
     out: dict[str, dict] = {}
@@ -216,15 +255,9 @@ def measure_khop() -> dict:
             for g in graphs:
                 g.__dict__.pop("_khop_pairs", None)  # the memo, named alike in both checkouts
 
-        out[name] = {
-            "call": call,
-            "graphs": len(graphs),
-            "nodes": sum(g.num_nodes for g in graphs),
-            "k_max": k_max,
-            "cold_ms": _median_ms(fn, min_calls, setup=forget),
-            "warm_ms": _median_ms(fn, min_calls),
-            "pairs": sum(int(dst.size) for g in graphs for dst, _ in build_khop_index(g, k_max).pairs),
-        }
+        timings = {"cold_ms": _median_ms(fn, min_calls, setup=forget), "warm_ms": _median_ms(fn, min_calls)}
+        pairs = sum(int(dst.size) for g in graphs for dst, _ in build_khop_index(g, k_max).pairs)
+        out[name] = {"call": call, "graphs": len(graphs), "nodes": sum(g.num_nodes for g in graphs), "k_max": k_max, "pairs": pairs}, timings
     return out
 
 
@@ -235,52 +268,26 @@ def measure_gen() -> dict:
 
     out: dict[str, dict] = {}
     for task, size in ((synth.TASK_MIN_CYCLE, 600), (synth.TASK_RANDOM_MULTITASK, 4000)):
-        dataset = synth.gen_synthetic_dataset(task, size, 7)
-        out[f"{task}-{size}"] = {
-            "call": "gen_synthetic_dataset",
-            "graphs": size,
-            "nodes": sum(g.num_nodes for g in dataset.graphs),
-            "edges": sum(g.num_edges for g in dataset.graphs),
-            "call_ms": _median_ms(lambda: synth.gen_synthetic_dataset(task, size, 7), MIN_LOADS),
-        }
+        sizes = {"call": "gen_synthetic_dataset", **_counts(_dataset(task, size).graphs)}
+        out[f"{task}-{size}"] = sizes, {"call_ms": _median_ms(lambda: synth.gen_synthetic_dataset(task, size, 7), MIN_LOADS)}
     name = f"{synth.TASK_RANDOM_MULTITASK}-4000"
-    dataset = synth.gen_synthetic_dataset(synth.TASK_RANDOM_MULTITASK, 4000, 7)
+    dataset = _dataset(synth.TASK_RANDOM_MULTITASK, 4000)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, name + ".jsonl")
-        out["save-" + name] = {
-            **out[name],
-            "call": "save_dataset",
-            "call_ms": _median_ms(lambda: data.save_dataset(dataset, path), MIN_LOADS),
-        }
+        sizes = {**out[name][0], "call": "save_dataset"}
+        out["save-" + name] = sizes, {"call_ms": _median_ms(lambda: data.save_dataset(dataset, path), MIN_LOADS)}
     return out
 
 
-def measure() -> dict:
-    """Per-call medians, in ms, of every plan of every fixed batch, in this process's cyclegnn."""
-    from cyclegnn.tensor import Segments
-
-    rng = np.random.default_rng(0)
-    out: dict[str, dict] = {}
-    for name, batch, width in _batches():
-        plans = {"graph_ids": batch.graph_ids, "arc_dst": batch.arc_dst, "arc_src": batch.arc_src}
-        for k, (dst, src) in enumerate(batch.shells, start=2):
-            plans[f"shell{k}.dst"], plans[f"shell{k}.src"] = dst, src
-        for field, ids in [("node_feats", batch.node_feats), ("arc_feats", batch.arc_edge_feats)]:
-            for f in range(ids.shape[1]):
-                plans[f"{field}.{f}"] = Segments(ids[:, f], int(ids[:, f].max(initial=0)) + 1)
-        for plan_name, plan in plans.items():
-            values = rng.normal(size=(plan.ids.size, width)).astype(np.float32)
-            built = Segments(plan.ids, plan.n)
-            built.sum(values)
-            out[f"{name}/{plan_name}"] = {
-                "entries": int(plan.ids.size),
-                "buckets": int(plan.n),
-                "largest_bucket": int(np.bincount(plan.ids, minlength=1).max()),
-                "build_sum_ms": _median_ms(lambda: Segments(plan.ids, plan.n).sum(values)),
-                "sum_ms": _median_ms(lambda: built.sum(values)),
-                "add_at_ms": _median_ms(lambda: _add_at(plan.ids, plan.n, values)),
-            }
-    return out
+# Each output section's key, and the function that measures its cases: per
+# case name, a (sizes, timings) pair of dicts.
+SECTIONS = (
+    ("segments_per_call", measure_segments),
+    ("load_per_call", measure_loads),
+    ("optimizer_per_call", measure_optimizer),
+    ("khop_per_call", measure_khop),
+    ("gen_per_call", measure_gen),
+)
 
 
 def _run_side(checkout: str) -> dict:
@@ -313,31 +320,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--measure", action="store_true", help="measure the cyclegnn on PYTHONPATH and print one JSON line")
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps({"plans": measure(), "loads": measure_loads(), "optimizer": measure_optimizer(), "khop": measure_khop(), "gen": measure_gen()}))
+        print(json.dumps({section: measure_section() for section, measure_section in SECTIONS}))
         return 0
     if not (args.before and args.after and args.out):
         parser.error("--before, --after and --out are required")
     checkouts = {"before": args.before, "after": args.after}
-    rounds: dict[str, list[dict]] = {side: [] for side in SIDES}
-    for i in range(ROUNDS):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            rounds[side].append(_run_side(checkouts[side]))
-    def medians(part: str, sizes: tuple[str, ...], timings: tuple[str, ...]) -> dict:
-        table = {}
-        for key, first in rounds["after"][0][part].items():
-            table[key] = {k: first[k] for k in sizes}
-            for side in SIDES:
-                for timing in timings:
-                    per_round = [round(r[part][key][timing], 4) for r in rounds[side]]
-                    table[key][f"{side}_{timing}"] = statistics.median(per_round)
-                    table[key][f"{side}_{timing}_rounds"] = per_round
-        return table
-
-    plans = medians("plans", ("entries", "buckets", "largest_bucket"), ("build_sum_ms", "sum_ms", "add_at_ms"))
-    loads = medians("loads", ("graphs", "nodes", "edges", "bytes"), ("load_ms",))
-    optimizer = medians("optimizer", ("tensors", "scalars"), ("zero_grad_step_us", "step_peak_bytes"))
-    khop = medians("khop", ("call", "graphs", "nodes", "k_max", "pairs"), ("cold_ms", "warm_ms"))
-    gen = medians("gen", ("call", "graphs", "nodes", "edges"), ("call_ms",))
+    rounds = alternate(ROUNDS, lambda side, _: _run_side(checkouts[side]))
     report = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="ascii") as fh:
@@ -347,27 +335,18 @@ def main(argv: list[str] | None = None) -> int:
         "commits": {side: _commit(checkouts[side]) for side in SIDES},
         "machine": {"cpu": _cpu(), "nproc": len(os.sched_getaffinity(0)), "numpy": np.__version__, "python": sys.version.split()[0], "blas_threads": 1},
     }
-    report["segments_per_call"] = {**provenance, "plans": plans}
-    report["load_per_call"] = {**provenance, "files": loads}
-    report["optimizer_per_call"] = {**provenance, "models": optimizer}
-    report["khop_per_call"] = {**provenance, "cases": khop}
-    report["gen_per_call"] = {**provenance, "cases": gen}
+    for section, _ in SECTIONS:
+        cases = {}
+        for case, (sizes, timings) in rounds["after"][0][section].items():
+            cases[case] = dict(sizes)
+            for timing in timings:
+                before, after = ([round(r[section][case][1][timing], 4) for r in rounds[side]] for side in SIDES)
+                c = cases[case][timing] = compare(before, after)
+                print(f"{section} {case} {timing}: {c['before']['median']:.4g} -> {c['after']['median']:.4g}, won {c['pairs_won']}/{ROUNDS}")
+        report[section] = {**provenance, "cases": cases}
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    for key, p in plans.items():
-        print(f"{key:32s} largest {p['largest_bucket']:5d}  build+sum {p['before_build_sum_ms']:8.3f} -> {p['after_build_sum_ms']:8.3f} ms"
-              f"  sum {p['before_sum_ms']:8.3f} -> {p['after_sum_ms']:8.3f} ms  np.add.at {p['after_add_at_ms']:8.3f} ms")
-    for key, f in loads.items():
-        print(f"load_dataset {key:19s} {f['graphs']:5d} graphs  {f['before_load_ms']:8.2f} -> {f['after_load_ms']:8.2f} ms")
-    for key, m in optimizer.items():
-        print(f"zero_grad+step {key:17s} {m['tensors']:3d} tensors {m['scalars']:7d} scalars  {m['before_zero_grad_step_us']:8.1f} -> {m['after_zero_grad_step_us']:8.1f} us"
-              f"  peak {m['before_step_peak_bytes']:9.0f} -> {m['after_step_peak_bytes']:9.0f} B")
-    for key, c in khop.items():
-        print(f"k-hop {key:14s} {c['call']:16s} {c['graphs']:3d} graphs K={c['k_max']}  cold {c['before_cold_ms']:8.3f} -> {c['after_cold_ms']:8.3f} ms"
-              f"  warm {c['before_warm_ms']:8.3f} -> {c['after_warm_ms']:8.3f} ms")
-    for key, c in gen.items():
-        print(f"{c['call']:21s} {key:30s} {c['graphs']:5d} graphs  {c['before_call_ms']:8.2f} -> {c['after_call_ms']:8.2f} ms")
     return 0
 
 

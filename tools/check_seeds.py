@@ -10,6 +10,13 @@ fingerprint and runs one rep through ``perfbench/workloads.py``, with one
 BLAS thread as ``perfbench/run.py`` uses. It prints each failing seed with
 its messages and a count per workload, and exits 1 if any seed failed.
 
+Where a workload checks test accuracy (cycles-gineplus: gine+ must reach
+``PASS_ACCURACY``), it also prints each seed's correct label decisions out of
+all of them (180 there) and the margin over the count the check needs (171),
+then the smallest margin per workload. The accuracy is read by wrapping the
+check's ``_accuracy`` for the length of the rep. To compare two checkouts,
+run the tool in each.
+
 It is kept out of CI: the output checks sit on training accuracy, which
 moves with the machine's BLAS rounding. A full sweep takes about 6 minutes
 on a 2-vCPU machine.
@@ -23,19 +30,33 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PASS_ACCURACY = 0.95  # the gine+ output check in perfbench/workloads.py
 
 
-def check_seed(workloads, wl, seed: int, workdir: str) -> list[str]:
-    """The problems of one set-up, fingerprint check and rep; empty when all passed."""
+def check_seed(workloads, wl, seed: int, workdir: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """The problems of one set-up, fingerprint check and rep, empty when all
+    passed; and (correct, total) label decisions of each accuracy check run."""
     fingerprints = workloads.fingerprints
     state = wl.setup(seed, workdir)
     expected = fingerprints.load_table().get(wl.name, {}).get(str(seed))
     wrong = fingerprints.mismatches(expected, wl.fingerprint(state))
     if wrong:
-        return [f"inputs changed: {'; '.join(wrong)}"]
+        return [f"inputs changed: {'; '.join(wrong)}"], []
     ops = workloads.Operations(workloads.hostspeed.HostClock())
-    wl.rep(state, ops)
-    return ops.problems
+    accuracy, decisions = workloads._accuracy, []
+
+    def recorded(config, params, dataset):
+        result = accuracy(config, params, dataset)
+        decisions.append((round(result[0] * dataset.labels.size), dataset.labels.size))
+        return result
+
+    if getattr(wl, "conv", None) == workloads.nn.CONV_GINE_PLUS:  # the check of accuracy >= PASS_ACCURACY
+        workloads._accuracy = recorded
+    try:
+        wl.rep(state, ops)
+    finally:
+        workloads._accuracy = accuracy
+    return ops.problems, decisions
 
 
 def main() -> int:
@@ -49,16 +70,21 @@ def main() -> int:
     seeds = range(workloads.fingerprints.SEEDS)
     failed = 0
     for name in names:
-        passed = 0
+        passed, margins = 0, []
         for seed in seeds:
             wl = workloads.WORKLOADS[name]
             wl.reference = {}  # outputs repeat within a seed, not across seeds
             with tempfile.TemporaryDirectory(prefix="check-seeds-") as workdir:
-                problems = check_seed(workloads, wl, seed, workdir)
+                problems, decisions = check_seed(workloads, wl, seed, workdir)
+            for correct, total in decisions:
+                needed = next(c for c in range(total + 1) if c / total >= PASS_ACCURACY)
+                margins.append((correct - needed, seed))
+                print(f"{name} data seed {seed}: {correct}/{total} correct, margin {correct - needed:+d} over {needed}", flush=True)
             if problems:
                 print(f"{name} data seed {seed} failed: " + " | ".join(problems), flush=True)
             passed += not problems
-        print(f"{name}: {passed}/{len(seeds)} data seeds pass", flush=True)
+        smallest = ", smallest margin {:+d} (data seed {})".format(*min(margins)) if margins else ""
+        print(f"{name}: {passed}/{len(seeds)} data seeds pass{smallest}", flush=True)
         failed += len(seeds) - passed
     return 1 if failed else 0
 
