@@ -448,8 +448,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         runspec = resolve_runspec(args.command, given, args.config)
         return _COMMANDS[args.command](runspec)
-    except (CliError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

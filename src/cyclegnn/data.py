@@ -271,7 +271,7 @@ def random_split(
     if len(dataset) < 3:
         raise ValueError("dataset too small to split three ways")
     f_train, f_valid, f_test = fractions
-    if min(fractions) <= 0 or abs(sum(fractions) - 1.0) > 1e-9:
+    if not all(f > 0 for f in fractions) or not abs(sum(fractions) - 1.0) <= 1e-9:  # NaN fails both
         raise ValueError("fractions must be positive and sum to 1")
     n = len(dataset)
     n_valid = int(f_valid * n)
@@ -319,11 +319,10 @@ class BatchedGraph:
     """
 
     num_graphs: int
-    num_nodes: int
     node_feats: np.ndarray  # (N, node fields)
     graph_ids: Segments  # (N,) over num_graphs
-    arc_src: Segments  # (2M,) over num_nodes
-    arc_dst: Segments  # (2M,) over num_nodes
+    arc_src: Segments  # (2M,) over N nodes
+    arc_dst: Segments  # (2M,) over N nodes
     arc_edge_feats: np.ndarray  # (2M, edge fields)
     shells: tuple[tuple[Segments, Segments], ...]  # empty below radius 2
     labels: np.ndarray | None  # (B, T) with NaN replaced by 0
@@ -375,7 +374,6 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
         label_matrix = np.where(np.isnan(labels), 0.0, labels)
     return BatchedGraph(
         num_graphs=len(graphs),
-        num_nodes=total,
         node_feats=node_feats,
         graph_ids=Segments(graph_ids, len(graphs)),
         arc_src=Segments(arc_src, total),

@@ -197,14 +197,14 @@ def _wide_conv(
     depth = len(history)  # this is layer number l, history = [h0 .. h_{l-1}]
     h_prev = history[-1]
     pre = mul(h_prev, _one_plus(layer.eps[0]))
-    agg = segment_sum(relu(_arc_inputs(h_prev, layer, batch)), batch.arc_dst, batch.num_nodes)
+    agg = segment_sum(relu(_arc_inputs(h_prev, layer, batch)), batch.arc_dst)
     pre = add(pre, mul(agg, _one_plus(layer.eps[1])) if k_radius >= 1 else agg)
     for k in range(2, k_radius + 1):
         if not from_previous_only and k > depth:
             continue  # no embeddings from k layers back yet; term omitted
         source = h_prev if from_previous_only else history[depth - k]
         dst, src = batch.shells[k - 2]
-        agg = segment_sum(relu(gather_rows(source, src)), dst, batch.num_nodes)
+        agg = segment_sum(relu(gather_rows(source, src)), dst)
         pre = add(pre, mul(agg, _one_plus(layer.eps[k])))
     return mlp_forward(layer.mlp, pre, mode, drop, rng)
 
@@ -234,13 +234,13 @@ def naive_gineplus_conv(
     return _wide_conv(layer, history, batch, mode, drop, rng, from_previous_only=True)
 
 
-def gcn_conv(layer: LayerParams, h: Tensor, batch: BatchedGraph, mode: str) -> Tensor:
+def gcn_conv(layer: LayerParams, h: Tensor, batch: BatchedGraph) -> Tensor:
     """Symmetric-normalized propagation with self-loops; edge embeddings are
     added to neighbor messages before normalization."""
     deg_hat = (batch.arc_dst.counts + 1.0).astype(h.data.dtype)
     arc_norm = 1.0 / np.sqrt(deg_hat[batch.arc_dst.ids] * deg_hat[batch.arc_src.ids])
     msg = mul(_arc_inputs(h, layer, batch), Tensor(arc_norm[:, None]))
-    agg = segment_sum(msg, batch.arc_dst, batch.num_nodes)
+    agg = segment_sum(msg, batch.arc_dst)
     self_msg = mul(h, Tensor((1.0 / deg_hat)[:, None]))
     return linear(layer.lin, add(agg, self_msg))
 
@@ -256,7 +256,7 @@ def virtual_node_update(
 ) -> tuple[Tensor, Tensor]:
     """Pool each graph's nodes into its virtual state, update it through the
     virtual MLP, and broadcast the result back onto the nodes."""
-    pooled = segment_sum(h_hat, batch.graph_ids, batch.num_graphs)
+    pooled = segment_sum(h_hat, batch.graph_ids)
     new_state = mlp_forward(vn.mlp, add(mul(vn_state, _one_plus(vn.eps)), pooled), mode, drop, rng)
     return add(h_hat, gather_rows(new_state, batch.graph_ids)), new_state
 
@@ -286,7 +286,7 @@ def forward_node_embeddings(
         vn_state = Tensor(np.zeros((batch.num_graphs, config.hidden), dtype=dtype))
     for l, layer in enumerate(params.layers, start=1):
         if config.conv_type == CONV_GCN:
-            z = gcn_conv(layer, history[-1], batch, mode)
+            z = gcn_conv(layer, history[-1], batch)
         elif config.conv_type == CONV_GINE:
             z = gine_conv(layer, history[-1], batch, mode, config.dropout, rng)
         elif config.conv_type == CONV_NAIVE_GINE_PLUS:
@@ -313,7 +313,7 @@ def model_forward(
     """Logits, one row per graph: mean-pooled final node embeddings through
     the linear classifier."""
     history = forward_node_embeddings(config, params, batch, mode, rng)
-    pooled = segment_mean(history[-1], batch.graph_ids, batch.num_graphs)
+    pooled = segment_mean(history[-1], batch.graph_ids)
     return linear(params.classifier, pooled)
 
 
@@ -322,7 +322,7 @@ def graph_embeddings(config: ModelConfig, params: ModelParams, batch: BatchedGra
     records no tape."""
     with no_grad():
         history = forward_node_embeddings(config, params, batch, EVAL)
-        return segment_mean(history[-1], batch.graph_ids, batch.num_graphs).data
+        return segment_mean(history[-1], batch.graph_ids).data
 
 
 def param_count(config: ModelConfig) -> int:

@@ -362,22 +362,12 @@ class Segments:
         return out
 
 
-def _plan(index, n: int) -> Segments:
-    """``index`` itself when it is a plan over ``n`` buckets, else a new one."""
-    if isinstance(index, Segments):
-        if index.n != n:
-            raise ValueError(f"plan has {index.n} buckets, expected {n}")
-        return index
-    return Segments(index, n)
-
-
-def gather_rows(x: Tensor, index) -> Tensor:
-    """Select rows ``x[index]``; duplicates in the index accumulate on backward.
-
-    ``index`` is a :class:`Segments` over ``x``'s rows or an int array, which
-    is wrapped in one; the backward sums through that plan."""
+def gather_rows(x: Tensor, plan: Segments) -> Tensor:
+    """Select rows ``x[plan.ids]``; duplicates accumulate on backward, which
+    sums through ``plan``, a :class:`Segments` over ``x``'s rows."""
     x = _as_tensor(x)
-    plan = _plan(index, x.data.shape[0])
+    if plan.n != x.data.shape[0]:
+        raise ValueError(f"plan has {plan.n} buckets, expected {x.data.shape[0]}")
     data = x.data[plan.ids]
 
     def backward(g):
@@ -415,13 +405,10 @@ def embedding_sum(tables: Sequence[Tensor], index) -> Tensor:
     return _result(data, tuple(tables), backward)
 
 
-def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Sum rows of ``values`` into ``num_segments`` buckets; empty segments are zero.
-
-    ``segment_ids`` is a :class:`Segments` over ``num_segments`` buckets or an
-    int array, which is wrapped in one; the forward sums through that plan."""
+def segment_sum(values: Tensor, plan: Segments) -> Tensor:
+    """Sum rows of ``values`` into the ``plan.n`` buckets of a :class:`Segments`;
+    empty buckets are zero."""
     values = _as_tensor(values)
-    plan = _plan(segment_ids, num_segments)
     data = plan.sum(values.data)
 
     def backward(g):
@@ -430,13 +417,12 @@ def segment_sum(values: Tensor, segment_ids, num_segments: int) -> Tensor:
     return _result(data, (values,), backward)
 
 
-def segment_mean(values: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """Per-segment mean; empty segments yield zero rows. Takes the same
-    ``segment_ids`` as :func:`segment_sum` and divides by the plan's ``counts``."""
+def segment_mean(values: Tensor, plan: Segments) -> Tensor:
+    """Per-bucket mean; empty buckets yield zero rows. Sums as
+    :func:`segment_sum` does and divides by the plan's ``counts``."""
     values = _as_tensor(values)
-    plan = _plan(segment_ids, num_segments)
     inv = (1.0 / np.maximum(plan.counts, 1)).astype(values.data.dtype)
-    return mul(segment_sum(values, plan, num_segments), Tensor(inv[:, None]))
+    return mul(segment_sum(values, plan), Tensor(inv[:, None]))
 
 
 def dropout(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:

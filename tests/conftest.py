@@ -2,6 +2,12 @@ import errno
 import itertools
 import json
 import math
+import os
+
+# one BLAS thread, set before numpy is imported, as perfbench/run.py does: a
+# second thread only waits on a core that another process keeps busy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import numpy as np
 import pytest

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -15,6 +17,7 @@ from cyclegnn.tensor import load_checkpoint
 from cyclegnn.train import TrainConfig, evaluate, train_model
 from cyclegnn.data import Dataset
 import cyclegnn.data as data_mod
+import cyclegnn.nn as nn_mod
 from conftest import edit_manifest
 
 
@@ -665,3 +668,48 @@ class TestConfigFile:
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {cfg}:2: ") and "ascii" in err
+
+
+HUGE_HIDDEN = str(2**40)  # one parameter row of this width alone takes terabytes
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_capped(argv, address_space=2 << 30):
+    """``python -m cyclegnn argv`` as a child whose address space is capped, so
+    a huge allocation fails at once whatever the host's overcommit setting."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cyclegnn", *argv], capture_output=True, text=True, env=env, preexec_fn=cap, timeout=120
+    )
+
+
+class TestOutOfMemory:
+    def test_counterexample_too_large_for_memory_exits_one(self, cycle_file, tmp_path):
+        proc = run_capped(["counterexample", "--data", cycle_file, "--edge", "0,1", "--hidden", HUGE_HIDDEN,
+                           "--out", str(tmp_path / "pair")])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ") and proc.stderr != "error: \n"
+
+    def test_train_too_large_for_memory_exits_one_without_a_checkpoint(self, tmp_path):
+        data = str(tmp_path / "d.jsonl")
+        save_dataset(gen_synthetic_dataset("min-cycle-class", 30, seed=0), data)
+        proc = run_capped(["train", "--data", data, "--out", str(tmp_path / "run"), "--conv", "gine",
+                           "--hidden", HUGE_HIDDEN])
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ") and proc.stderr != "error: \n"
+        assert sorted(os.listdir(tmp_path)) == ["d.jsonl"]
+
+    def test_bare_memory_error_still_prints_a_message(self, cycle_file, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(nn_mod, "init_params", fail)
+        code = main(["counterexample", "--data", cycle_file, "--edge", "0,1", "--out", str(tmp_path / "pair")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"

@@ -1,5 +1,6 @@
 import collections
 import json
+import math
 import os
 import random
 import re
@@ -266,6 +267,11 @@ class TestRandomSplit:
         for x, y in zip(a, b):
             assert x.graphs == y.graphs
 
+    @pytest.mark.parametrize("fractions", [(math.nan, 0.1, 0.1), (0.8, math.nan, 0.1), (0.8, 0.1, math.nan)])
+    def test_nan_fraction_rejected(self, fractions):
+        with pytest.raises(ValueError, match="fractions must be positive and sum to 1"):
+            random_split(small_dataset(n=30), fractions)
+
     def test_exact_partition_many_trials(self):
         d = small_dataset(n=17)
         rng = np.random.default_rng(4)
@@ -347,14 +353,14 @@ class TestCollate:
         d = small_dataset(n=1)
         g = d.graphs[0]
         batch = collate([g], d.labels, k_max=2)
-        assert batch.num_graphs == 1 and batch.num_nodes == g.num_nodes
+        assert batch.num_graphs == 1 and batch.node_feats.shape[0] == g.num_nodes
         np.testing.assert_array_equal(batch.node_feats, g.node_feats)
         np.testing.assert_array_equal(batch.graph_ids.ids, np.zeros(g.num_nodes))
 
     def test_totals_are_sums(self):
         d = small_dataset(n=5)
         batch = collate(d.graphs, d.labels)
-        assert batch.num_nodes == sum(g.num_nodes for g in d.graphs)
+        assert batch.node_feats.shape[0] == sum(g.num_nodes for g in d.graphs)
         assert batch.arc_src.ids.size == 2 * sum(g.num_edges for g in d.graphs)
 
     def test_label_mask_marks_missing_as_zero(self):
@@ -460,7 +466,7 @@ class TestBatchPlans:
             for name, plan in _plans(batch).items():
                 values = rng.normal(size=(plan.ids.size, 5)).astype(np.float32)
                 want = _scatter_add(plan.ids, values, plan.n)
-                assert_same_bits(segment_sum(Tensor(values), plan, plan.n).data, want, err_msg=name)
+                assert_same_bits(segment_sum(Tensor(values), plan).data, want, err_msg=name)
                 x = Tensor(rng.normal(size=(plan.n, 5)).astype(np.float32), requires_grad=True)
                 backward(tsum(mul(gather_rows(x, plan), Tensor(values))))
                 assert_same_bits(x.grad, want, err_msg=name)
@@ -479,7 +485,7 @@ class TestBatchPlans:
             for name, plan in _plans(batch).items():
                 values = rng.normal(size=(plan.ids.size, 5)).astype(np.float32)
                 want = _scatter_add(plan.ids, values, plan.n)
-                assert_same_bits(segment_sum(Tensor(values), plan, plan.n).data, want, err_msg=name)
+                assert_same_bits(segment_sum(Tensor(values), plan).data, want, err_msg=name)
                 x = Tensor(rng.normal(size=(plan.n, 5)).astype(np.float32), requires_grad=True)
                 backward(tsum(mul(gather_rows(x, plan), Tensor(values))))
                 assert_same_bits(x.grad, want, err_msg=name)

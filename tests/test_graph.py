@@ -18,33 +18,7 @@ from cyclegnn.graph import (
     wl_refine,
 )
 from cyclegnn.synth import gen_cycle_union
-from conftest import _reference_graph_checks
-
-
-def plain(num_nodes, edges):
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return LabeledGraph(
-        num_nodes=num_nodes,
-        node_feats=np.zeros((num_nodes, 1), dtype=np.int64),
-        edges=edges,
-        edge_feats=np.zeros((edges.shape[0], 1), dtype=np.int64),
-    )
-
-
-def random_graph(rng, n, p=0.3):
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return plain(n, edges)
-
-
-def permute(g: LabeledGraph, perm: np.ndarray) -> LabeledGraph:
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(g.num_nodes)
-    return LabeledGraph(
-        num_nodes=g.num_nodes,
-        node_feats=g.node_feats[inv],
-        edges=perm[g.edges] if g.num_edges else g.edges,
-        edge_feats=g.edge_feats,
-    )
+from conftest import _reference_graph_checks, permute_graph, plain, random_graph
 
 
 def canonical_cycle(seq) -> tuple:
@@ -403,7 +377,7 @@ class TestWlRefinement:
             g = random_graph(rng, 10)
             perm = rng.permutation(10)
             a = wl_refine(g, 3)[-1]
-            b = wl_refine(permute(g, perm), 3)[-1]
+            b = wl_refine(permute_graph(g, perm), 3)[-1]
             assert sorted(np.bincount(a).tolist()) == sorted(np.bincount(b).tolist())
 
     def test_negative_iterations_rejected(self):
@@ -427,7 +401,7 @@ class TestWlHash:
         rng = np.random.default_rng(8)
         for _ in range(10):
             g = random_graph(rng, 9)
-            assert wl_graph_hash(g, 3) == wl_graph_hash(permute(g, rng.permutation(9)), 3)
+            assert wl_graph_hash(g, 3) == wl_graph_hash(permute_graph(g, rng.permutation(9)), 3)
 
     def test_different_feature_multisets_differ_at_zero(self):
         a = LabeledGraph(2, np.array([[0], [0]]), np.zeros((0, 2)), np.zeros((0, 1)))

@@ -167,7 +167,7 @@ class TestGcnConv:
         layer = params.layers[0]
         batch = collate([plain(1, [])])
         h = np.random.default_rng(4).normal(size=(1, 8))
-        out = gcn_conv(layer, t64(h), batch, EVAL)
+        out = gcn_conv(layer, t64(h), batch)
         expected = h @ layer.lin.weight.data + layer.lin.bias.data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -176,7 +176,7 @@ class TestGcnConv:
         params = init_params(cfg, 6, dtype=np.float64)
         batch = collate([plain(2, [])])
         h = t64(np.tile([[0.3, -1.0, 0.2, 0.4, 1.1, -0.5, 0.0, 2.0]], (2, 1)))
-        out = gcn_conv(params.layers[0], h, batch, EVAL).data
+        out = gcn_conv(params.layers[0], h, batch).data
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_row_permutation_equivariance(self):
@@ -186,10 +186,8 @@ class TestGcnConv:
         g = features_graph(rng, 5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
         perm = rng.permutation(5)
         h = rng.normal(size=(5, 8))
-        out = gcn_conv(params.layers[0], t64(h), collate([g]), EVAL).data
-        out_p = gcn_conv(
-            params.layers[0], t64(h[np.argsort(perm)]), collate([permute_graph(g, perm)]), EVAL
-        ).data
+        out = gcn_conv(params.layers[0], t64(h), collate([g])).data
+        out_p = gcn_conv(params.layers[0], t64(h[np.argsort(perm)]), collate([permute_graph(g, perm)])).data
         np.testing.assert_allclose(out_p, out[np.argsort(perm)], atol=1e-10)
 
 
