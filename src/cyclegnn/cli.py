@@ -235,8 +235,20 @@ def cmd_gen(runspec: RunSpec) -> int:
     return 0
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def _model_config(options: dict, dataset: Dataset) -> nn.ModelConfig:
-    return nn.ModelConfig(
+    """The model ``options`` describe for ``dataset``. Raises CliError, before
+    any parameter is built, when the model's float32 weights alone (each
+    layer's MLP, 4·hidden², and eps vectors, (radius+1)·hidden) would not fit
+    in the machine's physical memory."""
+    config = nn.ModelConfig(
         conv_type=options["conv"],
         node_field_cards=dataset.manifest.node_field_cardinalities,
         edge_field_cards=dataset.manifest.edge_field_cardinalities,
@@ -247,6 +259,15 @@ def _model_config(options: dict, dataset: Dataset) -> nn.ModelConfig:
         virtual_node=options["virtual_node"],
         dropout=options["dropout"],
     )
+    h, layers = config.hidden, config.num_layers
+    weight_bytes = 4 * layers * (4 * h * h + (config.radius + 1) * h)
+    memory = _physical_memory()
+    if memory is not None and weight_bytes > memory:
+        raise CliError(
+            f"a model of {layers} layers of width {h} needs more than {weight_bytes / 2**30:.3g} GiB for its "
+            f"weights alone, and this machine has {memory / 2**30:.3g} GiB of memory"
+        )
+    return config
 
 
 def cmd_train(runspec: RunSpec) -> int:

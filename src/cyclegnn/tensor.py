@@ -446,7 +446,9 @@ class BatchNormState:
     ``pool`` is None except while ``recalibrate_norm_stats`` rebuilds this
     normalizer's statistics: then it is a list that recal-mode ``batchnorm``
     appends each input's float64 column sums, column sums of squares and row
-    count to, before it raises ``_Pooled``.
+    count to, before it raises ``_Pooled``. The sums are read from the float32
+    input with no float64 copy of it, so a recalibration pass holds no more
+    than its forward's activations and peaks below a training step.
     """
 
     running_mean: np.ndarray
@@ -473,15 +475,15 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mod
     list appends the input's float64 column sums, column sums of squares and
     row count to it and raises ``_Pooled`` instead of returning;
     ``recalibrate_norm_stats`` turns the pool into exact population
-    statistics.
+    statistics. The sums are those of a float64 copy of the input, to the
+    bit, but on the model's (row-major) inputs no such copy is made.
     """
     _check_mode(mode)
     if x.data.shape[0] == 0:
         raise ValueError("batchnorm requires a non-empty batch")
     if mode != TRAIN:
         if mode == RECAL and state.pool is not None:
-            x64 = x.data.astype(np.float64)
-            state.pool.append((x64.sum(axis=0), (x64 * x64).sum(axis=0), x.data.shape[0]))
+            state.pool.append((*_column_moments(x.data), x.data.shape[0]))
             raise _Pooled
         inv = (1.0 / np.sqrt(state.running_var + _BN_EPS)).astype(x.data.dtype)
         mean = state.running_mean.astype(x.data.dtype, copy=False)
@@ -493,6 +495,25 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, state: BatchNormState, mod
     state.running_var = (1.0 - _BN_MOMENTUM) * state.running_var + _BN_MOMENTUM * var.data
     inv = pow_const(var + _as_tensor(np.asarray(_BN_EPS, dtype=x.data.dtype)), -0.5)
     return add(mul(mul(centered, inv), gamma), beta)
+
+
+def _column_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 column sums and column sums of squares of 2-D ``x``, bit-equal
+    to summing ``x.astype(np.float64)`` and its square over axis 0.
+
+    That copy keeps ``x``'s layout, and its layout sets numpy's summation
+    order. With columns innermost and more than one of them, each column is
+    added one row at a time, and so are both sums here, read from ``x``
+    with no copy. Otherwise each column is summed pairwise, which einsum
+    does not do, so one float64 copy is squared in place.
+    """
+    rows, cols = x.strides
+    if x.shape[1] > 1 and abs(cols) < abs(rows):
+        return np.add.reduce(x, axis=0, dtype=np.float64), np.einsum("ij,ij->j", x, x, dtype=np.float64)
+    x64 = x.astype(np.float64)
+    col_sums = x64.sum(axis=0)
+    x64 *= x64
+    return col_sums, x64.sum(axis=0)
 
 
 def _affine_norm(x: Tensor, mean: np.ndarray, inv: np.ndarray, gamma: Tensor, beta: Tensor) -> Tensor:

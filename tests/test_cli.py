@@ -16,6 +16,7 @@ from cyclegnn.synth import gen_cycle_union, gen_synthetic_dataset
 from cyclegnn.tensor import load_checkpoint
 from cyclegnn.train import TrainConfig, evaluate, train_model
 from cyclegnn.data import Dataset
+import cyclegnn.cli as cli_mod
 import cyclegnn.data as data_mod
 import cyclegnn.nn as nn_mod
 from conftest import edit_manifest
@@ -704,6 +705,31 @@ class TestOutOfMemory:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ") and proc.stderr != "error: \n"
         assert sorted(os.listdir(tmp_path)) == ["d.jsonl"]
+
+    def test_counterexample_with_more_layers_than_memory_fails_before_building(self, cycle_file, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("init_params ran")
+
+        monkeypatch.setattr(nn_mod, "init_params", fail)
+        code = main(["counterexample", "--data", cycle_file, "--edge", "0,1", "--layers", str(2**63),
+                     "--out", str(tmp_path / "pair")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: a model of {2**63} layers of width ")
+
+    @pytest.mark.parametrize("conv", ["gine", "gine+"])
+    def test_model_weights_are_bounded_by_physical_memory(self, conv, monkeypatch):
+        manifest = data_mod.DatasetManifest((1,), (1,), ("task",))
+        dataset = Dataset([gen_cycle_union([3])], np.ones((1, 1)), manifest)
+        options = {"conv": conv, "hidden": 64, "layers": 3, "radius": 2, "virtual_node": False, "dropout": 0.0}
+        weights = 4 * 3 * (4 * 64 * 64 + 3 * 64)  # float32 bytes: each layer's MLP and eps vectors
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: weights)
+        assert cli_mod._model_config(options, dataset).num_layers == 3
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: weights - 1)
+        with pytest.raises(cli_mod.CliError, match="weights alone"):
+            cli_mod._model_config(options, dataset)
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: None)  # unknown: no bound
+        assert cli_mod._model_config({**options, "layers": 2**63}, dataset).num_layers == 2**63
 
     def test_bare_memory_error_still_prints_a_message(self, cycle_file, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):

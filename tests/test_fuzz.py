@@ -10,9 +10,10 @@ outcome must be exit 0, or exit 1 with exactly one line on stderr; an
 exception that escapes ``main`` fails the test.
 
 Integer mutations use only -1, 0, 2**63 and 2**64, which fail before anything
-is allocated, and the counts a run is asked to repeat or stack (``epochs``,
-``replicates``, ``layers``, ``radius``) get only -1 and 0 from a config file:
-a large count there is a request for a long run, not a malformed input.
+is allocated (a model of 2**63 layers or shells is rejected by its weight
+bound), and the counts a run is asked to repeat (``epochs``, ``replicates``)
+get only -1 and 0 from a config file: a large count there is a request for a
+long run, not a malformed input.
 """
 
 import collections
@@ -28,7 +29,7 @@ from cyclegnn import cli
 TRIALS = 400
 BAD_INTS = ["-1", "0", str(2**63), str(2**64)]
 BAD_VALUES = ["", "x", "1.5", "-0.5", "nan", "inf", "1e999", "true", "1,2", "0,1,2", "gine++", "[]", "{}"]
-COUNTS = {"epochs", "replicates", "layers", "radius"}
+COUNTS = {"epochs", "replicates"}
 TOKENS = BAD_INTS + ["1.5", "-0.5", "1e999", "null", "true", "false", '"x"', '"gine"', '"float16"', "[]", "{}", "[1]", '""', ""]
 
 

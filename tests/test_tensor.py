@@ -510,21 +510,59 @@ class TestBatchnorm:
         np.testing.assert_allclose(state.running_mean, [0.1])  # 0.9*0 + 0.1*1
         np.testing.assert_allclose(state.running_var, [1.0 * 0.9 + 0.1 * 1.0])
 
-    def test_recal_mode_pools_float64_sums_and_normalizes_as_eval(self):
-        state = BatchNormState(np.array([1.0, 0.0], np.float32), np.array([4.0, 1.0], np.float32))
-        x = Tensor(np.array([[1.5, 2.0], [3.0, -1.0], [0.1, 0.0]], np.float32))
-        gamma, beta = Tensor(np.array([2.0, 1.0], np.float32)), Tensor(np.array([0.5, 0.0], np.float32))
+    @pytest.mark.parametrize(
+        "layout", ["c-3x2", "c-5760x64", "one-column-10000", "odd-columns", "f-ordered", "row-view", "column-view", "reversed-rows"]
+    )
+    def test_recal_mode_pools_float64_sums_and_normalizes_as_eval(self, layout):
+        # numpy sums a float64 copy row by row or, when its rows are innermost
+        # (column-major, or one column), pairwise: the pool must match either way
+        rng = np.random.default_rng(12)
+
+        def draw(rows, cols):  # column scales far apart, so the order of additions shows in the bits
+            return (rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-3, 3, size=cols)).astype(np.float32)
+
+        data = {
+            "c-3x2": lambda: np.array([[1.5, 2.0], [3.0, -1.0], [0.1, 0.0]], np.float32),
+            "c-5760x64": lambda: draw(5760, 64),
+            "one-column-10000": lambda: draw(10_000, 1),
+            "odd-columns": lambda: draw(999, 33),
+            "f-ordered": lambda: np.asfortranarray(draw(5760, 64)),
+            "row-view": lambda: draw(2 * 3001, 17)[::2],
+            "column-view": lambda: draw(3001, 2 * 17)[:, ::2],
+            "reversed-rows": lambda: draw(3001, 17)[::-1],
+        }[layout]()
+        width = data.shape[1]
+        state = BatchNormState(rng.normal(size=width).astype(np.float32), rng.uniform(0.5, 4.0, size=width).astype(np.float32))
+        mean, var = state.running_mean.copy(), state.running_var.copy()
+        x = Tensor(data)
+        x.data = data  # the layout an op's result may have; the constructor would copy it to C order
+        gamma, beta = Tensor(rng.normal(size=width).astype(np.float32)), Tensor(rng.normal(size=width).astype(np.float32))
         expected = batchnorm(x, gamma, beta, state, EVAL).data.tobytes()
         assert batchnorm(x, gamma, beta, state, RECAL).data.tobytes() == expected  # no pool: plain eval
         state.pool = []
         with pytest.raises(_Pooled):  # a pass ends at the normalizer it records
             batchnorm(x, gamma, beta, state, RECAL)
-        x64 = x.data.astype(np.float64)
+        x64 = data.astype(np.float64)
         ((col_sum, col_sumsq, rows),) = state.pool
-        assert col_sum.dtype == col_sumsq.dtype == np.float64 and rows == 3
+        assert col_sum.dtype == col_sumsq.dtype == np.float64 and rows == data.shape[0]
         assert col_sum.tobytes() == x64.sum(axis=0).tobytes()
         assert col_sumsq.tobytes() == (x64 * x64).sum(axis=0).tobytes()
-        assert state.running_mean.tolist() == [1.0, 0.0] and state.running_var.tolist() == [4.0, 1.0]
+        assert state.running_mean.tobytes() == mean.tobytes() and state.running_var.tobytes() == var.tobytes()
+
+    def test_recal_mode_pools_without_a_float64_copy(self):
+        x = Tensor(np.random.default_rng(13).normal(size=(5760, 64)).astype(np.float32))
+        gamma, beta = Tensor(np.ones(64, np.float32)), Tensor(np.zeros(64, np.float32))
+        state = BatchNormState.initial(64)
+        state.pool = []
+        copy_bytes = x.data.size * 8
+        tracemalloc.start()
+        try:
+            with pytest.raises(_Pooled):
+                batchnorm(x, gamma, beta, state, RECAL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < copy_bytes, f"pooling a {x.data.shape} float32 input peaked at {peak} bytes"
 
     def test_gradcheck_train_mode(self):
         rng = np.random.default_rng(7)

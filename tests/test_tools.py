@@ -102,3 +102,22 @@ def test_bench_scale_writes_every_section_case_and_timing(tools, tmp_path, monke
             assert_compared(case["x_ms"], bench_scale.ROUNDS)
             assert (case["x_ms"]["pairs_won"], case["x_ms"]["change"]) == (bench_scale.ROUNDS, -0.5)
         assert cases[f"{section}-a"]["y_us"]["pairs_won"] == 0 == cases[f"{section}-a"]["y_us"]["pairs_lost"]
+
+
+def test_bench_scale_sections(tools):
+    _, bench_scale = tools
+    assert [section for section, _ in bench_scale.SECTIONS] == [
+        "segments_per_call", "load_per_call", "optimizer_per_call", "khop_per_call", "gen_per_call", "recal_per_call",
+    ]
+
+
+def test_recal_section_times_both_workloads_training_splits(tools, monkeypatch):
+    _, bench_scale = tools
+    monkeypatch.setattr(bench_scale, "MIN_LOADS", 1)
+    monkeypatch.setattr(bench_scale, "MIN_SECONDS", 0.0)
+    cases = bench_scale.measure_recal()
+    assert list(cases) == ["cycles-gineplus", "multitask-score"]
+    (cycles, cycles_timings), (multitask, _) = cases["cycles-gineplus"], cases["multitask-score"]
+    assert (cycles["graphs"], cycles["normalizers"]) == (480, 6)  # L=3 conv norms and MLP norms
+    assert (multitask["graphs"], multitask["normalizers"]) == (256, 9)  # plus one virtual-node MLP norm per layer
+    assert set(cycles_timings) == {"call_ms", "peak_bytes"} and cycles_timings["peak_bytes"] > 0

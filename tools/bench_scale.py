@@ -1,6 +1,6 @@
 """Per-call time of ``tensor.Segments`` plans, build plus sum, of
-``data.load_dataset``, of an Adam step, of the k-hop build and of dataset
-generation and saving, in two checkouts.
+``data.load_dataset``, of an Adam step, of the k-hop build, of dataset
+generation and saving and of batchnorm recalibration, in two checkouts.
 
     python3 tools/bench_scale.py --before DIR --after DIR --out BENCH_21.json
 
@@ -59,6 +59,16 @@ chunk (``graph.KHOP_CHUNK_CELLS``).
 generate at every set-up), and ``data.save_dataset`` on the 4000-graph
 dataset, written into a temporary directory. ``call_ms`` is the median of at
 least ``MIN_LOADS`` calls; the result goes under ``gen_per_call``.
+
+``train.recalibrate_norm_stats`` is timed on the training split of two
+models initialised by the checkout's own ``init_params`` (seed 0), each
+split drawn by ``random_split`` (0.8/0.1/0.1, seed 7) as the benchmark
+workloads draw it: ``cycles-gineplus``, the acceptance model on the
+480-graph split of ``min-cycle-class-600``, and ``multitask-score``, that
+workload's model on the 256-graph split of the first 320 graphs of
+``random-multitask-4000``. ``call_ms`` is the median of at least
+``MIN_LOADS`` calls and ``peak_bytes`` the ``tracemalloc`` peak of one call
+after a first; the result goes under ``recal_per_call``.
 
 Each fixed graph and dataset is built once per process. Each checkout is
 measured in its own process, with one BLAS thread, ``ROUNDS`` times, sides
@@ -279,6 +289,39 @@ def measure_gen() -> dict:
     return out
 
 
+def measure_recal() -> dict:
+    """Per-call medians, in ms, and ``tracemalloc`` peaks of
+    ``recalibrate_norm_stats`` on each fixed model's training split, in this
+    process's cyclegnn."""
+    from cyclegnn import data, nn, synth, train
+
+    cycles = _dataset(synth.TASK_MIN_CYCLE, 600)
+    multitask = _dataset(synth.TASK_RANDOM_MULTITASK, 4000).subset(np.arange(320))
+    cases = {
+        "cycles-gineplus": (cycles, dict(hidden=32, num_layers=3, radius=3, dropout=0.0)),
+        "multitask-score": (multitask, dict(hidden=100, num_layers=3, radius=2, virtual_node=True)),
+    }
+    out: dict[str, dict] = {}
+    for name, (dataset, dims) in cases.items():
+        manifest = dataset.manifest
+        config = nn.ModelConfig(nn.CONV_GINE_PLUS, manifest.node_field_cardinalities, manifest.edge_field_cardinalities,
+                                num_tasks=manifest.num_tasks, **dims)
+        params = nn.init_params(config, 0)
+        train_set = data.random_split(dataset, (0.8, 0.1, 0.1), 7)[0]
+
+        def recal():
+            train.recalibrate_norm_stats(config, params, train_set)
+
+        recal()  # builds the k-hop memos
+        tracemalloc.start()
+        recal()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        sizes = {**_counts(train_set.graphs), "normalizers": len(nn.norm_states(params))}
+        out[name] = sizes, {"call_ms": _median_ms(recal, MIN_LOADS), "peak_bytes": peak}
+    return out
+
+
 # Each output section's key, and the function that measures its cases: per
 # case name, a (sizes, timings) pair of dicts.
 SECTIONS = (
@@ -287,6 +330,7 @@ SECTIONS = (
     ("optimizer_per_call", measure_optimizer),
     ("khop_per_call", measure_khop),
     ("gen_per_call", measure_gen),
+    ("recal_per_call", measure_recal),
 )
 
 
