@@ -382,13 +382,19 @@ def cmd_counterexample(runspec: RunSpec) -> int:
     g = dataset.graphs[o["index"]]
     paired = make_counterexample_pair(g, o["edge"])
 
+    # a cycle of length c needs radius >= c/2 before any shell size differs
+    # between the graph and its doubled twin, hence the default radius of 3
+    radius = max(o["radius"], 2)
+    probe = {**o, "virtual_node": False, "dropout": 0.0}  # both configs are checked before any file is written
+    gine = _model_config({**probe, "conv": "gine", "radius": 1}, dataset)
+    plus = _model_config({**probe, "conv": "gine+", "radius": radius}, dataset)
+
     twin = Dataset([paired], np.full((1, dataset.manifest.num_tasks), np.nan), dataset.manifest)
     save_dataset(dataset.subset([o["index"]]), o["out"] + ".orig.jsonl", header=runspec.header())
     save_dataset(twin, o["out"] + ".pair.jsonl", header=runspec.header())
 
-    def embeddings(conv: str, radius: int, graph) -> list[np.ndarray]:
+    def embeddings(config: nn.ModelConfig, graph) -> list[np.ndarray]:
         # init_params draws the classifier last, so num_tasks leaves these embeddings unchanged
-        config = _model_config({**o, "conv": conv, "radius": radius, "virtual_node": False, "dropout": 0.0}, dataset)
         params = nn.init_params(config, o["seed"], dtype=np.float64)
         batch = collate([graph], None, config.required_radius)
         with no_grad():
@@ -396,17 +402,14 @@ def cmd_counterexample(runspec: RunSpec) -> int:
 
     n = g.num_nodes
     gine_disc = 0.0
-    for h_g, h_pair in zip(embeddings("gine", 1, g), embeddings("gine", 1, paired)):
+    for h_g, h_pair in zip(embeddings(gine, g), embeddings(gine, paired)):
         gine_disc = max(
             gine_disc,
             float(np.abs(h_pair[:n] - h_g).max()),
             float(np.abs(h_pair[n:] - h_g).max()),
         )
-    # a cycle of length c needs radius >= c/2 before any shell size differs
-    # between the graph and its doubled twin, hence the default radius of 3
-    radius = max(o["radius"], 2)
-    plus_g = embeddings("gine+", radius, g)[-1].mean(axis=0)
-    plus_pair = embeddings("gine+", radius, paired)[-1].mean(axis=0)
+    plus_g = embeddings(plus, g)[-1].mean(axis=0)
+    plus_pair = embeddings(plus, paired)[-1].mean(axis=0)
     plus_disc = float(np.linalg.norm(plus_pair - plus_g))
 
     lines = [

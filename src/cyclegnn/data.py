@@ -335,13 +335,11 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
     ``k_max`` >= 2 additionally offsets every component's memoised
     exact-distance shells 2..``k_max`` (see :func:`build_khop_index`) into
     one neighbor index per distance. The graphs not yet memoised that deep
-    are built first, all together, by :func:`build_khop_shells`, in chunks
-    of graphs of one node count instead of one dense n x n build per graph;
-    a chunk holds O(``graph.KHOP_CHUNK_CELLS``) transient memory, or O(n^2)
-    for a graph larger than that. Every index set becomes a :class:`Segments` plan whose table is
-    built on its first sum, so a scoring pass, which never sums over the
-    src side, never builds those tables. Labels, when given, are split into
-    a zero-filled matrix and an observation mask.
+    are built first, all together, by one :func:`build_khop_shells` call.
+    Every index set becomes a :class:`Segments` plan whose table is built on
+    its first sum, so a scoring pass, which never sums over the src side,
+    never builds those tables. Labels, when given, are split into a
+    zero-filled matrix and an observation mask.
     """
     if not graphs:
         raise ValueError("cannot collate an empty batch")

@@ -173,53 +173,52 @@ def bfs_distances(g: LabeledGraph, start: int) -> np.ndarray:
     return dist
 
 
-# Cells g * n^2 of the (g, n, n) reach matrices that one chunk expands at
-# once: the size of one 2048-node graph's matrix. A larger graph is a chunk alone.
-KHOP_CHUNK_CELLS = 1 << 22
-
-
 def build_khop_shells(graphs: Sequence[LabeledGraph], k_max: int) -> None:
     """Memoise every graph's exact-distance shells 1..``k_max`` on it.
 
-    Graphs whose memo already reaches ``k_max`` are skipped; the rest are
-    grouped by node count n, and each group expands in chunks of at most
-    ``KHOP_CHUNK_CELLS`` cells g * n^2 (one graph at least): all sources of
-    all g graphs at once, by one stacked (g, n, n) reach-matrix product and
-    one ``np.nonzero`` per distance. That result is ordered by graph, dst,
-    then src, and each graph's memo is read-only slices of it, so a chunk
-    holds O(``KHOP_CHUNK_CELLS``) transient memory, or O(n^2) for a larger
-    graph. A graph with a shallower memo is rebuilt to ``k_max``.
+    Graphs whose memo already reaches ``k_max`` are skipped, a graph listed
+    twice is built once, and one with a shallower memo is rebuilt. The rest
+    expand together as one sparse frontier over their disjoint union of N
+    nodes, a (dst, src) pair coded as dst * N + src: from distance 0 (each
+    node with itself), the distance-(k-1) pairs joined with the arc list
+    give every pair at distance k, plus pairs at k-1 and k-2, which one sort
+    drops with the duplicates. The codes run by graph, dst, then src; each
+    graph's memo is read-only slices of them.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    groups: dict[int, dict[LabeledGraph, None]] = {}
-    for g in graphs:
-        if len(getattr(g, "_khop_pairs", ())) < k_max:
-            groups.setdefault(g.num_nodes, {})[g] = None  # a graph listed twice is built once
-    for n, group in groups.items():
-        cold = list(group)
-        per_chunk = max(1, KHOP_CHUNK_CELLS // max(1, n * n))
-        for start in range(0, len(cold), per_chunk):
-            _expand_shells(cold[start : start + per_chunk], n, k_max)
-
-
-def _expand_shells(graphs: list[LabeledGraph], n: int, k_max: int) -> None:
-    """Build and memoise the shells of graphs that all have ``n`` nodes."""
-    edges = np.concatenate([g.edges for g in graphs])
-    owner = np.repeat(np.arange(len(graphs)), [g.num_edges for g in graphs])
-    adj = np.zeros((len(graphs), n, n), dtype=np.float32)
-    adj[owner, edges[:, 0], edges[:, 1]] = adj[owner, edges[:, 1], edges[:, 0]] = 1.0
-    reached = frontier = np.eye(n, dtype=bool)
+    cold = list(dict.fromkeys(g for g in graphs if len(getattr(g, "_khop_pairs", ())) < k_max))
+    if not cold:
+        return
+    counts = np.asarray([g.num_nodes for g in cold], dtype=np.int64)
+    ends = np.cumsum(counts)
+    first, n = ends - counts, max(1, int(ends[-1]))  # at least 1: codes are divided by n
+    edges = np.concatenate([g.edges for g in cold]) + np.repeat(first, [g.num_edges for g in cold])[:, None]
+    via, nbr = np.divmod(np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]])), n)
+    degree = np.bincount(via, minlength=n)
+    arc_start = np.cumsum(degree) - degree  # CSR: node i's neighbours are nbr[arc_start[i]:][:degree[i]]
+    bounds = np.append(0, ends) * n  # graph i's codes lie in [bounds[i], bounds[i + 1])
+    dst = src = np.arange(n, dtype=np.int64)
+    shell, older = dst * (n + 1), dst[:0]
     shells = []  # per distance, each graph's (dst, src) slices
     for _ in range(k_max):
-        frontier = (frontier @ adj > 0) & ~reached
-        reached = reached | frontier
-        which, dst, src = np.nonzero(frontier)  # row-major: sorted by graph, dst, then src
-        dst.setflags(write=False)
-        src.setflags(write=False)
-        bounds = np.searchsorted(which, np.arange(len(graphs) + 1)).tolist()
-        shells.append([(dst[a:b], src[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
-    for g, pairs in zip(graphs, zip(*shells)):
+        fan = degree[src]  # each pair's candidates: (dst, w) for each arc (src, w), pair by pair
+        arc = np.arange(fan.sum()) + np.repeat(arc_start[src] - (np.cumsum(fan) - fan), fan)
+        # codes doubled, a candidate's plus one: once sorted, a candidate is
+        # new unless the key just before it holds the same code, known or not
+        keys = np.concatenate([(np.repeat(dst * n, fan) + nbr[arc]) * 2 + 1, shell * 2, older * 2])
+        keys.sort()
+        fresh = (keys & 1).astype(bool)
+        fresh[1:] &= np.diff(keys) > 1
+        older, shell = shell, keys[fresh] >> 1
+        dst, src = np.divmod(shell, n)
+        cuts = np.searchsorted(shell, bounds).tolist()
+        shift = np.repeat(first, np.diff(cuts))
+        local = dst - shift, src - shift
+        for arr in local:
+            arr.setflags(write=False)
+        shells.append([(local[0][a:b], local[1][a:b]) for a, b in zip(cuts[:-1], cuts[1:])])
+    for g, pairs in zip(cold, zip(*shells)):
         object.__setattr__(g, "_khop_pairs", pairs)
 
 
@@ -229,7 +228,7 @@ def build_khop_index(g: LabeledGraph, k_max: int) -> KHopIndex:
     Memoised on the graph at the deepest ``k_max`` requested so far; every
     call shares those read-only arrays, a smaller ``k_max`` a prefix of them.
     A graph without a deep enough memo is built by :func:`build_khop_shells`
-    as a batch of one, which holds O(n^2) transient memory for it.
+    as a batch of one.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")

@@ -18,9 +18,8 @@ goes back to the kernel only once it exceeds ``_TRIM_THRESHOLD`` (1 GiB), and
 only blocks of ``_MMAP_THRESHOLD`` (32 MiB) and more are mapped and unmapped
 on their own. So the pages a training step or a
 scoring batch frees are reused by the next one instead of being returned to
-the kernel and faulted in again. Arrays of 32 MiB and more (the dense reach
-matrix of a large graph) still go back to the kernel when freed; smaller
-ones stay in the process, so its resident size does not fall back after a
+the kernel and faulted in again. Arrays of 32 MiB and more still go back
+to the kernel when freed; smaller ones stay in the process, so its resident size does not fall back after a
 peak.
 """
 

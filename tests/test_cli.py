@@ -599,6 +599,15 @@ class TestCounterexample:
         assert int(report["nodes_pair"]) == 2 * int(report["nodes_original"])
         assert sorted(os.listdir(tmp_path)) == ["c6.jsonl", "pair.orig.jsonl", "pair.pair.jsonl", "pair.report.tsv"]
 
+    @pytest.mark.parametrize("option", [("--layers", "0"), ("--layers", str(2**63)), ("--radius", str(2**62))])
+    def test_rejected_model_leaves_only_the_input(self, option, cycle_file, tmp_path, monkeypatch, capsys):
+        # the gine config rejects both --layers values; only the gine+ one, at the probe radius, the --radius
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 2**33)
+        code = main(["counterexample", "--data", cycle_file, "--edge", "0,1", *option, "--out", str(tmp_path / "pair")])
+        assert code == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["c6.jsonl"]
+
     def test_absent_edge_errors(self, cycle_file, tmp_path, capsys):
         code = main(["counterexample", "--data", cycle_file, "--edge", "0,3",
                      "--out", str(tmp_path / "p")])

@@ -1,9 +1,9 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-import cyclegnn.graph as graph_mod
 from cyclegnn.graph import (
     KHopIndex,
     LabeledGraph,
@@ -247,18 +247,41 @@ class TestKHopIndex:
             else:
                 assert_shells_match_bfs(KHopIndex(g._khop_pairs), g, 3)
 
-    def test_cell_cap_splits_a_group_into_chunks(self, monkeypatch):
+    def test_one_build_over_small_odd_and_large_graphs(self):
         rng = np.random.default_rng(7)
-        five = [random_graph(rng, 6) for _ in range(5)]
-        big = random_graph(rng, 9)  # more cells than the cap: a chunk alone
-        monkeypatch.setattr(graph_mod, "KHOP_CHUNK_CELLS", 2 * 6 * 6)
-        build_khop_shells(five + [big], 3)
-        for g in five + [big]:
-            assert_shells_match_bfs(KHopIndex(g._khop_pairs), g, 3)
-        # graphs of one chunk slice the same arrays; those of different chunks do not
-        bases = [g._khop_pairs[0][0].base for g in five]
-        assert bases[0] is bases[1] and bases[2] is bases[3]
-        assert len({id(b) for b in bases}) == 3
+        small = [random_graph(rng, int(rng.integers(6, 13))) for _ in range(8)]
+        small += [plain(5, []), plain(0, [])]  # edgeless, and no nodes at all
+        n, k_max = 3000, 3
+        chords = [(i, i + n // 2) for i in range(0, n // 2, 100)]  # every chord end is a multiple of 100
+        cycle = plain(n, [(i, (i + 1) % n) for i in range(n)] + chords)
+        batch = small[:3] + [small[0]] + small[3:] + [cycle]  # small[0] listed twice
+        tracemalloc.start()
+        build_khop_shells(batch, k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 8 * 2**20  # a dense 3000 x 3000 float32 adjacency alone takes 34 MiB
+        for g in small:
+            assert_shells_match_bfs(KHopIndex(g._khop_pairs), g, k_max)
+        idx = KHopIndex(cycle._khop_pairs)
+        node = np.arange(n)
+        far = np.minimum(node % 100, 100 - node % 100) > k_max  # no chord within reach
+        for k, (dst, src) in enumerate(idx.pairs, start=1):
+            assert dst.dtype == src.dtype == np.int64 and not dst.flags.writeable and not src.flags.writeable
+            keep = far[dst]
+            want_dst = np.repeat(node[far], 2)
+            want_src = np.sort(np.stack([(node[far] - k) % n, (node[far] + k) % n], axis=1), axis=1).reshape(-1)
+            np.testing.assert_array_equal(dst[keep], want_dst)
+            np.testing.assert_array_equal(src[keep], want_src)
+        for i in range(0, n, 100):  # the chord ends, by BFS
+            dist = bfs_distances(cycle, i)
+            for k in range(1, k_max + 1):
+                assert idx.neighbors(i, k) == np.nonzero(dist == k)[0].tolist()
+        # one build: every memo slices one array per distance, whose pairs are each distinct graph's once
+        for k in range(k_max):
+            bases = {id(g._khop_pairs[k][0].base) for g in small + [cycle]}
+            assert len(bases) == 1
+            whole = cycle._khop_pairs[k][0].base
+            assert whole.size == sum(g._khop_pairs[k][0].size for g in small + [cycle])
 
     def test_shallower_request_returns_prefix_of_memoised_shells(self):
         g = random_graph(np.random.default_rng(4), 12)

@@ -111,6 +111,20 @@ def test_bench_scale_sections(tools):
     ]
 
 
+def test_khop_section_reads_a_cold_peak_per_case(tools, monkeypatch):
+    _, bench_scale = tools
+    monkeypatch.setattr(bench_scale, "MIN_CALLS", 1)
+    monkeypatch.setattr(bench_scale, "MIN_BUILDS", 1)
+    monkeypatch.setattr(bench_scale, "MIN_SECONDS", 0.0)
+    cases = bench_scale.measure_khop()
+    assert list(cases) == ["cycles-64", "multitask-256", "cycle-2000"]
+    for sizes, timings in cases.values():
+        assert set(timings) == {"cold_ms", "warm_ms", "peak_bytes"} and timings["peak_bytes"] > 0
+    (cycle, cycle_timings) = cases["cycle-2000"]
+    assert (cycle["call"], cycle["nodes"], cycle["k_max"]) == ("build_khop_index", 2000, 3)
+    assert cycle_timings["peak_bytes"] < 2**22  # a dense 2000 x 2000 float32 adjacency alone takes 16 MB
+
+
 def test_recal_section_times_both_workloads_training_splits(tools, monkeypatch):
     _, bench_scale = tools
     monkeypatch.setattr(bench_scale, "MIN_LOADS", 1)

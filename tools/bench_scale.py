@@ -14,8 +14,8 @@ from fixed seeds:
 - ``star-1000``: a 1000-leaf star, H=32;
 - ``cycle-8000``: one 8000-node cycle, H=32.
 
-The last two are 1-hop only: the star's distance-2 shell holds about a
-million pairs, and the cycle's dense k-hop build alone takes seconds.
+The last two are 1-hop only, so they time the arc plans alone: the star's
+distance-2 shell holds about a million pairs.
 
 Every index set of a batch is timed (``graph_ids``, ``arc_dst``, ``arc_src``,
 the dst and src of each distance-k shell from k = 2, named ``shellk``; the
@@ -49,10 +49,10 @@ call (outside the timer), and warm, on the memo the cold call left:
 ``cycles-64`` and ``multitask-256`` as ``data.collate`` batches (K=3 and
 K=2), whose cold minus warm time is the build of one batch's shells, and
 ``cycle-2000``, one 2000-node cycle with 20 chords, by ``build_khop_index``
-(K=3), the one-graph path, whose 2000 x 2000 reach matrix fills a whole
-chunk (``graph.KHOP_CHUNK_CELLS``).
+(K=3), the one-graph path.
 ``cold_ms`` and ``warm_ms`` are medians of at least ``MIN_CALLS`` calls,
-``MIN_BUILDS`` for the large graph; the result goes under ``khop_per_call``.
+``MIN_BUILDS`` for the large graph, and ``peak_bytes`` the ``tracemalloc``
+peak of one cold call; the result goes under ``khop_per_call``.
 
 ``synth.gen_synthetic_dataset`` is timed on ``min-cycle-class-600`` and
 ``random-multitask-4000`` (seed 7, the sizes the two benchmark workloads
@@ -100,7 +100,7 @@ ROUNDS = 10  # the same code timed in two processes can read 1.5x apart, so few 
 MIN_CALLS = 20
 MIN_SECONDS = 0.2  # per plan and timing, calls go on until both minimums are met
 MIN_LOADS = 7  # a load of the 4000-graph file takes 0.1-0.3 s
-MIN_BUILDS = 3  # a cold k-hop build of the 2000-node graph takes about half a second
+MIN_BUILDS = 3  # a dense cold k-hop build of the 2000-node graph, as in older checkouts, takes about half a second
 
 
 def _median_ms(fn, min_calls: int = MIN_CALLS, setup=None) -> float:
@@ -242,8 +242,9 @@ def measure_optimizer() -> dict:
 
 
 def measure_khop() -> dict:
-    """Cold and warm per-call medians, in ms, of the k-hop shells of every
-    fixed batch and of one large graph, in this process's cyclegnn."""
+    """Cold and warm per-call medians, in ms, and the cold ``tracemalloc``
+    peak of the k-hop shells of every fixed batch and of one large graph, in
+    this process's cyclegnn."""
     from cyclegnn import data, synth
     from cyclegnn.graph import build_khop_index
 
@@ -265,7 +266,12 @@ def measure_khop() -> dict:
             for g in graphs:
                 g.__dict__.pop("_khop_pairs", None)  # the memo, named alike in both checkouts
 
-        timings = {"cold_ms": _median_ms(fn, min_calls, setup=forget), "warm_ms": _median_ms(fn, min_calls)}
+        forget()
+        tracemalloc.start()
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        timings = {"cold_ms": _median_ms(fn, min_calls, setup=forget), "warm_ms": _median_ms(fn, min_calls), "peak_bytes": peak}
         pairs = sum(int(dst.size) for g in graphs for dst, _ in build_khop_index(g, k_max).pairs)
         out[name] = {"call": call, "graphs": len(graphs), "nodes": sum(g.num_nodes for g in graphs), "k_max": k_max, "pairs": pairs}, timings
     return out
