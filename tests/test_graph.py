@@ -272,7 +272,7 @@ class TestKHopIndex:
             want_src = np.sort(np.stack([(node[far] - k) % n, (node[far] + k) % n], axis=1), axis=1).reshape(-1)
             np.testing.assert_array_equal(dst[keep], want_dst)
             np.testing.assert_array_equal(src[keep], want_src)
-        for i in range(0, n, 100):  # the chord ends, by BFS
+        for i in np.flatnonzero(~far).tolist():  # nodes with a chord within reach, by BFS
             dist = bfs_distances(cycle, i)
             for k in range(1, k_max + 1):
                 assert idx.neighbors(i, k) == np.nonzero(dist == k)[0].tolist()
