@@ -382,12 +382,9 @@ def cmd_counterexample(runspec: RunSpec) -> int:
     g = dataset.graphs[o["index"]]
     paired = make_counterexample_pair(g, o["edge"])
 
-    # a cycle of length c needs radius >= c/2 before any shell size differs
-    # between the graph and its doubled twin, hence the default radius of 3
-    radius = max(o["radius"], 2)
+    radius = max(o["radius"], 2)  # shell sizes of a c-cycle and its doubled twin differ only from radius c/2 on
     probe = {**o, "virtual_node": False, "dropout": 0.0}  # both configs are checked before any file is written
-    gine = _model_config({**probe, "conv": "gine", "radius": 1}, dataset)
-    plus = _model_config({**probe, "conv": "gine+", "radius": radius}, dataset)
+    gine, plus = (_model_config({**probe, "conv": c, "radius": r}, dataset) for c, r in (("gine", 1), ("gine+", radius)))
 
     twin = Dataset([paired], np.full((1, dataset.manifest.num_tasks), np.nan), dataset.manifest)
     save_dataset(dataset.subset([o["index"]]), o["out"] + ".orig.jsonl", header=runspec.header())

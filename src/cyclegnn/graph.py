@@ -178,12 +178,14 @@ def build_khop_shells(graphs: Sequence[LabeledGraph], k_max: int) -> None:
 
     Graphs whose memo already reaches ``k_max`` are skipped, a graph listed
     twice is built once, and one with a shallower memo is rebuilt. The rest
-    expand together as one sparse frontier over their disjoint union of N
-    nodes, a (dst, src) pair coded as dst * N + src: from distance 0 (each
-    node with itself), the distance-(k-1) pairs joined with the arc list
-    give every pair at distance k, plus pairs at k-1 and k-2, which one sort
-    drops with the duplicates. The codes run by graph, dst, then src; each
-    graph's memo is read-only slices of them.
+    expand over their disjoint union of N nodes, a (dst, src) pair coded as
+    dst * N + src: the distance-(k-1) pairs joined with the arcs give the
+    pairs at distance k, k-1 and k-2, and a sort drops the known ones and the
+    duplicates. The join runs in pieces of whole dst runs with under twice
+    max(pairs, arcs) candidates, so memory grows with the pairs and arcs;
+    time grows with the candidates, the pairs times their sources' degree,
+    so dense graphs cost most. A node that has reached its whole graph is
+    not expanded.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -191,33 +193,35 @@ def build_khop_shells(graphs: Sequence[LabeledGraph], k_max: int) -> None:
     if not cold:
         return
     counts = np.asarray([g.num_nodes for g in cold], dtype=np.int64)
-    ends = np.cumsum(counts)
-    first, n = ends - counts, max(1, int(ends[-1]))  # at least 1: codes are divided by n
+    first, n = np.cumsum(counts) - counts, max(1, int(counts.sum()))  # at least 1: codes are divided by n
     edges = np.concatenate([g.edges for g in cold]) + np.repeat(first, [g.num_edges for g in cold])[:, None]
     via, nbr = np.divmod(np.sort(np.concatenate([edges[:, 0] * n + edges[:, 1], edges[:, 1] * n + edges[:, 0]])), n)
     degree = np.bincount(via, minlength=n)
     arc_start = np.cumsum(degree) - degree  # CSR: node i's neighbours are nbr[arc_start[i]:][:degree[i]]
-    bounds = np.append(0, ends) * n  # graph i's codes lie in [bounds[i], bounds[i + 1])
-    dst = src = np.arange(n, dtype=np.int64)
-    shell, older = dst * (n + 1), dst[:0]
+    dst = src = np.arange(counts.sum())
+    shell, older = dst * (n + 1), dst[:0]  # distance 0: each node with itself
+    unseen = np.repeat(counts - 1, counts)  # per node, the nodes of its graph not yet reached from it
     shells = []  # per distance, each graph's (dst, src) slices
     for _ in range(k_max):
-        fan = degree[src]  # each pair's candidates: (dst, w) for each arc (src, w), pair by pair
-        arc = np.arange(fan.sum()) + np.repeat(arc_start[src] - (np.cumsum(fan) - fan), fan)
-        # codes doubled, a candidate's plus one: once sorted, a candidate is
-        # new unless the key just before it holds the same code, known or not
-        keys = np.concatenate([(np.repeat(dst * n, fan) + nbr[arc]) * 2 + 1, shell * 2, older * 2])
-        keys.sort()
-        fresh = (keys & 1).astype(bool)
-        fresh[1:] &= np.diff(keys) > 1
-        older, shell = shell, keys[fresh] >> 1
+        fan = degree[src] * (unseen[dst] > 0)  # each pair's candidates: (dst, w) for each arc (src, w)
+        run = np.flatnonzero(np.diff(dst, prepend=-1))  # a dst run's fan is at most its graph's arcs
+        cuts = np.append(run[np.diff((np.cumsum(fan) - fan)[run] // max(len(shell), len(nbr)), prepend=-1) > 0], len(shell))
+        lows = np.searchsorted(older, np.append(dst[cuts[:-1]] * n, n * n))
+        parts = [shell[:0]]
+        for a, b, lo, hi in zip(cuts.tolist(), cuts[1:].tolist(), lows.tolist(), lows[1:].tolist()):
+            f = fan[a:b]
+            arc = np.arange(f.sum()) + np.repeat(arc_start[src[a:b]] - (np.cumsum(f) - f), f)
+            # codes doubled, a candidate's plus one: a sorted candidate is new unless the key before it has its code
+            keys = np.sort(np.concatenate([(np.repeat(dst[a:b] * n, f) + nbr[arc]) * 2 + 1, shell[a:b] * 2, older[lo:hi] * 2]))
+            fresh = (keys & 1).astype(bool) & (np.diff(keys, prepend=-2) > 1)
+            parts.append(keys[fresh] >> 1)
+        older, shell = shell, np.concatenate(parts)
         dst, src = np.divmod(shell, n)
-        cuts = np.searchsorted(shell, bounds).tolist()
-        shift = np.repeat(first, np.diff(cuts))
-        local = dst - shift, src - shift
-        for arr in local:
-            arr.setflags(write=False)
-        shells.append([(local[0][a:b], local[1][a:b]) for a, b in zip(cuts[:-1], cuts[1:])])
+        unseen -= np.bincount(dst, minlength=len(unseen))
+        cuts = np.searchsorted(shell, np.append(first, n) * n).tolist()
+        local = np.stack([dst, src]) - np.repeat(first, np.diff(cuts))  # rows: graph-local dst, src
+        local.setflags(write=False)
+        shells.append([(local[0, a:b], local[1, a:b]) for a, b in zip(cuts, cuts[1:])])
     for g, pairs in zip(cold, zip(*shells)):
         object.__setattr__(g, "_khop_pairs", pairs)
 

@@ -16,11 +16,10 @@ On import the module sets glibc's allocator policy once (``mallopt``; where
 the C library has none, nothing is done): free memory at the top of the heap
 goes back to the kernel only once it exceeds ``_TRIM_THRESHOLD`` (1 GiB), and
 only blocks of ``_MMAP_THRESHOLD`` (32 MiB) and more are mapped and unmapped
-on their own. So the pages a training step or a
-scoring batch frees are reused by the next one instead of being returned to
-the kernel and faulted in again. Arrays of 32 MiB and more still go back
-to the kernel when freed; smaller ones stay in the process, so its resident size does not fall back after a
-peak.
+on their own. So the pages a training step or a scoring batch frees are
+reused by the next one instead of being returned to the kernel and faulted
+in again. Arrays of 32 MiB and more still go back to the kernel when freed;
+smaller ones stay, so the resident size does not fall back after a peak.
 """
 
 from __future__ import annotations

@@ -276,12 +276,31 @@ class TestKHopIndex:
             dist = bfs_distances(cycle, i)
             for k in range(1, k_max + 1):
                 assert idx.neighbors(i, k) == np.nonzero(dist == k)[0].tolist()
-        # one build: every memo slices one array per distance, whose pairs are each distinct graph's once
+        # one build: every memo slices one (2, pairs) array per distance, whose pairs are each distinct graph's once
         for k in range(k_max):
-            bases = {id(g._khop_pairs[k][0].base) for g in small + [cycle]}
+            bases = {id(arr.base) for g in small + [cycle] for arr in g._khop_pairs[k]}
             assert len(bases) == 1
             whole = cycle._khop_pairs[k][0].base
-            assert whole.size == sum(g._khop_pairs[k][0].size for g in small + [cycle])
+            assert whole.shape == (2, sum(g._khop_pairs[k][0].size for g in small + [cycle]))
+
+    def test_dense_graphs_build_in_memory_that_grows_with_pairs_and_arcs(self):
+        dense = random_graph(np.random.default_rng(8), 200, p=0.3)  # distance 2 from every node: 720k candidates
+        n = 300
+        complete = plain(n, [(i, j) for i in range(n) for j in range(i + 1, n)])  # 27M distance-2 candidates
+        peaks = []
+        for g, k_max in ((dense, 3), (complete, 2)):
+            tracemalloc.start()
+            build_khop_shells([g], k_max)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] < 8 * 2**20  # all of the dense graph's distance-2 candidates at once take 46 MiB
+        assert peaks[1] < 16 * 2**20  # and the complete graph's 670 MiB
+        assert_shells_match_bfs(KHopIndex(dense._khop_pairs), dense, 3)
+        (dst, src), (far_dst, far_src) = complete._khop_pairs
+        node = np.arange(n)
+        np.testing.assert_array_equal(dst, np.repeat(node, n - 1))
+        np.testing.assert_array_equal(src, np.tile(node, n)[np.tile(node, n) != np.repeat(node, n)])
+        assert far_dst.size == far_src.size == 0
 
     def test_shallower_request_returns_prefix_of_memoised_shells(self):
         g = random_graph(np.random.default_rng(4), 12)

@@ -117,12 +117,16 @@ def test_khop_section_reads_a_cold_peak_per_case(tools, monkeypatch):
     monkeypatch.setattr(bench_scale, "MIN_BUILDS", 1)
     monkeypatch.setattr(bench_scale, "MIN_SECONDS", 0.0)
     cases = bench_scale.measure_khop()
-    assert list(cases) == ["cycles-64", "multitask-256", "cycle-2000"]
+    assert list(cases) == ["cycles-64", "multitask-256", "cycle-2000", "dense-500"]
     for sizes, timings in cases.values():
         assert set(timings) == {"cold_ms", "warm_ms", "peak_bytes"} and timings["peak_bytes"] > 0
     (cycle, cycle_timings) = cases["cycle-2000"]
     assert (cycle["call"], cycle["nodes"], cycle["k_max"]) == ("build_khop_index", 2000, 3)
     assert cycle_timings["peak_bytes"] < 2**22  # a dense 2000 x 2000 float32 adjacency alone takes 16 MB
+    (dense, dense_timings) = cases["dense-500"]
+    assert (dense["call"], dense["nodes"], dense["k_max"]) == ("build_khop_index", 500, 2)
+    assert dense["pairs"] == 500 * 499  # diameter 2: every other node lies within two hops
+    assert dense_timings["peak_bytes"] < 2**25  # all distance-2 candidates at once take about 285 MiB
 
 
 def test_recal_section_times_both_workloads_training_splits(tools, monkeypatch):

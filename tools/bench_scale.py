@@ -48,8 +48,12 @@ The k-hop shells are timed cold, on graphs whose memo is dropped before each
 call (outside the timer), and warm, on the memo the cold call left:
 ``cycles-64`` and ``multitask-256`` as ``data.collate`` batches (K=3 and
 K=2), whose cold minus warm time is the build of one batch's shells, and
-``cycle-2000``, one 2000-node cycle with 20 chords, by ``build_khop_index``
-(K=3), the one-graph path.
+``cycle-2000``, one 2000-node cycle with 20 chords, and ``dense-500``, a
+500-node graph with each node pair joined with probability 0.3, by
+``build_khop_index`` (K=3 and K=2), the one-graph path. The two large graphs
+have the lowest and about the highest degree a graph can have, and a sparse
+join of each distance's pairs with the arcs takes time that grows with the
+pairs times the degree.
 ``cold_ms`` and ``warm_ms`` are medians of at least ``MIN_CALLS`` calls,
 ``MIN_BUILDS`` for the large graph, and ``peak_bytes`` the ``tracemalloc``
 peak of one cold call; the result goes under ``khop_per_call``.
@@ -100,7 +104,7 @@ ROUNDS = 10  # the same code timed in two processes can read 1.5x apart, so few 
 MIN_CALLS = 20
 MIN_SECONDS = 0.2  # per plan and timing, calls go on until both minimums are met
 MIN_LOADS = 7  # a load of the 4000-graph file takes 0.1-0.3 s
-MIN_BUILDS = 3  # a dense cold k-hop build of the 2000-node graph, as in older checkouts, takes about half a second
+MIN_BUILDS = 3  # a cold k-hop build of one large graph can take a few tenths of a second
 
 
 def _median_ms(fn, min_calls: int = MIN_CALLS, setup=None) -> float:
@@ -250,10 +254,13 @@ def measure_khop() -> dict:
 
     n = 2000
     cycle = _graph(n, [(i, (i + 1) % n) for i in range(n)] + [(i, i + n // 2) for i in range(0, n // 2, n // 40)])
+    node_pairs = np.stack(np.triu_indices(500, 1), axis=1)
+    dense = _graph(500, node_pairs[np.random.default_rng(0).random(len(node_pairs)) < 0.3])
     cases = [
         ("cycles-64", _dataset(synth.TASK_MIN_CYCLE, 64).graphs, 3, MIN_CALLS),
         ("multitask-256", _dataset(synth.TASK_RANDOM_MULTITASK, 256).graphs, 2, MIN_CALLS),
         ("cycle-2000", [cycle], 3, MIN_BUILDS),
+        ("dense-500", [dense], 2, MIN_BUILDS),
     ]
     out: dict[str, dict] = {}
     for name, graphs, k_max, min_calls in cases:
