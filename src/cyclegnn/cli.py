@@ -384,7 +384,8 @@ def cmd_counterexample(runspec: RunSpec) -> int:
 
     radius = max(o["radius"], 2)  # shell sizes of a c-cycle and its doubled twin differ only from radius c/2 on
     probe = {**o, "virtual_node": False, "dropout": 0.0}  # both configs are checked before any file is written
-    gine, plus = (_model_config({**probe, "conv": c, "radius": r}, dataset) for c, r in (("gine", 1), ("gine+", radius)))
+    gine = _model_config({**probe, "conv": "gine", "radius": 1}, dataset)
+    plus = _model_config({**probe, "conv": "gine+", "radius": radius}, dataset)
 
     twin = Dataset([paired], np.full((1, dataset.manifest.num_tasks), np.nan), dataset.manifest)
     save_dataset(dataset.subset([o["index"]]), o["out"] + ".orig.jsonl", header=runspec.header())

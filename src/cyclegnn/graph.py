@@ -178,14 +178,14 @@ def build_khop_shells(graphs: Sequence[LabeledGraph], k_max: int) -> None:
 
     Graphs whose memo already reaches ``k_max`` are skipped, a graph listed
     twice is built once, and one with a shallower memo is rebuilt. The rest
-    expand over their disjoint union of N nodes, a (dst, src) pair coded as
+    expand over their disjoint union of N nodes, pair (dst, src) coded as
     dst * N + src: the distance-(k-1) pairs joined with the arcs give the
-    pairs at distance k, k-1 and k-2, and a sort drops the known ones and the
-    duplicates. The join runs in pieces of whole dst runs with under twice
-    max(pairs, arcs) candidates, so memory grows with the pairs and arcs;
-    time grows with the candidates, the pairs times their sources' degree,
-    so dense graphs cost most. A node that has reached its whole graph is
-    not expanded.
+    pairs at distance k, k-1 and k-2; a sort drops the known ones and the
+    duplicates. Each join runs in pieces of whole dst runs, under twice
+    max(pairs, arcs) candidates each, as one dst's are at most its graph's
+    arcs: memory grows with the pairs and arcs, time with the candidates,
+    the pairs times their sources' degree, so dense graphs cost most. A
+    node that has reached its whole graph is not expanded.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
@@ -204,11 +204,11 @@ def build_khop_shells(graphs: Sequence[LabeledGraph], k_max: int) -> None:
     shells = []  # per distance, each graph's (dst, src) slices
     for _ in range(k_max):
         fan = degree[src] * (unseen[dst] > 0)  # each pair's candidates: (dst, w) for each arc (src, w)
-        run = np.flatnonzero(np.diff(dst, prepend=-1))  # a dst run's fan is at most its graph's arcs
-        cuts = np.append(run[np.diff((np.cumsum(fan) - fan)[run] // max(len(shell), len(nbr)), prepend=-1) > 0], len(shell))
-        lows = np.searchsorted(older, np.append(dst[cuts[:-1]] * n, n * n))
-        parts = [shell[:0]]
-        for a, b, lo, hi in zip(cuts.tolist(), cuts[1:].tolist(), lows.tolist(), lows[1:].tolist()):
+        budget, reach = max(1, len(shell), len(nbr)), np.cumsum(fan)  # a piece ends at the dst run of each budget multiple
+        starts = np.searchsorted(dst, dst[np.searchsorted(reach, np.arange(budget, fan.sum(), budget), "right")])
+        cuts, lows = [0, *starts.tolist(), len(shell)], [0, *np.searchsorted(older, dst[starts] * n).tolist(), len(older)]
+        parts = []
+        for a, b, lo, hi in zip(cuts, cuts[1:], lows, lows[1:]):
             f = fan[a:b]
             arc = np.arange(f.sum()) + np.repeat(arc_start[src[a:b]] - (np.cumsum(f) - f), f)
             # codes doubled, a candidate's plus one: a sorted candidate is new unless the key before it has its code
