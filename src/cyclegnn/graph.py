@@ -211,8 +211,8 @@ def build_khop_shells(graphs: Sequence[LabeledGraph], k_max: int) -> None:
         for a, b, lo, hi in zip(cuts, cuts[1:], lows, lows[1:]):
             f = fan[a:b]
             arc = np.arange(f.sum()) + np.repeat(arc_start[src[a:b]] - (np.cumsum(f) - f), f)
-            # codes doubled, a candidate's plus one: a sorted candidate is new unless the key before it has its code
-            keys = np.sort(np.concatenate([(np.repeat(dst[a:b] * n, f) + nbr[arc]) * 2 + 1, shell[a:b] * 2, older[lo:hi] * 2]))
+            keys = np.concatenate([(np.repeat(dst[a:b] * n, f) + nbr[arc]) * 2 + 1, shell[a:b] * 2, older[lo:hi] * 2])
+            keys.sort()  # codes doubled, a candidate's plus one: it is new unless the key before it holds its code
             fresh = (keys & 1).astype(bool) & (np.diff(keys, prepend=-2) > 1)
             parts.append(keys[fresh] >> 1)
         older, shell = shell, np.concatenate(parts)
