@@ -293,7 +293,7 @@ def cmd_train(runspec: RunSpec) -> int:
         params, history = training.train_model(config, train_set, valid_set, tc)
         report = training.evaluate(config, params, test_set, o["metric"])
         runs.append((seed, report, params, history))
-        per_task = {"task." + name: value for name, value in zip(report.task_names, report.per_task)}
+        per_task = {f"task.{t}": value for t, value in enumerate(report.per_task)}  # names may repeat
         return {metric_key: report.macro, "test_loss": report.loss, **per_task}
 
     summary = training.run_replicates(run, o["seed"], o["replicates"])
@@ -322,7 +322,7 @@ def cmd_train(runspec: RunSpec) -> int:
     lines += ["# aggregate", "quantity\tmean\tstd"]
     lines += [aggregate_row(metric_key, metric_key), aggregate_row("test_loss", "test_loss")]
     lines += ["# per-task", "task\tmean\tstd"]
-    lines += [aggregate_row(name, "task." + name) for name in dataset.manifest.task_names]
+    lines += [aggregate_row(name, f"task.{t}") for t, name in enumerate(dataset.manifest.task_names)]
     _write_table(o["out"] + ".summary.tsv", runspec, lines)
     mean, std = summary[metric_key]
     print(f"{metric_key} = {mean:.4f} +- {std:.4f} over {len(runs)} replicate(s)")

@@ -80,11 +80,9 @@ def find_graph_fault(node_counts, node_feats, edge_counts, edges, edge_feats) ->
     duplicates show as equal neighbours among sorted per-graph edge codes.
     """
     node_counts = np.asarray(node_counts, dtype=np.int64)
-    if node_counts.size == 1:  # one graph: its node count broadcasts over its edges, which need no offset
-        total, size, first = int(node_counts[0]), node_counts, 0
-    else:  # per edge, its graph's node count and the number of that graph's first node in the union
-        total = int(node_counts.sum())
-        size, first = np.repeat(node_counts, edge_counts), np.repeat(np.cumsum(node_counts) - node_counts, edge_counts)
+    total = int(node_counts.sum())
+    # per edge, its graph's node count and the number of that graph's first node in the union
+    size, first = np.repeat(node_counts, edge_counts), np.repeat(np.cumsum(node_counts) - node_counts, edge_counts)
     u, v = edges[:, 0], edges[:, 1]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     out = (lo < 0) | (hi >= size)

@@ -12,6 +12,7 @@ inflates the receptive field to K times the depth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -170,43 +171,36 @@ def gine_conv(
 ) -> Tensor:
     """h'_i = MLP((1+eps) h_i + sum over neighbors of relu(h_j + E(e_ij))):
     the wide kernel with no distance-k terms and an unscaled 1-hop sum."""
-    return _wide_conv(layer, [h], batch, mode, drop, rng, from_previous_only=True)
+    return _wide_conv(layer, [h], [], batch, mode, drop, rng)
 
 
 def _wide_conv(
     layer: LayerParams,
     history: list[Tensor],
+    far: list[Tensor],
     batch: BatchedGraph,
     mode: str,
     drop: float,
     rng: np.random.Generator | None,
-    from_previous_only: bool,
 ) -> Tensor:
     """The GIN-family update of layer ``len(history)``, radius K = len(eps) - 1:
     MLP((1+eps_0) h_i + (1+eps_1) sum_j relu(h_j + E(e_ij)) + sum over
-    k = 2..K of (1+eps_k) sum over distance-k nodes j of relu(h_j)).
+    k = 2.. of (1+eps_k) sum over distance-k nodes j of relu(far[k-2]_j)).
 
-    Distance-k sums read the previous layer when ``from_previous_only``,
-    else the layer k back. With one eps vector (``gine``, K = 0) there are
-    no distance-k terms and the 1-hop sum is not scaled."""
+    The terms are summed left to right: self, 1-hop, then one per entry of
+    ``far``. The first len(eps) terms are scaled by (1+eps_k); a term past
+    the end of eps is not, which is gine's 1-hop sum."""
     if not history:
         raise ValueError("wide convolutions need at least the input embeddings in history")
     k_radius = len(layer.eps) - 1
     if len(batch.shells) < k_radius - 1:
         raise ValueError(f"batch lacks a neighbor index of depth {k_radius}; re-collate with k_max")
-    depth = len(history)  # this is layer number l, history = [h0 .. h_{l-1}]
     h_prev = history[-1]
-    pre = mul(h_prev, _one_plus(layer.eps[0]))
-    agg = segment_sum(relu(_arc_inputs(h_prev, layer, batch)), batch.arc_dst)
-    pre = add(pre, mul(agg, _one_plus(layer.eps[1])) if k_radius >= 1 else agg)
-    for k in range(2, k_radius + 1):
-        if not from_previous_only and k > depth:
-            continue  # no embeddings from k layers back yet; term omitted
-        source = h_prev if from_previous_only else history[depth - k]
-        dst, src = batch.shells[k - 2]
-        agg = segment_sum(relu(gather_rows(source, src)), dst)
-        pre = add(pre, mul(agg, _one_plus(layer.eps[k])))
-    return mlp_forward(layer.mlp, pre, mode, drop, rng)
+    terms = [h_prev, segment_sum(relu(_arc_inputs(h_prev, layer, batch)), batch.arc_dst)]
+    for source, (dst, src) in zip(far, batch.shells):
+        terms.append(segment_sum(relu(gather_rows(source, src)), dst))
+    terms[: len(layer.eps)] = [mul(t, _one_plus(e)) for t, e in zip(terms, layer.eps)]
+    return mlp_forward(layer.mlp, functools.reduce(add, terms), mode, drop, rng)
 
 
 def gineplus_conv(
@@ -219,7 +213,7 @@ def gineplus_conv(
 ) -> Tensor:
     """Radius-K update whose distance-k sum reads embeddings from k layers
     back; distance-k terms with no such layer yet are omitted."""
-    return _wide_conv(layer, history, batch, mode, drop, rng, from_previous_only=False)
+    return _wide_conv(layer, history, history[-2::-1][: len(layer.eps) - 2], batch, mode, drop, rng)
 
 
 def naive_gineplus_conv(
@@ -231,7 +225,7 @@ def naive_gineplus_conv(
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Radius-K update with every distance-k sum reading the previous layer."""
-    return _wide_conv(layer, history, batch, mode, drop, rng, from_previous_only=True)
+    return _wide_conv(layer, history, history[-1:] * (len(layer.eps) - 2), batch, mode, drop, rng)
 
 
 def gcn_conv(layer: LayerParams, h: Tensor, batch: BatchedGraph) -> Tensor:

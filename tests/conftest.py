@@ -14,7 +14,7 @@ import pytest
 
 from cyclegnn import _atomic
 from cyclegnn.data import DatasetManifest
-from cyclegnn.graph import LabeledGraph
+from cyclegnn.graph import LabeledGraph, bfs_distances
 
 
 def plain(num_nodes, edges):
@@ -40,6 +40,75 @@ def _scatter_add(ids: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     np.add.at(out, ids, values)
     out[np.bincount(ids, minlength=n) == 0] = 0.0
     return out
+
+
+def reference_model_forward(config, params, graphs, train):
+    """The paper's GIN-family model in dense float64 numpy, the tests'
+    reference for :func:`cyclegnn.nn.model_forward` on the disjoint union of
+    ``graphs``. Block l computes
+
+        MLP((1+eps_0) h_i + (1+eps_1) sum_{j ~ i} relu(h_j + E(e_ij))
+            + sum_{k=2..K} (1+eps_k) sum_{d(i,j) = k} relu(h^{(l-k)}_j))
+
+    with the 1-hop sum unscaled under ``gine``, no k >= 2 terms under
+    ``gine``, h^{(l-1)} in place of h^{(l-k)} under ``naive-gine+``, and a
+    term omitted while l < k under ``gine+``. Then batchnorm, relu except in
+    the last block, and the virtual-node update; the logits are the
+    classifier of each graph's mean node. Shells come from ``bfs_distances``.
+    Train mode uses batch statistics and dropout 0. Returns the logits and,
+    in train mode, each batchnorm state's new running statistics keyed by
+    ``id(state)``; nothing passed in is changed."""
+    sizes = [g.num_nodes for g in graphs]
+    n, starts = sum(sizes), np.cumsum([0] + sizes[:-1])
+    member = np.repeat(np.eye(len(graphs)), sizes, axis=1)  # (graphs, nodes)
+    dist = np.full((n, n), np.inf)
+    for g, s in zip(graphs, starts):
+        for i in range(g.num_nodes):
+            dist[s + i, s : s + g.num_nodes] = bfs_distances(g, i)
+    edges = np.concatenate([g.edges + s for g, s in zip(graphs, starts)])
+    node_feats = np.concatenate([g.node_feats for g in graphs])
+    edge_feats = np.concatenate([g.edge_feats for g in graphs])
+    stats = {}
+
+    def relu(x):
+        return np.maximum(x, 0.0)
+
+    def embed(tables, feats):
+        return sum(t.data[feats[:, f]] for f, t in enumerate(tables))
+
+    def norm(p, x):
+        mean, var = p.state.running_mean, p.state.running_var
+        if train:
+            stats[id(p.state)] = (0.9 * mean + 0.1 * x.mean(axis=0), 0.9 * var + 0.1 * x.var(axis=0))
+            mean, var = x.mean(axis=0), x.var(axis=0)
+        return (x - mean) / np.sqrt(var + 1e-5) * p.gamma.data + p.beta.data
+
+    def linear(p, x):
+        return x @ p.weight.data + p.bias.data
+
+    def mlp(p, x):
+        return linear(p.lin_out, relu(norm(p.norm, linear(p.lin_in, x))))
+
+    history = [embed(params.node_tables, node_feats)]
+    vn = np.zeros((len(graphs), config.hidden))
+    for l, layer in enumerate(params.layers, start=1):
+        h, eps = history[-1], [1.0 + e.data for e in layer.eps]
+        edge_embed = np.zeros((n, n, config.hidden))
+        edge_embed[edges[:, 0], edges[:, 1]] = edge_embed[edges[:, 1], edges[:, 0]] = embed(layer.edge_tables, edge_feats)
+        hop1 = ((dist == 1)[:, :, None] * relu(h[None, :, :] + edge_embed)).sum(axis=1)
+        pre = eps[0] * h + (hop1 if config.conv_type == "gine" else eps[1] * hop1)
+        for k in range(2, len(eps)):
+            if config.conv_type == "naive-gine+":
+                pre = pre + eps[k] * ((dist == k) @ relu(h))
+            elif l >= k:
+                pre = pre + eps[k] * ((dist == k) @ relu(history[l - k]))
+        z = norm(layer.norm, mlp(layer.mlp, pre))
+        z = relu(z) if l < config.num_layers else z
+        if config.virtual_node:
+            vn = mlp(layer.vn.mlp, (1.0 + layer.vn.eps.data) * vn + member @ z)
+            z = z + member.T @ vn
+        history.append(z)
+    return linear(params.classifier, (member @ history[-1]) / member.sum(axis=1, keepdims=True)), stats
 
 
 class ReferenceAdam:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -313,6 +314,32 @@ class TestTrain:
         assert "int64" in err
 
 
+def train_argv(data, out, flags, replicates):
+    argv = ["train", "--data", data, "--out", out, "--replicates", str(replicates)]
+    for name, value in flags.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    return argv
+
+
+def rerun_replicates(dataset, flags, count):
+    """The test reports of ``count`` replicates that ``cyclegnn train`` with
+    these flags runs, trained and scored through the library."""
+    o = flags
+    train_set, valid_set, test_set = random_split(dataset, (0.8, 0.1, 0.1), o["seed"])
+    config = ModelConfig(
+        conv_type=o["conv"], node_field_cards=dataset.manifest.node_field_cardinalities,
+        edge_field_cards=dataset.manifest.edge_field_cardinalities,
+        num_tasks=dataset.manifest.num_tasks, hidden=o["hidden"], num_layers=o["layers"],
+        radius=o["radius"],
+    )
+    reports = []
+    for seed in range(o["seed"], o["seed"] + count):
+        tc = TrainConfig(epochs=o["epochs"], batch_size=o["batch_size"], patience=o["patience"], seed=seed)
+        params, _ = train_model(config, train_set, valid_set, tc)
+        reports.append(evaluate(config, params, test_set))
+    return reports
+
+
 class TestReplicateSummary:
     """A multi-replicate summary aggregates the replicates it lists."""
 
@@ -326,10 +353,7 @@ class TestReplicateSummary:
         dataset.labels[dataset.labels[:, 0] == 1.0, 0] = 0.0  # task_0 has no positives
         data = str(root / "d.jsonl")
         save_dataset(dataset, data)
-        argv = ["train", "--data", data, "--out", str(root / "run"), "--replicates", "3"]
-        for name, value in self.FLAGS.items():
-            argv += ["--" + name.replace("_", "-"), str(value)]
-        assert main(argv) == 0
+        assert main(train_argv(data, str(root / "run"), self.FLAGS, 3)) == 0
         sections = {}
         name = "replicates"
         for line in open(str(root / "run.summary.tsv")).read().splitlines()[2:]:
@@ -341,20 +365,7 @@ class TestReplicateSummary:
         return dataset, sections
 
     def replicate_reports(self, dataset):
-        o = self.FLAGS
-        train_set, valid_set, test_set = random_split(dataset, (0.8, 0.1, 0.1), o["seed"])
-        config = ModelConfig(
-            conv_type=o["conv"], node_field_cards=dataset.manifest.node_field_cardinalities,
-            edge_field_cards=dataset.manifest.edge_field_cardinalities,
-            num_tasks=dataset.manifest.num_tasks, hidden=o["hidden"], num_layers=o["layers"],
-            radius=o["radius"],
-        )
-        reports = []
-        for seed in range(o["seed"], o["seed"] + 3):
-            tc = TrainConfig(epochs=o["epochs"], batch_size=o["batch_size"], patience=o["patience"], seed=seed)
-            params, _ = train_model(config, train_set, valid_set, tc)
-            reports.append(evaluate(config, params, test_set))
-        return reports
+        return rerun_replicates(dataset, self.FLAGS, 3)
 
     @staticmethod
     def mean_std(values):
@@ -388,6 +399,23 @@ class TestReplicateSummary:
                 defined += 1
                 assert per_task[name] == self.mean_std(values)
         assert defined >= 1
+
+    def test_repeated_task_names_each_report_their_own_task(self, tmp_path):
+        """Two tasks may share a name; each per-task row still aggregates its
+        own task, in manifest order."""
+        flags = {**self.FLAGS, "radius": 3, "epochs": 6}
+        dataset = gen_synthetic_dataset("min-cycle-class", 100, seed=2)
+        manifest = dataclasses.replace(dataset.manifest, task_names=("t", "t", "u"))
+        dataset = Dataset(dataset.graphs, dataset.labels, manifest)
+        data = str(tmp_path / "d.jsonl")
+        save_dataset(dataset, data)
+        assert main(train_argv(data, str(tmp_path / "run"), flags, 2)) == 0
+        lines = open(str(tmp_path / "run.summary.tsv")).read().splitlines()
+        rows = [line.split("\t") for line in lines[lines.index("task\tmean\tstd") + 1 :]]
+        reports = rerun_replicates(dataset, flags, 2)
+        per_task = [[rep.per_task[t] for rep in reports] for t in range(3)]
+        assert None not in per_task[0] + per_task[1] and per_task[0] != per_task[1]
+        assert rows == [[name, *self.mean_std(values)] for name, values in zip(manifest.task_names, per_task)]
 
 
 def copy_dataset(data, tmp_path):

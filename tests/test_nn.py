@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import permute_graph, plain
+from conftest import permute_graph, plain, random_graph, reference_model_forward
 
 from cyclegnn.data import collate
 from cyclegnn.graph import LabeledGraph, bfs_distances
 from cyclegnn.nn import (
+    CONV_GINE,
+    CONV_GINE_PLUS,
+    CONV_NAIVE_GINE_PLUS,
     CONV_TYPES,
     LayerParams,
     LinearParams,
@@ -595,3 +598,37 @@ class TestFullModelGradcheck:
             )
 
         assert gradcheck(f, parameters(params)) < 1e-4
+
+
+class TestReferenceModel:
+    """``model_forward`` against the float64 reference of the paper's update
+    rule, with every term live: random nonzero eps, biases, edge tables and
+    running statistics, on a batch of graphs of mixed sizes."""
+
+    @pytest.mark.parametrize("mode", [TRAIN, EVAL])
+    @pytest.mark.parametrize("virtual_node", [False, True])
+    @pytest.mark.parametrize("radius", [1, 2, 3])
+    @pytest.mark.parametrize("conv", [CONV_GINE, CONV_NAIVE_GINE_PLUS, CONV_GINE_PLUS])
+    def test_logits_and_running_statistics_match(self, conv, radius, virtual_node, mode):
+        rng = np.random.default_rng(31)
+        cfg = make_config(conv, node_field_cards=(3, 2), edge_field_cards=(2, 4), hidden=5, num_layers=3,
+                          radius=radius, virtual_node=virtual_node)
+        params = init_params(cfg, 32, dtype=np.float64)
+        for t in parameters(params):
+            t.data[...] = rng.normal(0.0, 0.6, t.data.shape)
+        for state in norm_states(params):
+            state.running_mean = rng.normal(0.0, 0.5, state.running_mean.shape)
+            state.running_var = rng.uniform(0.5, 2.0, state.running_var.shape)
+        graphs = []
+        for n in (1, 6, 9, 13):
+            g = random_graph(rng, n)
+            graphs.append(features_graph(rng, n, g.edges, cfg.node_field_cards, cfg.edge_field_cards))
+        before = {id(s): (s.running_mean, s.running_var) for s in norm_states(params)}
+        want, stats = reference_model_forward(cfg, params, graphs, train=mode == TRAIN)
+        got = model_forward(cfg, params, collate(graphs, None, cfg.required_radius), mode)
+        np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+        assert np.abs(want).max() > 0.1
+        for s in norm_states(params):
+            mean, var = stats[id(s)] if mode == TRAIN else before[id(s)]
+            np.testing.assert_allclose(s.running_mean, mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(s.running_var, var, rtol=1e-12, atol=1e-12)

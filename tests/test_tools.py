@@ -1,10 +1,14 @@
 """The two pair tools, ``tools/bench_pairs.py`` and ``tools/bench_scale.py``,
-with their measuring runs replaced by canned rounds."""
+with their measuring runs replaced by canned rounds; and
+``tools/same_outputs.py`` on a shortened recipe."""
 
 import json
 import os
 
+import numpy as np
 import pytest
+
+from cyclegnn.tensor import save_checkpoint
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUMMARY_KEYS = {"median", "q1", "q3", "runs"}
@@ -139,3 +143,51 @@ def test_recal_section_times_both_workloads_training_splits(tools, monkeypatch):
     assert (cycles["graphs"], cycles["normalizers"]) == (480, 6)  # L=3 conv norms and MLP norms
     assert (multitask["graphs"], multitask["normalizers"]) == (256, 9)  # plus one virtual-node MLP norm per layer
     assert set(cycles_timings) == {"call_ms", "peak_bytes"} and cycles_timings["peak_bytes"] > 0
+
+
+@pytest.fixture
+def same_outputs(monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "tools"))
+    import same_outputs
+
+    return same_outputs
+
+
+def test_same_outputs_reads_one_checkout_against_itself_identical(same_outputs, monkeypatch, capsys):
+    recipe = (
+        ("gen", "--task", "min-cycle-class", "--size", "20", "--out", "{run}/cycles.jsonl"),
+        ("train", "--data", "{run}/cycles.jsonl", "--out", "{run}/plus", "--conv", "gine+", "--radius", "2",
+         "--hidden", "4", "--epochs", "1", "--replicates", "1"),
+    )
+    monkeypatch.setattr(same_outputs, "RECIPE", recipe)
+    assert same_outputs.main(["--before", ROOT, "--after", ROOT]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "cycles.jsonl\tidentical",
+        "plus.ckpt\tidentical",
+        "plus.ckpt\tckpt_diff: 51 of 51 tensors identical",
+        "plus.history.tsv\tidentical",
+        "plus.summary.tsv\tidentical",
+        "step00.stdout\tidentical",
+        "step01.stdout\tidentical",
+    ]
+
+
+def test_same_outputs_names_each_difference(same_outputs, tmp_path):
+    sides = tmp_path / "before", tmp_path / "after"
+    w = np.arange(6, dtype=np.float32).reshape(2, 3)
+    for side, last in zip(sides, (5.0, 6.0)):
+        side.mkdir()
+        (side / "same.tsv").write_text("a\n")
+        (side / "other.tsv").write_text(f"{last}\n")
+        save_checkpoint({"w": w, "b": np.asarray([1.0, last], np.float32)}, str(side / "run.ckpt"))
+    (sides[1] / "extra.tsv").write_text("")
+    lines, same = same_outputs.compare_dirs(*map(str, sides))
+    assert not same
+    assert lines == [
+        "extra.tsv\tonly after",
+        "other.tsv\tdiffers",
+        "run.ckpt\tdiffers",
+        "run.ckpt\tckpt_diff: 1 of 2 tensors identical",
+        "  b\tmax_abs 1\tmax_ulp 2097152",
+        "same.tsv\tidentical",
+    ]
