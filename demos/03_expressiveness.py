@@ -22,7 +22,7 @@ def embed(conv, graph, radius=1, layers=3, seed=0):
         hidden=16, num_layers=layers, radius=radius, dropout=0.0,
     )
     params = init_params(cfg, seed, dtype=np.float64)
-    return graph_embeddings(cfg, params, collate([graph], None, cfg.required_radius))
+    return graph_embeddings(cfg, params, collate([graph], cfg.required_radius))
 
 
 for conv in ("gine", "gcn"):
@@ -49,7 +49,7 @@ def probe(conv, graph, radius=3, layers=3):
         hidden=16, num_layers=layers, radius=radius, dropout=0.0,
     )
     params = init_params(cfg, 2, dtype=np.float64)
-    batch = collate([graph], None, cfg.required_radius)
+    batch = collate([graph], cfg.required_radius)
     return forward_node_embeddings(cfg, params, batch, "eval")[-1].data[0]
 
 

@@ -243,11 +243,20 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _weight_bytes(config: nn.ModelConfig) -> int:
+    """A lower bound of the float32 bytes of ``config``'s weights, counted in
+    rows hidden wide: per layer, hidden rows of the gcn matrix or 4·hidden of
+    the GIN MLP, a bias or eps vector per distance, and the edge tables' rows;
+    then the node tables' rows and the classifier's columns."""
+    h = config.hidden
+    layer = (h if config.conv_type == nn.CONV_GCN else 4 * h) + config.required_radius + sum(config.edge_field_cards)
+    return 4 * h * (config.num_layers * layer + sum(config.node_field_cards) + config.num_tasks)
+
+
 def _model_config(options: dict, dataset: Dataset) -> nn.ModelConfig:
     """The model ``options`` describe for ``dataset``. Raises CliError, before
-    any parameter is built, when the model's float32 weights alone (each
-    layer's MLP, 4·hidden², and eps vectors, (radius+1)·hidden) would not fit
-    in the machine's physical memory."""
+    any parameter is built, when the model's float32 weights alone (see
+    :func:`_weight_bytes`) would not fit in the machine's physical memory."""
     config = nn.ModelConfig(
         conv_type=options["conv"],
         node_field_cards=dataset.manifest.node_field_cardinalities,
@@ -259,8 +268,7 @@ def _model_config(options: dict, dataset: Dataset) -> nn.ModelConfig:
         virtual_node=options["virtual_node"],
         dropout=options["dropout"],
     )
-    h, layers = config.hidden, config.num_layers
-    weight_bytes = 4 * layers * (4 * h * h + (config.radius + 1) * h)
+    h, layers, weight_bytes = config.hidden, config.num_layers, _weight_bytes(config)
     memory = _physical_memory()
     if memory is not None and weight_bytes > memory:
         raise CliError(
@@ -337,8 +345,8 @@ def _load_model(checkpoint_path: str) -> tuple[nn.ModelConfig, nn.ModelParams, d
         config = nn.ModelConfig(**extra["config"])
     except (TypeError, ValueError) as exc:
         raise CliError(f"checkpoint {checkpoint_path} has an invalid model config: {exc}") from None
-    if config.num_layers * config.required_radius > len(arrays):  # each layer holds that many tensors at least
-        raise CliError(f"checkpoint {checkpoint_path} holds fewer tensors than its model config has layers and shells")
+    if _weight_bytes(config) > sum(a.nbytes for a in arrays.values()):  # checked before the model is built
+        raise CliError(f"checkpoint {checkpoint_path} holds fewer tensor bytes than its model config's weights need")
     params = nn.init_params(config, seed=0)
     nn.load_arrays(params, arrays)
     return config, params, extra
@@ -394,7 +402,7 @@ def cmd_counterexample(runspec: RunSpec) -> int:
     def embeddings(config: nn.ModelConfig, graph) -> list[np.ndarray]:
         # init_params draws the classifier last, so num_tasks leaves these embeddings unchanged
         params = nn.init_params(config, o["seed"], dtype=np.float64)
-        batch = collate([graph], None, config.required_radius)
+        batch = collate([graph], config.required_radius)
         with no_grad():
             return [t.data for t in nn.forward_node_embeddings(config, params, batch, "eval")]
 

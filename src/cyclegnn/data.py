@@ -325,11 +325,9 @@ class BatchedGraph:
     arc_dst: Segments  # (2M,) over N nodes
     arc_edge_feats: np.ndarray  # (2M, edge fields)
     shells: tuple[tuple[Segments, Segments], ...]  # empty below radius 2
-    labels: np.ndarray | None  # (B, T) with NaN replaced by 0
-    label_mask: np.ndarray | None  # (B, T) 1.0 where observed
 
 
-def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max: int = 1) -> BatchedGraph:
+def collate(graphs: list[LabeledGraph], k_max: int = 1) -> BatchedGraph:
     """Merge graphs into one disjoint union with node ids offset per graph.
 
     ``k_max`` >= 2 additionally offsets every component's memoised
@@ -338,8 +336,7 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
     are built first, all together, by one :func:`build_khop_shells` call.
     Every index set becomes a :class:`Segments` plan whose table is built on
     its first sum, so a scoring pass, which never sums over the src side,
-    never builds those tables. Labels, when given, are split into a
-    zero-filled matrix and an observation mask.
+    never builds those tables.
     """
     if not graphs:
         raise ValueError("cannot collate an empty batch")
@@ -364,12 +361,6 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
             dst = np.concatenate([p[k][0] for p in per_graph]) + shift
             src = np.concatenate([p[k][1] for p in per_graph]) + shift
             shells += ((Segments(dst, total), Segments(src, total)),)
-
-    label_matrix = mask = None
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.float64).reshape(len(graphs), -1)
-        mask = (~np.isnan(labels)).astype(np.float64)
-        label_matrix = np.where(np.isnan(labels), 0.0, labels)
     return BatchedGraph(
         num_graphs=len(graphs),
         node_feats=node_feats,
@@ -378,6 +369,4 @@ def collate(graphs: list[LabeledGraph], labels: np.ndarray | None = None, k_max:
         arc_dst=Segments(arc_dst, total),
         arc_edge_feats=arc_edge_feats,
         shells=shells,
-        labels=label_matrix,
-        label_mask=mask,
     )

@@ -536,18 +536,20 @@ def _affine_norm(x: Tensor, mean: np.ndarray, inv: np.ndarray, gamma: Tensor, be
     return _result(data, (x, gamma, beta), backward)
 
 
-def bce_with_logits_masked(logits: Tensor, targets, mask) -> Tensor:
-    """Binary cross-entropy from logits, averaged over mask-selected entries.
+def bce_with_logits_masked(logits: Tensor, labels) -> Tensor:
+    """Binary cross-entropy from logits, averaged over the observed labels;
+    NaN marks a missing one, which adds nothing to the loss or gradient.
 
-    Numerically stable for large logits. An all-zero mask yields loss 0 with
-    zero gradients.
+    Numerically stable for large logits. All-missing labels yield loss 0
+    with zero gradients.
     """
     logits = _as_tensor(logits)
     z = logits.data
-    y = np.asarray(targets, dtype=z.dtype)
-    m = np.asarray(mask, dtype=z.dtype)
-    if y.shape != z.shape or m.shape != z.shape:
-        raise ValueError("logits, targets and mask must share one shape")
+    labels = np.asarray(labels, dtype=z.dtype)
+    if labels.shape != z.shape:
+        raise ValueError("logits and labels must share one shape")
+    observed = ~np.isnan(labels)
+    y, m = np.where(observed, labels, 0.0), observed.astype(z.dtype)
     elem = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
     count = float(m.sum())
     denom = max(count, 1.0)

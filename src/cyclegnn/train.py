@@ -123,7 +123,7 @@ def _batches(dataset: Dataset, k_max: int, size: int, order=None):
     idx = np.arange(len(dataset)) if order is None else order
     for start in range(0, len(dataset), size):
         chunk = idx[start : start + size]
-        yield chunk, collate([dataset.graphs[i] for i in chunk], dataset.labels[chunk], k_max)
+        yield chunk, collate([dataset.graphs[i] for i in chunk], k_max)
 
 
 def predict_logits(config: ModelConfig, params: ModelParams, dataset: Dataset) -> np.ndarray:
@@ -141,20 +141,19 @@ def report_from_logits(
     """Score one logit matrix against a NaN-masked label matrix.
 
     Tasks with no positives or no negatives among the observed labels are
-    UNDEFINED (None) and excluded from the macro mean.
+    UNDEFINED (None) and excluded from the macro mean. A non-finite logit
+    raises ValueError, rather than scoring a diverged model at a ROC of 0.5.
     """
+    diverged = int((~np.isfinite(logits)).any(axis=1).sum())
+    if diverged:
+        raise ValueError(f"{diverged} of {len(logits)} graphs have a non-finite logit: the model has diverged")
     metric_fn = _METRIC_FUNCS[metric]
-    mask = ~np.isnan(labels)
-    targets = np.where(mask, labels, 0.0)
-    loss = float(bce_with_logits_masked(Tensor(logits), targets, mask.astype(np.float64)).data)
+    loss = float(bce_with_logits_masked(Tensor(logits), labels).data)
     per_task: list[float | None] = []
     for t in range(labels.shape[1]):
-        observed = mask[:, t]
+        observed = ~np.isnan(labels[:, t])
         y = labels[observed, t]
-        if observed.sum() == 0 or (y == 1).sum() == 0 or (y == 0).sum() == 0:
-            per_task.append(None)
-        else:
-            per_task.append(metric_fn(logits[observed, t], y))
+        per_task.append(metric_fn(logits[observed, t], y) if (y == 1).any() and (y == 0).any() else None)
     defined = [v for v in per_task if v is not None]
     macro = float(np.mean(defined)) if defined else float("nan")
     return EvalReport(task_names=task_names, per_task=tuple(per_task), macro=macro, loss=loss)
@@ -219,10 +218,10 @@ def train_epoch(
     norms = norm_states(params)
     loss_sum = 0.0
     observed_sum = 0.0
-    for step, (_, batch) in enumerate(_batches(dataset, config.required_radius, batch_size, order), start=1):
+    for step, (idx, batch) in enumerate(_batches(dataset, config.required_radius, batch_size, order), start=1):
         with np.errstate(over="ignore", invalid="ignore"):
             logits = model_forward(config, params, batch, TRAIN, rng)
-            loss = bce_with_logits_masked(logits, batch.labels, batch.label_mask)
+            loss = bce_with_logits_masked(logits, dataset.labels[idx])
         # Overflowing activations can leave the loss finite while the
         # batch variance, and so the eval path, is already inf.
         if not (np.isfinite(loss.data) and all(np.isfinite(s.running_var).all() for s in norms)):
@@ -232,7 +231,7 @@ def train_epoch(
         opt.zero_grad()
         backward(loss)
         opt.step()
-        n_observed = float(batch.label_mask.sum())
+        n_observed = float((~np.isnan(dataset.labels[idx])).sum())
         loss_sum += float(loss.data) * n_observed
         observed_sum += n_observed
     return loss_sum / max(observed_sum, 1.0)
@@ -248,8 +247,8 @@ def train_model(
 
     Deterministic for a fixed seed. Returns the selected parameters (best
     validation epoch when patience > 0, otherwise the final epoch) and the
-    per-epoch history. Raises ValueError as :func:`train_epoch` does when
-    training diverges.
+    per-epoch history. Raises ValueError as :func:`train_epoch` and
+    :func:`report_from_logits` do when training diverges.
     """
     if len(train_set) == 0:
         raise ValueError("empty training split")

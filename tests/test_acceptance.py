@@ -43,7 +43,7 @@ def uniform_config(conv, layers, radius=1, hidden=16, tasks=2):
 
 
 def pooled(config, params, graph):
-    return graph_embeddings(config, params, collate([graph], None, config.required_radius))
+    return graph_embeddings(config, params, collate([graph], config.required_radius))
 
 
 def test_wl_blindness_of_one_hop_convolutions():
@@ -159,7 +159,7 @@ def perturbed_copy(g, node):
 
 
 def probe_embedding(cfg, params, g, probe):
-    batch = collate([g], None, cfg.required_radius)
+    batch = collate([g], cfg.required_radius)
     return forward_node_embeddings(cfg, params, batch, EVAL)[-1].data[probe]
 
 
@@ -253,7 +253,7 @@ def test_radius_one_reduces_to_one_hop_exactly():
             lg.mlp = lp.mlp
             lg.norm = lp.norm
             lg.eps = lp.eps[:1]  # both initialized to zero
-        batch = collate([g], None, 1)
+        batch = collate([g], 1)
         out_plus = model_forward(plus_cfg, plus_params, batch, EVAL).data
         out_gine = model_forward(gine_cfg, gine_params, batch, EVAL).data
         assert np.array_equal(out_plus, out_gine), seed
@@ -274,13 +274,11 @@ def test_full_model_gradcheck():
         np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0], [0, 3]]),
         rng.integers(0, 2, (7, 1)),
     )
-    batch = collate([g], None, 3)
+    batch = collate([g], 3)
     targets = rng.integers(0, 2, (1, 2)).astype(float)
 
     def loss():
-        return bce_with_logits_masked(
-            model_forward(cfg, params, batch, EVAL), targets, np.ones((1, 2))
-        )
+        return bce_with_logits_masked(model_forward(cfg, params, batch, EVAL), targets)
 
     err = gradcheck(loss, parameters(params))
     assert err < 1e-4, err
@@ -337,11 +335,9 @@ def test_bench_overhead_recorded_not_asserted():
         t0 = time.perf_counter()
         for lo in range(0, len(dataset), 16):
             idx = np.arange(lo, min(lo + 16, len(dataset)))
-            batch = collate([dataset.graphs[i] for i in idx], dataset.labels[idx], cfg.required_radius)
+            batch = collate([dataset.graphs[i] for i in idx], cfg.required_radius)
             loss = bce_with_logits_masked(
-                model_forward(cfg, params, batch, "train", np.random.default_rng(0)),
-                batch.labels,
-                batch.label_mask,
+                model_forward(cfg, params, batch, "train", np.random.default_rng(0)), dataset.labels[idx]
             )
             opt.zero_grad()
             backward(loss)

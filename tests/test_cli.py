@@ -14,7 +14,7 @@ from cyclegnn.cli import main
 from cyclegnn.data import load_dataset, random_split, save_dataset
 from cyclegnn.nn import ModelConfig
 from cyclegnn.synth import gen_cycle_union, gen_synthetic_dataset
-from cyclegnn.tensor import load_checkpoint
+from cyclegnn.tensor import load_checkpoint, save_checkpoint
 from cyclegnn.train import TrainConfig, evaluate, train_model
 from cyclegnn.data import Dataset
 import cyclegnn.cli as cli_mod
@@ -554,17 +554,43 @@ class TestEval:
         err = capsys.readouterr().err
         assert err == f"error: malformed tensor list in checkpoint manifest {ckpt}\n"
 
-    @pytest.mark.parametrize("key", ["num_layers", "radius"])
+    @pytest.mark.parametrize("key", ["num_layers", "radius", "hidden", "node_field_cards"])
     def test_checkpoint_config_larger_than_its_tensors_exits_one_before_building_it(self, trained, tmp_path, capsys, monkeypatch, key):
-        # a manifest token tests/test_fuzz.py can write: 2**63 layers or shells were built until memory ran out
+        # each edit makes the model far larger than the file's tensors (2**63 is a manifest token tests/test_fuzz.py
+        # can write), and building it would take that memory before any tensor's shape failed to match
         _, data, prefix = trained
         ckpt = copy_checkpoint(prefix, tmp_path)
-        edit_manifest(ckpt, lambda manifest: manifest["extra"]["config"].update({key: 2**63}))
+        value = {"hidden": 6000, "node_field_cards": [2**63]}.get(key, 2**63)
+        edit_manifest(ckpt, lambda manifest: manifest["extra"]["config"].update({key: value}))
         monkeypatch.setattr("cyclegnn.nn.init_params", lambda *args, **kwargs: pytest.fail("the model was built"))
         code = main(["eval", "--checkpoint", ckpt, "--data", data, "--out", str(tmp_path / "r.tsv")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"error: checkpoint {ckpt} holds fewer tensors than its model config has layers and shells\n"
+        assert err == f"error: checkpoint {ckpt} holds fewer tensor bytes than its model config's weights need\n"
+
+    @pytest.mark.parametrize("conv", nn_mod.CONV_TYPES)
+    @pytest.mark.parametrize("radius", [1, 3])
+    def test_checkpoint_of_every_conv_type_loads(self, tmp_path, conv, radius):
+        # the bound is a lower bound of every model's weights; radius 3 is ignored by gcn and gine
+        config = ModelConfig(conv, (3, 2), (2,), 2, hidden=4, num_layers=2, radius=radius, virtual_node=True)
+        params = nn_mod.init_params(config, seed=1)
+        assert cli_mod._weight_bytes(config) <= 4 * nn_mod.param_count(config)
+        ckpt = str(tmp_path / "m.ckpt")
+        save_checkpoint(nn_mod.named_arrays(params), ckpt, extra={"config": dataclasses.asdict(config)})
+        loaded, loaded_params, _ = cli_mod._load_model(ckpt)
+        arrays, loaded_arrays = nn_mod.named_arrays(params), nn_mod.named_arrays(loaded_params)
+        assert loaded == config and all(arrays[k].tobytes() == loaded_arrays[k].tobytes() for k in arrays)
+
+    def test_checkpoint_with_non_finite_weights_exits_one(self, trained, tmp_path, capsys):
+        # NaN weights make every logit NaN: a diverged model, which must fail rather than score a ROC of 0.5
+        _, data, prefix = trained
+        arrays, extra = load_checkpoint(prefix + ".ckpt")
+        arrays["classifier.weight"][...] = np.nan
+        ckpt, out = str(tmp_path / "nan.ckpt"), str(tmp_path / "r.tsv")
+        save_checkpoint(arrays, ckpt, extra=extra)
+        assert main(["eval", "--checkpoint", ckpt, "--data", data, "--out", out]) == 1
+        assert capsys.readouterr().err == "error: 40 of 40 graphs have a non-finite logit: the model has diverged\n"
+        assert not os.path.exists(out)
 
     def test_checkpoint_dimension_outside_int64_exits_one(self, trained, tmp_path, capsys):
         _, data, prefix = trained
@@ -754,12 +780,16 @@ class TestOutOfMemory:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: a model of {2**63} layers of width ")
 
-    @pytest.mark.parametrize("conv", ["gine", "gine+"])
+    @pytest.mark.parametrize("conv", nn_mod.CONV_TYPES)
     def test_model_weights_are_bounded_by_physical_memory(self, conv, monkeypatch):
         manifest = data_mod.DatasetManifest((1,), (1,), ("task",))
         dataset = Dataset([gen_cycle_union([3])], np.ones((1, 1)), manifest)
         options = {"conv": conv, "hidden": 64, "layers": 3, "radius": 2, "virtual_node": False, "dropout": 0.0}
-        weights = 4 * 3 * (4 * 64 * 64 + 3 * 64)  # float32 bytes: each layer's MLP and eps vectors
+        # float32 bytes of rows 64 wide: per layer, the gcn matrix (64 rows) or the GIN MLP (256), a bias or
+        # eps vector per distance the layer reads (1, or 2 for the wide convs), and the edge table (1 row);
+        # then the node table (1 row) and the classifier (1 column)
+        rows = {"gcn": 64 + 1, "gine": 256 + 1}.get(conv, 256 + 2) + 1
+        weights = 4 * 64 * (3 * rows + 1 + 1)
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: weights)
         assert cli_mod._model_config(options, dataset).num_layers == 3
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: weights - 1)

@@ -50,7 +50,7 @@ def test_array_records_compare_and_hash_by_identity():
         (g, twin),
         (build_khop_index(g, 2), build_khop_index(g, 2)),
         (small_dataset(), small_dataset()),
-        (collate([g], None), collate([g], None)),
+        (collate([g]), collate([g])),
         (BatchNormState.initial(4), BatchNormState.initial(4)),
     ]
     for a, b in records:
@@ -352,29 +352,22 @@ class TestCollate:
     def test_batch_of_one_keeps_ids(self):
         d = small_dataset(n=1)
         g = d.graphs[0]
-        batch = collate([g], d.labels, k_max=2)
+        batch = collate([g], k_max=2)
         assert batch.num_graphs == 1 and batch.node_feats.shape[0] == g.num_nodes
         np.testing.assert_array_equal(batch.node_feats, g.node_feats)
         np.testing.assert_array_equal(batch.graph_ids.ids, np.zeros(g.num_nodes))
 
     def test_totals_are_sums(self):
         d = small_dataset(n=5)
-        batch = collate(d.graphs, d.labels)
+        batch = collate(d.graphs)
         assert batch.node_feats.shape[0] == sum(g.num_nodes for g in d.graphs)
         assert batch.arc_src.ids.size == 2 * sum(g.num_edges for g in d.graphs)
-
-    def test_label_mask_marks_missing_as_zero(self):
-        d = small_dataset(n=4)
-        batch = collate(d.graphs, d.labels)
-        missing = np.isnan(d.labels)
-        np.testing.assert_array_equal(batch.label_mask == 0.0, missing)
-        assert (batch.labels[missing] == 0.0).all()
 
     def test_khop_never_crosses_graphs(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             d = small_dataset(n=int(rng.integers(2, 6)), seed=int(rng.integers(100)))
-            batch = collate(d.graphs, None, k_max=3)
+            batch = collate(d.graphs, k_max=3)
             bounds = np.concatenate([[0], np.cumsum(np.bincount(batch.graph_ids.ids))])
             index = ((batch.arc_dst, batch.arc_src),) + batch.shells  # distance 1 is the arcs
             for k in range(1, 4):
@@ -385,7 +378,7 @@ class TestCollate:
 
     def test_khop_matches_per_graph_index(self):
         d = small_dataset(n=4, seed=11)
-        batch = collate(d.graphs, None, k_max=3)
+        batch = collate(d.graphs, k_max=3)
         # the shells start at distance 2, so this index's k - 1 is distance k
         khop = KHopIndex(tuple((dst.ids, src.ids) for dst, src in batch.shells))
         offset = 0
@@ -406,10 +399,10 @@ class TestCollate:
         for g in d.graphs[1::2]:
             build_khop_index(g, 2)
         memos = [g._khop_pairs for g in d.graphs]  # tuples: the same tuple holds the same arrays
-        collate(d.graphs, None, k_max=2)  # every memo reaches 2
+        collate(d.graphs, k_max=2)  # every memo reaches 2
         for g, memo in zip(d.graphs, memos):
             assert g._khop_pairs is memo
-        collate(d.graphs, None, k_max=3)  # only the depth-2 memos are rebuilt
+        collate(d.graphs, k_max=3)  # only the depth-2 memos are rebuilt
         for g, memo in zip(d.graphs[::2], memos[::2]):
             assert g._khop_pairs is memo
         for g in d.graphs[1::2]:
@@ -420,7 +413,7 @@ class TestCollate:
             LabeledGraph(num_nodes=n, node_feats=np.zeros((n, 2)), edges=np.zeros((0, 2)), edge_feats=np.zeros((0, 3)))
             for n in (1, 4, 2)
         ]
-        batch = collate(graphs, None, k_max=3)
+        batch = collate(graphs, k_max=3)
         assert batch.arc_edge_feats.shape == (0, 3)
         for plan in (batch.arc_src, batch.arc_dst):
             assert plan.ids.shape == (0,) and plan.ids.dtype == np.int64
@@ -462,7 +455,7 @@ class TestBatchPlans:
         rng = np.random.default_rng(12)
         for _ in range(25):
             graphs = [self.random_graph(rng) for _ in range(int(rng.integers(1, 12)))]
-            batch = collate(graphs, None, k_max=3)
+            batch = collate(graphs, k_max=3)
             for name, plan in _plans(batch).items():
                 values = rng.normal(size=(plan.ids.size, 5)).astype(np.float32)
                 want = _scatter_add(plan.ids, values, plan.n)
@@ -481,7 +474,7 @@ class TestBatchPlans:
             edge_feats=np.zeros((1000, 1)),
         )
         for graph in (star, gen_cycle_union([1000])):
-            batch = collate([graph, self.random_graph(rng)], None, k_max=2)
+            batch = collate([graph, self.random_graph(rng)], k_max=2)
             for name, plan in _plans(batch).items():
                 values = rng.normal(size=(plan.ids.size, 5)).astype(np.float32)
                 want = _scatter_add(plan.ids, values, plan.n)
@@ -493,7 +486,7 @@ class TestBatchPlans:
     def test_degree_two_cycle_unions_sum_exactly(self):
         rng = np.random.default_rng(13)
         graphs = [gen_cycle_union(rng.integers(3, 9, size=int(rng.integers(1, 4)))) for _ in range(16)]
-        batch = collate(graphs, None, k_max=3)
+        batch = collate(graphs, k_max=3)
         for name, plan in _plans(batch).items():
             assert name == "graph_ids" or np.bincount(plan.ids).max() <= 2
             values = rng.normal(size=(plan.ids.size, 7)).astype(np.float32)
@@ -501,7 +494,7 @@ class TestBatchPlans:
 
     def test_isolated_nodes_and_empty_shells_sum_to_zero(self):
         g = LabeledGraph(num_nodes=4, node_feats=np.zeros((4, 1)), edges=np.asarray([[0, 1]]), edge_feats=np.zeros((1, 1)))
-        batch = collate([g, g], None, k_max=2)
+        batch = collate([g, g], k_max=2)
         for name, plan in _plans(batch).items():
             out = plan.sum(np.ones((plan.ids.size, 2), dtype=np.float32))
             np.testing.assert_array_equal(out[:, 0], np.bincount(plan.ids, minlength=plan.n), err_msg=name)

@@ -198,7 +198,7 @@ class TestWideConvs:
     def test_layer_one_clamps_to_one_hop(self):
         # with history [h0] only the k=0 and k=1 terms exist, so radius 3 == radius 1
         g = gen_cycle_union([6])
-        batch = collate([g], None, k_max=3)
+        batch = collate([g], k_max=3)
         h0 = t64(np.random.default_rng(8).normal(size=(6, 2)))
         wide = gin_layer(2, eps_vectors=4)
         narrow = gin_layer(2, eps_vectors=2)
@@ -208,7 +208,7 @@ class TestWideConvs:
 
     def test_radius_one_trio_bit_identical(self):
         g = gen_cycle_union([3, 4])
-        batch = collate([g], None, k_max=1)
+        batch = collate([g], k_max=1)
         h0 = t64(np.random.default_rng(9).normal(size=(7, 2)))
         layer2 = gin_layer(2, eps_vectors=2)
         layer1 = LayerParams(
@@ -222,7 +222,7 @@ class TestWideConvs:
 
     def test_empty_second_shell_contributes_nothing(self):
         c3 = gen_cycle_union([3])
-        batch = collate([c3], None, k_max=2)
+        batch = collate([c3], k_max=2)
         h0 = t64(np.abs(np.random.default_rng(10).normal(size=(3, 2))))
         out_k2 = naive_gineplus_conv(gin_layer(2, 3), [h0], batch, EVAL).data
         out_k1 = naive_gineplus_conv(gin_layer(2, 2), [h0], batch, EVAL).data
@@ -231,7 +231,7 @@ class TestWideConvs:
     def test_naive_hand_sum_on_path(self):
         # path 0-1-2, all eps 0, non-negative h, identity MLP, E = 0:
         # out_0 = h0 + (h1) + (h2)   [k=1 and k=2 shells]
-        batch = collate([plain(3, [(0, 1), (1, 2)])], None, k_max=2)
+        batch = collate([plain(3, [(0, 1), (1, 2)])], k_max=2)
         h0 = t64([[1.0, 2.0], [4.0, 0.5], [0.25, 3.0]])
         out = naive_gineplus_conv(gin_layer(2, 3), [h0], batch, EVAL).data
         np.testing.assert_allclose(out[0], [1.0 + 4.0 + 0.25, 2.0 + 0.5 + 3.0])
@@ -244,19 +244,19 @@ class TestWideConvs:
         h0 = t64(np.full((6, 2), 0.5))
         out = {}
         for name, g in (("c6", gen_cycle_union([6])), ("c33", gen_cycle_union([3, 3]))):
-            batch = collate([g], None, k_max=2)
+            batch = collate([g], k_max=2)
             out[name] = gineplus_conv(wide, [h0, h_prev], batch, EVAL).data
         # identical 1-hop environments, so the gap is exactly the k=2 shell sum
         np.testing.assert_allclose(out["c6"] - out["c33"], np.full((6, 2), 1.0))
 
     def test_missing_khop_index_rejected(self):
-        batch = collate([gen_cycle_union([6])], None, k_max=1)
+        batch = collate([gen_cycle_union([6])], k_max=1)
         h0 = t64(np.ones((6, 2)))
         with pytest.raises(ValueError, match="neighbor index"):
             gineplus_conv(gin_layer(2, eps_vectors=3), [h0], batch, EVAL)
 
     def test_empty_history_rejected(self):
-        batch = collate([gen_cycle_union([3])], None, k_max=2)
+        batch = collate([gen_cycle_union([3])], k_max=2)
         with pytest.raises(ValueError, match="history"):
             gineplus_conv(gin_layer(2, 3), [], batch, EVAL)
 
@@ -309,11 +309,11 @@ class TestModelForward:
         cfg = make_config(conv, radius=2, num_layers=2, virtual_node=virtual_node)
         params = init_params(cfg, 15, dtype=np.float64)
         g = features_graph(rng, 7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3)])
-        logits = model_forward(cfg, params, collate([g], None, 2), EVAL).data
+        logits = model_forward(cfg, params, collate([g], 2), EVAL).data
         for _ in range(3):
             perm = rng.permutation(7)
             logits_p = model_forward(
-                cfg, params, collate([permute_graph(g, perm)], None, 2), EVAL
+                cfg, params, collate([permute_graph(g, perm)], 2), EVAL
             ).data
             np.testing.assert_allclose(logits_p, logits, atol=1e-5)
 
@@ -324,9 +324,9 @@ class TestModelForward:
         params = init_params(cfg, 17, dtype=np.float64)
         sizes = [int(rng.integers(3, 7)) for _ in range(3)]
         graphs = [features_graph(rng, n, [(i, i + 1) for i in range(n - 1)]) for n in sizes]
-        batched = model_forward(cfg, params, collate(graphs, None, 2), EVAL).data
+        batched = model_forward(cfg, params, collate(graphs, 2), EVAL).data
         singles = np.vstack(
-            [model_forward(cfg, params, collate([g], None, 2), EVAL).data for g in graphs]
+            [model_forward(cfg, params, collate([g], 2), EVAL).data for g in graphs]
         )
         np.testing.assert_allclose(batched, singles, atol=1e-5)
 
@@ -344,8 +344,8 @@ class TestModelForward:
                 "gine+", node_field_cards=(1,), edge_field_cards=(1,), radius=2, num_layers=2
             )
             params = init_params(cfg, seed, dtype=np.float64)
-            a = model_forward(cfg, params, collate([gen_cycle_union([3, 3])], None, 2), EVAL).data
-            b = model_forward(cfg, params, collate([gen_cycle_union([6])], None, 2), EVAL).data
+            a = model_forward(cfg, params, collate([gen_cycle_union([3, 3])], 2), EVAL).data
+            b = model_forward(cfg, params, collate([gen_cycle_union([6])], 2), EVAL).data
             hits += float(np.linalg.norm(a - b)) > 1e-3
         assert hits == 3
 
@@ -386,7 +386,7 @@ class TestModelForward:
             g.node_feats[2, 0] = 3
         if fault == "edge_value":
             g.edge_feats[4, 0] = 2
-        batch = collate([g], None, k_max=2 if wide else 1)
+        batch = collate([g], k_max=2 if wide else 1)
         before = [(s.running_mean.copy(), s.running_var.copy()) for s in norm_states(params)]
         with pytest.raises(ValueError):
             model_forward(cfg, params, batch, TRAIN)
@@ -397,7 +397,7 @@ class TestModelForward:
 
 class TestLocality:
     def probe_embedding(self, cfg, params, g, probe):
-        batch = collate([g], None, cfg.required_radius)
+        batch = collate([g], cfg.required_radius)
         return forward_node_embeddings(cfg, params, batch, EVAL)[-1].data[probe]
 
     def test_gineplus_receptive_distance_is_depth(self):
@@ -593,9 +593,7 @@ class TestFullModelGradcheck:
         targets = rng.integers(0, 2, (1, 2)).astype(float)
 
         def f():
-            return bce_with_logits_masked(
-                model_forward(cfg, params, batch, EVAL), targets, np.ones((1, 2))
-            )
+            return bce_with_logits_masked(model_forward(cfg, params, batch, EVAL), targets)
 
         assert gradcheck(f, parameters(params)) < 1e-4
 
@@ -625,7 +623,7 @@ class TestReferenceModel:
             graphs.append(features_graph(rng, n, g.edges, cfg.node_field_cards, cfg.edge_field_cards))
         before = {id(s): (s.running_mean, s.running_var) for s in norm_states(params)}
         want, stats = reference_model_forward(cfg, params, graphs, train=mode == TRAIN)
-        got = model_forward(cfg, params, collate(graphs, None, cfg.required_radius), mode)
+        got = model_forward(cfg, params, collate(graphs, cfg.required_radius), mode)
         np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
         assert np.abs(want).max() > 0.1
         for s in norm_states(params):

@@ -100,7 +100,7 @@ class TestTapeRelease:
         x = Tensor(rng.normal(size=(n, h)).astype(np.float32))
         plan = Segments(rng.integers(0, n, size=3 * n), n)
         states = [BatchNormState.initial(h) for _ in range(3)]
-        targets, mask = np.ones((n, 1), np.float32), np.ones((n, 1), np.float32)
+        targets = np.ones((n, 1), np.float32)
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
@@ -109,7 +109,7 @@ class TestTapeRelease:
                 z = add(z, segment_sum(relu(gather_rows(z, plan)), plan))
                 z = relu(batchnorm(matmul(z, w), gamma, beta, state, TRAIN))
             logits = matmul(z, head)
-            loss = bce_with_logits_masked(logits, targets, mask)
+            loss = bce_with_logits_masked(logits, targets)
             del z
             forward = tracemalloc.get_traced_memory()[0] - baseline
             backward(loss)
@@ -614,35 +614,62 @@ class TestBatchnorm:
 
 class TestMaskedBce:
     def test_logit_zero_target_one_is_ln2(self):
-        loss = bce_with_logits_masked(t64([[0.0]]), [[1.0]], [[1.0]])
+        loss = bce_with_logits_masked(t64([[0.0]]), [[1.0]])
         assert abs(float(loss.data) - math.log(2.0)) < 1e-12
 
     def test_fully_masked_is_zero_with_zero_grad(self):
         logits = t64([[3.0, -4.0]], grad=True)
-        loss = bce_with_logits_masked(logits, [[1.0, 0.0]], [[0.0, 0.0]])
+        loss = bce_with_logits_masked(logits, [[np.nan, np.nan]])
         backward(loss)
         assert float(loss.data) == 0.0
         np.testing.assert_array_equal(logits.grad, np.zeros((1, 2)))
+
+    def test_missing_labels_add_nothing(self):
+        # equal to the loss over the observed entries alone, with a zero gradient on the rest and an all-missing row
+        logits = t64([[0.5, -2.0, 1.5], [-7.0, 2.0, 4.0], [3.0, 0.25, -1.0]], grad=True)
+        labels = np.array([[1.0, np.nan, 0.0], [np.nan, np.nan, np.nan], [np.nan, 1.0, np.nan]])
+        loss = bce_with_logits_masked(logits, labels)
+        backward(loss)
+        observed = t64(logits.data[~np.isnan(labels)].reshape(1, -1), grad=True)
+        packed = bce_with_logits_masked(observed, labels[~np.isnan(labels)].reshape(1, -1))
+        backward(packed)
+        assert float(loss.data) == float(packed.data)
+        np.testing.assert_array_equal(logits.grad[np.isnan(labels)], 0.0)
+        np.testing.assert_array_equal(logits.grad[~np.isnan(labels)], observed.grad.ravel())
 
     def test_matches_direct_formula_on_grid(self):
         z = np.linspace(-10.0, 10.0, 81).reshape(-1, 1)
         for y in (0.0, 1.0):
             targets = np.full_like(z, y)
-            loss = float(bce_with_logits_masked(t64(z), targets, np.ones_like(z)).data)
+            loss = float(bce_with_logits_masked(t64(z), targets).data)
             sig = 1.0 / (1.0 + np.exp(-z))
             direct = float(np.mean(-(targets * np.log(sig) + (1 - targets) * np.log(1 - sig))))
             assert abs(loss - direct) < 1e-10
 
     def test_huge_logits_stay_finite(self):
-        loss = bce_with_logits_masked(t64([[1000.0, -1000.0]]), [[0.0, 1.0]], [[1.0, 1.0]])
+        loss = bce_with_logits_masked(t64([[1000.0, -1000.0]]), [[0.0, 1.0]])
         assert np.isfinite(float(loss.data))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_missing_label_under_a_huge_logit_stays_finite(self, dtype):
+        logits = Tensor(np.array([[1000.0, -1000.0, 2.0]], dtype), requires_grad=True)
+        loss = bce_with_logits_masked(logits, [[np.nan, np.nan, 1.0]])
+        backward(loss)
+        assert float(loss.data) == pytest.approx(math.log1p(math.exp(-2.0)), rel=1e-6)
+        np.testing.assert_array_equal(logits.grad[0, :2], 0.0)
+        assert np.isfinite(logits.grad).all()
+
+    def test_labels_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="share one shape"):
+            bce_with_logits_masked(t64([[0.0, 1.0]]), [[1.0]])
 
     def test_gradcheck(self):
         rng = np.random.default_rng(8)
         logits = t64(rng.normal(size=(3, 4)), grad=True)
-        targets = rng.integers(0, 2, size=(3, 4)).astype(float)
-        mask = rng.integers(0, 2, size=(3, 4)).astype(float)
-        assert gradcheck(lambda: bce_with_logits_masked(logits, targets, mask), [logits]) < 1e-7
+        labels = rng.integers(0, 2, size=(3, 4)).astype(float)
+        labels[rng.integers(0, 2, size=(3, 4)) == 0] = np.nan
+        assert np.isnan(labels).any() and not np.isnan(labels).all()
+        assert gradcheck(lambda: bce_with_logits_masked(logits, labels), [logits]) < 1e-7
 
 
 class TestAdam:

@@ -155,6 +155,13 @@ class TestReportFromLogits:
         assert report.macro == 1.0
         assert report.per_task == (1.0, 1.0, 1.0)
 
+    def test_non_finite_logits_raise_naming_how_many_graphs(self):
+        labels = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, np.nan, 0.0], [0.0, 1.0, 1.0]])
+        logits = np.zeros((4, 3))
+        logits[1, 2], logits[3, 0] = np.nan, -np.inf
+        with pytest.raises(ValueError, match="^2 of 4 graphs have a non-finite logit"):
+            report_from_logits(logits, labels, self.names, "roc")
+
     def test_all_missing_task_undefined_and_excluded(self):
         labels = np.array([[1.0, np.nan], [0.0, np.nan]])
         logits = np.array([[2.0, 0.0], [-2.0, 0.0]])
@@ -177,13 +184,7 @@ class TestReportFromLogits:
         logits = rng.normal(size=(6, 3))
         report = report_from_logits(logits, labels, self.names, "roc")
         keep = ~np.isnan(labels)
-        packed = float(
-            bce_with_logits_masked(
-                Tensor(logits[keep].reshape(1, -1)),
-                labels[keep].reshape(1, -1),
-                np.ones((1, int(keep.sum()))),
-            ).data
-        )
+        packed = float(bce_with_logits_masked(Tensor(logits[keep].reshape(1, -1)), labels[keep].reshape(1, -1)).data)
         assert report.loss == pytest.approx(packed, abs=1e-12)
 
 
@@ -288,10 +289,10 @@ class TestTrainEpoch:
         total = observed = 0.0
         for start in range(0, len(data), 16):
             idx = order[start : start + 16]
-            batch = collate([data.graphs[i] for i in idx], data.labels[idx], cfg.required_radius)
-            loss = bce_with_logits_masked(model_forward(cfg, params, batch, TRAIN), batch.labels, batch.label_mask)
-            total += float(loss.data) * batch.label_mask.sum()
-            observed += batch.label_mask.sum()
+            batch, labels = collate([data.graphs[i] for i in idx], cfg.required_radius), data.labels[idx]
+            loss = bce_with_logits_masked(model_forward(cfg, params, batch, TRAIN), labels)
+            total += float(loss.data) * (~np.isnan(labels)).sum()
+            observed += (~np.isnan(labels)).sum()
         assert mean_loss == pytest.approx(total / observed, rel=1e-6)
 
     def test_divergence_names_epoch_and_batch(self, small_cycle_splits):
@@ -489,7 +490,7 @@ class TestRecalibrateNormStats:
             monkeypatch.setattr(nn_mod, "batchnorm", spy)
             for start in range(0, len(ds), 7):
                 chunk = np.arange(start, min(start + 7, len(ds)))
-                batch = collate([ds.graphs[i] for i in chunk], ds.labels[chunk], cfg.required_radius)
+                batch = collate([ds.graphs[i] for i in chunk], cfg.required_radius)
                 model_forward(cfg, reference, batch, EVAL)
             sums, sumsqs, rows = zip(*pooled)
             count = sum(rows)
@@ -541,7 +542,7 @@ SCORERS = {
         nn_mod,
         nn_mod,
         "forward_node_embeddings",
-        lambda cfg, p, ds: graph_embeddings(cfg, p, collate(ds.graphs, None, cfg.required_radius)),
+        lambda cfg, p, ds: graph_embeddings(cfg, p, collate(ds.graphs, cfg.required_radius)),
     ),
 }
 
@@ -586,13 +587,13 @@ class TestScoringRecordsNoTape:
     def test_training_step_after_scoring_fills_every_gradient(self, small_cycle_splits):
         train_set, valid_set, _ = small_cycle_splits
         cfg = quick_config(conv="gine")
-        batch = collate(train_set.graphs[:32], train_set.labels[:32], cfg.required_radius)
+        batch = collate(train_set.graphs[:32], cfg.required_radius)
         grads = []
         for score_first in (True, False):
             params = init_params(cfg, 0)
             if score_first:
                 evaluate(cfg, params, valid_set)
-            backward(bce_with_logits_masked(model_forward(cfg, params, batch, TRAIN), batch.labels, batch.label_mask))
+            backward(bce_with_logits_masked(model_forward(cfg, params, batch, TRAIN), train_set.labels[:32]))
             grads.append([p.grad for p in parameters(params)])
         assert all(g.any() for g in grads[0])
         assert all(a.tobytes() == b.tobytes() for a, b in zip(*grads))

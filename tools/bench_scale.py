@@ -158,11 +158,11 @@ def _batches():
 
     cycles = _dataset(synth.TASK_MIN_CYCLE, 64).graphs
     multitask = _dataset(synth.TASK_RANDOM_MULTITASK, 256).graphs
-    yield "cycles-64", data.collate(cycles, None, k_max=3), 32
-    yield "multitask-64", data.collate(multitask[:64], None, k_max=2), 100
-    yield "multitask-256", data.collate(multitask, None, k_max=2), 100
-    yield "star-1000", data.collate([_star()], None, k_max=1), 32
-    yield "cycle-8000", data.collate([_graph(8000, [(i, (i + 1) % 8000) for i in range(8000)])], None, k_max=1), 32
+    yield "cycles-64", data.collate(cycles, k_max=3), 32
+    yield "multitask-64", data.collate(multitask[:64], k_max=2), 100
+    yield "multitask-256", data.collate(multitask, k_max=2), 100
+    yield "star-1000", data.collate([_star()], k_max=1), 32
+    yield "cycle-8000", data.collate([_graph(8000, [(i, (i + 1) % 8000) for i in range(8000)])], k_max=1), 32
 
 
 def _datasets():
@@ -265,7 +265,7 @@ def measure_khop() -> dict:
     out: dict[str, dict] = {}
     for name, graphs, k_max, min_calls in cases:
         if len(graphs) > 1:
-            call, fn = "collate", lambda: data.collate(graphs, None, k_max=k_max)
+            call, fn = "collate", lambda: data.collate(graphs, k_max=k_max)
         else:
             call, fn = "build_khop_index", lambda: build_khop_index(graphs[0], k_max)
 
