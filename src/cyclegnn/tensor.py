@@ -1,13 +1,19 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-A Tensor wraps a numpy array and remembers, for results of primitive
-operations, which tensors produced it and how to push gradients back to
-them. ``backward(loss)`` runs reverse accumulation over that record and
-consumes it: each node's gradient, closure and parents are dropped as soon as
-its closure has run, so a step's intermediates are freed while backward
-walks the tape, not when the next forward rebinds the loss. Inside
-``with no_grad():`` nothing is recorded: results carry no parents, no
-backward closure and ``requires_grad`` False, so a forward that is never
+A Tensor wraps a numpy array. A tracked result of a primitive operation also
+points at its tape node, which holds no data: only the result's gradient
+while backward runs, the nodes of its tracked operands, its shape and dtype,
+and the backward closure. Each closure keeps only the arrays that its
+gradient reads (``mul`` and ``matmul`` the partner of an operand that needs a
+gradient, ``relu`` a boolean mask, ``sigmoid`` its output), so an
+intermediate that no gradient reads is freed as soon as the forward drops
+its Tensor. A leaf (a tensor made with ``requires_grad=True``) is its own
+node and keeps its ``.grad``. ``backward(loss)`` runs reverse accumulation
+over the tape and consumes it: each node's gradient, closure and parents are
+dropped as soon as its closure has run, so a step's saved arrays are freed
+while backward walks the tape, not when the next forward rebinds the loss.
+Inside ``with no_grad():`` nothing is recorded: results have no node, save
+nothing and have ``requires_grad`` False, so a forward that is never
 differentiated (scoring, statistics recalibration) frees each intermediate
 as soon as it is used. Training code uses float32; gradient checking should
 use float64.
@@ -81,7 +87,7 @@ def _check_mode(mode: str) -> None:
 class Tensor:
     """A dense floating array, optionally tracked for differentiation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -90,8 +96,15 @@ class Tensor:
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None  # set on tracked results only; a leaf is its own node
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self) -> Callable[[np.ndarray], None] | None:
+        return None if self._node is None else self._node._backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -142,26 +155,50 @@ def no_grad() -> Iterator[None]:
         _recording = previous
 
 
-def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward: Callable) -> Tensor:
+class _Node:
+    """The tape's record of one tracked result, without its data."""
+
+    __slots__ = ("grad", "shape", "dtype", "_parents", "_backward")
+    requires_grad = True
+
+    def __init__(self, data: np.ndarray, parents: tuple, backward: Callable[[np.ndarray], None]):
+        self.grad: np.ndarray | None = None
+        self.shape, self.dtype = data.shape, data.dtype
+        self._parents, self._backward = parents, backward
+
+
+def _node(t: Tensor) -> _Node | Tensor | None:
+    """The node that an operation recorded now would take ``t``'s gradient
+    through: its own for a tracked result, ``t`` for a leaf; None when ``t``
+    is untracked or inside ``no_grad``."""
+    if not _recording:
+        return None
+    return t._node or (t if t.requires_grad else None)
+
+
+def _result(data: np.ndarray, nodes: tuple, backward: Callable[[np.ndarray], None]) -> Tensor:
+    """A Tensor of ``data``, tracked when any operand node is not None: its
+    node's parents are those nodes, and ``backward`` pushes its gradient to them."""
     out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    out.requires_grad = _recording and any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = parents
-        out._backward = backward
-    else:
-        out._parents = ()
-        out._backward = None
+    out.data, out.grad = data, None
+    parents = tuple(n for n in nodes if n is not None) if _recording else ()  # all None in no_grad
+    out.requires_grad = bool(parents)
+    out._node = _Node(data, parents, backward) if parents else None
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.empty_like(t.data)
-        t.grad[...] = g  # 0 + g up to the sign of a zero, without the zero fill
+def _saved(t: Tensor, reader: _Node | Tensor | None) -> np.ndarray | None:
+    """``t.data`` for a backward closure when ``reader``, the node of the
+    operand whose gradient reads it, is not None; else None, so nothing is kept."""
+    return None if reader is None else t.data
+
+
+def _accumulate(node, g: np.ndarray) -> None:
+    if node.grad is None:
+        node.grad = np.empty(node.shape, node.dtype)  # every op's result is C-ordered, so this is empty_like(data)
+        node.grad[...] = g  # 0 + g up to the sign of a zero, without the zero fill
     else:
-        t.grad += g
+        node.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -178,27 +215,30 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data + b.data
+    na, nb = _node(a), _node(b)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g, na.shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g, nb.shape))
 
-    return _result(data, (a, b), backward)
+    return _result(data, (na, nb), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     data = a.data * b.data
+    na, nb = _node(a), _node(b)
+    a_data, b_data = _saved(a, nb), _saved(b, na)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if na is not None:
+            _accumulate(na, _unbroadcast(g * b_data, na.shape))
+        if nb is not None:
+            _accumulate(nb, _unbroadcast(g * a_data, nb.shape))
 
-    return _result(data, (a, b), backward)
+    return _result(data, (na, nb), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -207,36 +247,42 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
+    na, nb = _node(a), _node(b)
+    a_data, b_data = _saved(a, nb), _saved(b, na)
 
     def backward(g):
-        if a.requires_grad:
-            _accumulate(a, g @ b.data.T)
-        if b.requires_grad:
-            _accumulate(b, a.data.T @ g)
+        if na is not None:
+            _accumulate(na, g @ b_data.T)
+        if nb is not None:
+            _accumulate(nb, a_data.T @ g)
 
-    return _result(data, (a, b), backward)
+    return _result(data, (na, nb), backward)
 
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); NaN passes through, so non-finite activations stay visible.
-    The gradient is 1 where ``x`` > 0 and 0 elsewhere, at 0 and NaN included."""
+    The gradient is 1 where ``x`` > 0 and 0 elsewhere, at 0 and NaN included;
+    backward keeps that boolean mask, not ``x``."""
     x = _as_tensor(x)
     data = np.maximum(x.data, 0)
+    nx = _node(x)
+    mask = None if nx is None else x.data > 0
 
     def backward(g):
-        _accumulate(x, g * (x.data > 0))
+        _accumulate(nx, g * mask)
 
-    return _result(data, (x,), backward)
+    return _result(data, (nx,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     data = _sigmoid_stable(x.data)
+    nx = _node(x)
 
     def backward(g):
-        _accumulate(x, g * data * (1.0 - data))
+        _accumulate(nx, g * data * (1.0 - data))
 
-    return _result(data, (x,), backward)
+    return _result(data, (nx,), backward)
 
 
 def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
@@ -251,23 +297,26 @@ def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
 def pow_const(x: Tensor, exponent: float) -> Tensor:
     x = _as_tensor(x)
     data = x.data ** exponent
+    nx = _node(x)
+    x_data = _saved(x, nx)
 
     def backward(g):
-        _accumulate(x, g * exponent * x.data ** (exponent - 1.0))
+        _accumulate(nx, g * exponent * x_data ** (exponent - 1.0))
 
-    return _result(data, (x,), backward)
+    return _result(data, (nx,), backward)
 
 
 def tsum(x: Tensor, axis: int | None = None) -> Tensor:
     x = _as_tensor(x)
-    data = x.data.sum(axis=axis)
+    data = np.asarray(x.data.sum(axis=axis))
+    nx = _node(x)
 
     def backward(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=False))
+        _accumulate(nx, np.broadcast_to(g, nx.shape).astype(nx.dtype, copy=False))
 
-    return _result(np.asarray(data), (x,), backward)
+    return _result(data, (nx,), backward)
 
 
 def tmean(x: Tensor, axis: int | None = None) -> Tensor:
@@ -367,11 +416,12 @@ def gather_rows(x: Tensor, plan: Segments) -> Tensor:
     if plan.n != x.data.shape[0]:
         raise ValueError(f"plan has {plan.n} buckets, expected {x.data.shape[0]}")
     data = x.data[plan.ids]
+    nx = _node(x)
 
     def backward(g):
-        _accumulate(x, plan.sum(g))
+        _accumulate(nx, plan.sum(g))
 
-    return _result(data, (x,), backward)
+    return _result(data, (nx,), backward)
 
 
 def embedding_sum(tables: Sequence[Tensor], index) -> Tensor:
@@ -394,13 +444,14 @@ def embedding_sum(tables: Sequence[Tensor], index) -> Tensor:
     data = tables[0].data[idx[:, 0]]  # fancy indexing returns a new array
     for f in range(1, len(tables)):
         data += tables[f].data[idx[:, f]]
+    nodes = tuple(_node(t) for t in tables)
 
     def backward(g):
-        for table, plan in zip(tables, plans):
-            if table.requires_grad:
-                _accumulate(table, plan.sum(g))
+        for node, plan in zip(nodes, plans):
+            if node is not None:
+                _accumulate(node, plan.sum(g))
 
-    return _result(data, tuple(tables), backward)
+    return _result(data, nodes, backward)
 
 
 def segment_sum(values: Tensor, plan: Segments) -> Tensor:
@@ -408,11 +459,12 @@ def segment_sum(values: Tensor, plan: Segments) -> Tensor:
     empty buckets are zero."""
     values = _as_tensor(values)
     data = plan.sum(values.data)
+    nv = _node(values)
 
     def backward(g):
-        _accumulate(values, g[plan.ids])
+        _accumulate(nv, g[plan.ids])
 
-    return _result(data, (values,), backward)
+    return _result(data, (nv,), backward)
 
 
 def segment_mean(values: Tensor, plan: Segments) -> Tensor:
@@ -522,18 +574,20 @@ def _affine_norm(x: Tensor, mean: np.ndarray, inv: np.ndarray, gamma: Tensor, be
     data *= inv
     data *= gamma.data
     data += beta.data
+    nx, ngamma, nbeta = _node(x), _node(gamma), _node(beta)
+    x_data, gamma_data = _saved(x, ngamma), _saved(gamma, nx)
 
     def backward(g):
-        if beta.requires_grad:
-            _accumulate(beta, _unbroadcast(g, beta.data.shape))
-        if gamma.requires_grad:
-            normalized = x.data - mean
+        if nbeta is not None:
+            _accumulate(nbeta, _unbroadcast(g, nbeta.shape))
+        if ngamma is not None:
+            normalized = x_data - mean
             normalized *= inv
-            _accumulate(gamma, _unbroadcast(g * normalized, gamma.data.shape))
-        if x.requires_grad:
-            _accumulate(x, (g * gamma.data) * inv)
+            _accumulate(ngamma, _unbroadcast(g * normalized, ngamma.shape))
+        if nx is not None:
+            _accumulate(nx, (g * gamma_data) * inv)
 
-    return _result(data, (x, gamma, beta), backward)
+    return _result(data, (nx, ngamma, nbeta), backward)
 
 
 def bce_with_logits_masked(logits: Tensor, labels) -> Tensor:
@@ -554,11 +608,12 @@ def bce_with_logits_masked(logits: Tensor, labels) -> Tensor:
     count = float(m.sum())
     denom = max(count, 1.0)
     data = np.asarray((elem * m).sum() / denom, dtype=z.dtype)
+    node = _node(logits)
 
     def backward(g):
-        _accumulate(logits, g * (_sigmoid_stable(z) - y) * m / denom)
+        _accumulate(node, g * (_sigmoid_stable(z) - y) * m / denom)
 
-    return _result(data, (logits,), backward)
+    return _result(data, (node,), backward)
 
 
 def _consumed(g) -> None:
@@ -568,16 +623,18 @@ def _consumed(g) -> None:
 def backward(loss: Tensor) -> None:
     """Reverse accumulation from a scalar loss into ``.grad`` of tracked tensors.
 
-    Consumes the tape: once a node has pushed its gradient to its parents,
-    its ``.grad``, closure and parents are dropped, so each intermediate is
-    freed as soon as its last consumer is done. Leaves (tensors made with
-    ``requires_grad=True``) keep and accumulate their ``.grad``. A later
-    backward that reaches a consumed node raises ValueError."""
+    Walks the tape of data-free nodes from ``loss`` and consumes it: once a
+    node has pushed its gradient to its parents, its gradient, closure and
+    parents are dropped, and with the closure the arrays it saved, so each
+    saved array is freed as soon as its last reader is done. Leaves (tensors
+    made with ``requires_grad=True``) keep and accumulate their ``.grad``. A
+    later backward that reaches a consumed node raises ValueError."""
     if loss.data.size != 1:
         raise ValueError("backward expects a scalar loss")
-    order: list[Tensor] = []
+    root = loss._node or loss
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -589,7 +646,7 @@ def backward(loss: Tensor) -> None:
         stack.append((node, True))
         for parent in node._parents:
             stack.append((parent, False))
-    _accumulate(loss, np.ones_like(loss.data))
+    _accumulate(root, np.ones_like(loss.data))
     while order:
         node = order.pop()  # popped, so the list pins no finished node
         if node._backward is not None:

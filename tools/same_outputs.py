@@ -7,10 +7,11 @@ side first, as ``python -m cyclegnn`` processes with that checkout's ``src``
 on the path and one BLAS thread. Both sides write to the same paths, since
 every output records its run spec, ``--out`` included, and each side's files
 are moved aside once its recipe is done. Every step's stdout is kept as a
-file beside the outputs. The recipe covers every GIN-family convolution:
-``gine``, ``naive-gine+`` at K=3, ``gine+`` at K=2 and K=3, the same-seed
-run of CI (``--patience 1``, so a restore runs), a random-multitask ``gine+``
-K=2 virtual-node run with its ``eval``, and a ``counterexample``.
+file beside the outputs. The recipe covers every convolution: ``gine``,
+``naive-gine+`` at K=3, ``gine+`` at K=2 and K=3, the same-seed run of CI
+(``--patience 1``, so a restore runs), a random-multitask ``gine+`` K=2
+virtual-node run with its ``eval``, a random-multitask ``gcn`` run with its
+``eval``, and a ``counterexample``.
 
 For each file, one line is printed: its name, a tab, and ``identical`` or
 ``differs``. For each checkpoint a second line gives ``tools/ckpt_diff.py``'s
@@ -45,6 +46,8 @@ RECIPE = (
     ("train", "--data", "{run}/multitask.jsonl", "--out", "{run}/multitask", "--conv", "gine+", "--radius", "2",
      "--virtual-node", "--hidden", "16", "--epochs", "2", "--replicates", "1"),
     ("eval", "--checkpoint", "{run}/multitask.ckpt", "--data", "{run}/multitask.jsonl", "--out", "{run}/multitask.eval.tsv"),
+    ("train", "--data", "{run}/multitask.jsonl", "--out", "{run}/gcn", "--conv", "gcn", *SMALL),
+    ("eval", "--checkpoint", "{run}/gcn.ckpt", "--data", "{run}/multitask.jsonl", "--out", "{run}/gcn.eval.tsv"),
     ("counterexample", "--data", "{run}/cycles.jsonl", "--index", "0", "--edge", "{edge}", "--out", "{run}/ce"),
 )
 
