@@ -1,6 +1,7 @@
 import math
 import os
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -139,6 +140,61 @@ class TestTapeRelease:
             backward(loss)
         with pytest.raises(ValueError, match=message):
             backward(tsum(mul(square, t64([3.0]))))  # a new node on top of a consumed one
+
+
+class TestSavedArrays:
+    """The tape's nodes hold no data: a forward keeps alive only the arrays
+    that some backward closure reads."""
+
+    def test_a_forward_holds_only_what_its_backward_reads(self):
+        rng = np.random.default_rng(17)
+        n, e, h, card = 2000, 6000, 64, 5
+        x = Tensor(rng.normal(size=(n, h)).astype(np.float32), requires_grad=True)
+        table = Tensor(rng.normal(size=(card, h)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.normal(size=(h, 1)).astype(np.float32), requires_grad=True)
+        src, dst = Segments(rng.integers(0, n, size=e), n), Segments(rng.integers(0, n, size=e), n)
+        index = rng.integers(0, card, size=(e, 1))
+
+        def forward():  # four (e, h) float32 intermediates, none of them read by a backward
+            rows = add(gather_rows(x, src), embedding_sum([table], index))
+            return tsum(matmul(segment_sum(relu(rows), dst), w))
+
+        backward(forward())  # builds the plans' tables, as a training step before this one would
+        reads = e * h + n * h * 4  # relu's boolean mask and matmul's (n, h) float32 left operand
+        slack = 64 << 10  # nodes, closures, the loss and the embedding plan: a few KiB
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            loss = forward()
+            held = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert held <= reads + slack, (held, reads)
+        backward(loss)
+        assert all(np.abs(p.grad).sum() > 0 for p in (x, table, w))
+
+    def test_mul_saves_the_partner_and_frees_the_dropped_operand(self):
+        w = t64([1.0, 2.0, 3.0], grad=True)
+        x = mul(w, t64([2.0, 2.0, 2.0]))  # a tracked result, not a leaf: a leaf keeps its own data
+        keep = t64([1.0, 0.0, 4.0])
+        x_ref, keep_ref = weakref.ref(x.data), weakref.ref(keep.data)
+        out = mul(x, keep)
+        del x, keep
+        assert x_ref() is None  # no gradient reads it: keep needs none
+        assert keep_ref() is not None  # x's gradient reads it
+        backward(tsum(out))
+        np.testing.assert_array_equal(w.grad, [2.0, 0.0, 8.0])
+        assert keep_ref() is None  # the consumed tape let it go
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_gradient_is_the_upstream_times_the_positive_mask(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        values = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1.5, -2.0], dtype)
+        upstream = np.array([3.0, -3.0, -1.0, 2.0, -0.5, -4.0, 7.0, -7.0, -2.5, -1.0], dtype)
+        x = Tensor(values, requires_grad=True)
+        x.grad = None  # so the gradient lands as is, with no 0 + g to flip the sign of a zero
+        backward(tsum(mul(relu(x), Tensor(upstream))))
+        assert_same_bits(x.grad, upstream * (values > 0))
 
 
 class TestMallocPolicy:
@@ -406,7 +462,8 @@ class TestNoGrad:
             out = mul(w, w)
         assert not out.requires_grad and out._parents == () and out._backward is None
         taped = mul(w, w)
-        assert taped.requires_grad and taped._parents == (w, w)
+        assert taped.requires_grad and taped._parents == (w, w)  # a leaf is its own tape node
+        assert mul(taped, w)._parents == (taped._node, w)  # a result is recorded by its data-free node
 
     def test_nested_blocks_keep_the_outer_state(self):
         w = t64([1.0], grad=True)

@@ -112,6 +112,7 @@ def test_bench_scale_sections(tools):
     _, bench_scale = tools
     assert [section for section, _ in bench_scale.SECTIONS] == [
         "segments_per_call", "load_per_call", "optimizer_per_call", "khop_per_call", "gen_per_call", "recal_per_call",
+        "step_per_call",
     ]
 
 
@@ -143,6 +144,20 @@ def test_recal_section_times_both_workloads_training_splits(tools, monkeypatch):
     assert (cycles["graphs"], cycles["normalizers"]) == (480, 6)  # L=3 conv norms and MLP norms
     assert (multitask["graphs"], multitask["normalizers"]) == (256, 9)  # plus one virtual-node MLP norm per layer
     assert set(cycles_timings) == {"call_ms", "peak_bytes"} and cycles_timings["peak_bytes"] > 0
+
+
+def test_step_section_times_and_weighs_a_step_of_both_workload_models(tools, monkeypatch):
+    _, bench_scale = tools
+    monkeypatch.setattr(bench_scale, "MIN_CALLS", 1)
+    monkeypatch.setattr(bench_scale, "MIN_SECONDS", 0.0)
+    cases = bench_scale.measure_step()
+    assert list(cases) == ["cycles-gineplus", "multitask-score"]
+    for sizes, timings in cases.values():
+        assert sizes["graphs"] == 64
+        assert set(timings) == {"step_ms", "forward_held_bytes", "step_peak_bytes"}
+        assert 0 < timings["forward_held_bytes"] < timings["step_peak_bytes"]
+    (cycles, _), (multitask, _) = cases["cycles-gineplus"], cases["multitask-score"]
+    assert (cycles["k_max"], cycles["hidden"], multitask["k_max"], multitask["hidden"]) == (3, 32, 2, 100)
 
 
 @pytest.fixture

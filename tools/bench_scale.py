@@ -1,6 +1,7 @@
 """Per-call time of ``tensor.Segments`` plans, build plus sum, of
 ``data.load_dataset``, of an Adam step, of the k-hop build, of dataset
-generation and saving and of batchnorm recalibration, in two checkouts.
+generation and saving, of batchnorm recalibration and of a training step,
+in two checkouts.
 
     python3 tools/bench_scale.py --before DIR --after DIR --out BENCH_21.json
 
@@ -73,6 +74,16 @@ workload's model on the 256-graph split of the first 320 graphs of
 ``random-multitask-4000``. ``call_ms`` is the median of at least
 ``MIN_LOADS`` calls and ``peak_bytes`` the ``tracemalloc`` peak of one call
 after a first; the result goes under ``recal_per_call``.
+
+One training step (train-mode forward, masked loss, ``zero_grad``,
+``backward`` and Adam's ``step``) is timed on a 64-graph batch of each of
+the same two models (seed 0): ``cycles-gineplus`` on the first 64
+min-cycle-class graphs and ``multitask-score`` on the first 64
+random-multitask graphs. ``step_ms`` is the median of at least ``MIN_CALLS``
+steps. After a first step, ``forward_held_bytes`` is what ``tracemalloc``
+finds held after one more forward with only its loss bound (the arrays
+the tape keeps for backward), and ``step_peak_bytes`` the peak over that
+forward plus its backward; the result goes under ``step_per_call``.
 
 Each fixed graph and dataset is built once per process. Each checkout is
 measured in its own process, with one BLAS thread, ``ROUNDS`` times, sides
@@ -302,6 +313,15 @@ def measure_gen() -> dict:
     return out
 
 
+def _config(dataset, dims: dict):
+    """The gine+ model of ``dims`` over ``dataset``'s fields and tasks."""
+    from cyclegnn import nn
+
+    manifest = dataset.manifest
+    return nn.ModelConfig(nn.CONV_GINE_PLUS, manifest.node_field_cardinalities, manifest.edge_field_cardinalities,
+                          num_tasks=manifest.num_tasks, **dims)
+
+
 def measure_recal() -> dict:
     """Per-call medians, in ms, and ``tracemalloc`` peaks of
     ``recalibrate_norm_stats`` on each fixed model's training split, in this
@@ -316,9 +336,7 @@ def measure_recal() -> dict:
     }
     out: dict[str, dict] = {}
     for name, (dataset, dims) in cases.items():
-        manifest = dataset.manifest
-        config = nn.ModelConfig(nn.CONV_GINE_PLUS, manifest.node_field_cardinalities, manifest.edge_field_cardinalities,
-                                num_tasks=manifest.num_tasks, **dims)
+        config = _config(dataset, dims)
         params = nn.init_params(config, 0)
         train_set = data.random_split(dataset, (0.8, 0.1, 0.1), 7)[0]
 
@@ -335,6 +353,47 @@ def measure_recal() -> dict:
     return out
 
 
+def measure_step() -> dict:
+    """Per-call medians, in ms, of one training step of each fixed model on
+    a 64-graph batch, and ``tracemalloc`` bytes held after its train-mode
+    forward and peak over forward plus backward, in this process's cyclegnn."""
+    from cyclegnn import data, nn, synth
+    from cyclegnn.tensor import TRAIN, Adam, backward, bce_with_logits_masked
+
+    cases = {
+        "cycles-gineplus": (_dataset(synth.TASK_MIN_CYCLE, 64), dict(hidden=32, num_layers=3, radius=3, dropout=0.0)),
+        "multitask-score": (_dataset(synth.TASK_RANDOM_MULTITASK, 256).subset(np.arange(64)),
+                            dict(hidden=100, num_layers=3, radius=2, virtual_node=True)),
+    }
+    out: dict[str, dict] = {}
+    for name, (dataset, dims) in cases.items():
+        config = _config(dataset, dims)
+        params = nn.init_params(config, 0)
+        opt = Adam(nn.parameters(params))
+        batch = data.collate(dataset.graphs, k_max=config.required_radius)
+        rng = np.random.default_rng(0)
+
+        def forward():
+            return bce_with_logits_masked(nn.model_forward(config, params, batch, TRAIN, rng), dataset.labels)
+
+        def step():
+            loss = forward()
+            opt.zero_grad()
+            backward(loss)
+            opt.step()
+
+        step()  # builds the plans' tables and the gradient buffers
+        tracemalloc.start()
+        loss = forward()
+        held = tracemalloc.get_traced_memory()[0]
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        sizes = {**_counts(dataset.graphs), "k_max": config.required_radius, "hidden": config.hidden}
+        out[name] = sizes, {"step_ms": _median_ms(step), "forward_held_bytes": held, "step_peak_bytes": peak}
+    return out
+
+
 # Each output section's key, and the function that measures its cases: per
 # case name, a (sizes, timings) pair of dicts.
 SECTIONS = (
@@ -344,6 +403,7 @@ SECTIONS = (
     ("khop_per_call", measure_khop),
     ("gen_per_call", measure_gen),
     ("recal_per_call", measure_recal),
+    ("step_per_call", measure_step),
 )
 
 
