@@ -243,20 +243,10 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _weight_bytes(config: nn.ModelConfig) -> int:
-    """A lower bound of the float32 bytes of ``config``'s weights, counted in
-    rows hidden wide: per layer, hidden rows of the gcn matrix or 4·hidden of
-    the GIN MLP, a bias or eps vector per distance, and the edge tables' rows;
-    then the node tables' rows and the classifier's columns."""
-    h = config.hidden
-    layer = (h if config.conv_type == nn.CONV_GCN else 4 * h) + config.required_radius + sum(config.edge_field_cards)
-    return 4 * h * (config.num_layers * layer + sum(config.node_field_cards) + config.num_tasks)
-
-
 def _model_config(options: dict, dataset: Dataset) -> nn.ModelConfig:
     """The model ``options`` describe for ``dataset``. Raises CliError, before
-    any parameter is built, when the model's float32 weights alone (see
-    :func:`_weight_bytes`) would not fit in the machine's physical memory."""
+    any parameter is built, when its float32 weights alone, ``4 *
+    nn.param_count(config)`` bytes, would not fit in the machine's physical memory."""
     config = nn.ModelConfig(
         conv_type=options["conv"],
         node_field_cards=dataset.manifest.node_field_cardinalities,
@@ -268,7 +258,7 @@ def _model_config(options: dict, dataset: Dataset) -> nn.ModelConfig:
         virtual_node=options["virtual_node"],
         dropout=options["dropout"],
     )
-    h, layers, weight_bytes = config.hidden, config.num_layers, _weight_bytes(config)
+    h, layers, weight_bytes = config.hidden, config.num_layers, 4 * nn.param_count(config)
     memory = _physical_memory()
     if memory is not None and weight_bytes > memory:
         raise CliError(
@@ -345,7 +335,7 @@ def _load_model(checkpoint_path: str) -> tuple[nn.ModelConfig, nn.ModelParams, d
         config = nn.ModelConfig(**extra["config"])
     except (TypeError, ValueError) as exc:
         raise CliError(f"checkpoint {checkpoint_path} has an invalid model config: {exc}") from None
-    if _weight_bytes(config) > sum(a.nbytes for a in arrays.values()):  # checked before the model is built
+    if 4 * nn.param_count(config) > sum(a.nbytes for a in arrays.values()):  # checked before the model is built
         raise CliError(f"checkpoint {checkpoint_path} holds fewer tensor bytes than its model config's weights need")
     params = nn.init_params(config, seed=0)
     nn.load_arrays(params, arrays)
@@ -477,6 +467,9 @@ def main(argv: list[str] | None = None) -> int:
     given = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         runspec = resolve_runspec(args.command, given, args.config)
+        out_dir = os.path.dirname(runspec.options.get("out") or "") or "."
+        if not os.path.isdir(out_dir):  # before any dataset is read or any work is done
+            raise CliError(f"the --out directory {out_dir} does not exist")
         return _COMMANDS[args.command](runspec)
     except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

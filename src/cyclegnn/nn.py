@@ -321,9 +321,14 @@ def graph_embeddings(config: ModelConfig, params: ModelParams, batch: BatchedGra
 
 def param_count(config: ModelConfig) -> int:
     """Exact number of trainable scalars (batchnorm scale/shift included,
-    running statistics excluded), counted on the model ``init_params``
-    builds."""
-    return sum(t.data.size for t in parameters(init_params(config, seed=0)))
+    running statistics excluded) of the model ``init_params`` builds, worked
+    out from ``config`` alone in Python ints, so no size wraps."""
+    h = int(config.hidden)
+    mlp = 4 * h * h + 7 * h  # H -> 2H -> H with biases, plus the 2H-wide norm's scale and shift
+    eps_vectors = 1 if config.conv_type == CONV_GINE else int(config.radius) + 1
+    conv = h * h + h if config.conv_type == CONV_GCN else mlp + h * eps_vectors
+    layer = conv + h * sum(config.edge_field_cards) + 2 * h + (h + mlp if config.virtual_node else 0)
+    return h * sum(config.node_field_cards) + int(config.num_layers) * layer + (h + 1) * int(config.num_tasks)
 
 
 def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams:

@@ -571,10 +571,11 @@ class TestEval:
     @pytest.mark.parametrize("conv", nn_mod.CONV_TYPES)
     @pytest.mark.parametrize("radius", [1, 3])
     def test_checkpoint_of_every_conv_type_loads(self, tmp_path, conv, radius):
-        # the bound is a lower bound of every model's weights; radius 3 is ignored by gcn and gine
+        # the guard's bytes are exactly the float32 parameters' bytes, virtual-node MLPs included, and the
+        # checkpoint holds those plus the running statistics; radius 3 is ignored by gcn and gine
         config = ModelConfig(conv, (3, 2), (2,), 2, hidden=4, num_layers=2, radius=radius, virtual_node=True)
         params = nn_mod.init_params(config, seed=1)
-        assert cli_mod._weight_bytes(config) <= 4 * nn_mod.param_count(config)
+        assert 4 * nn_mod.param_count(config) == sum(t.data.nbytes for t in nn_mod.parameters(params))
         ckpt = str(tmp_path / "m.ckpt")
         save_checkpoint(nn_mod.named_arrays(params), ckpt, extra={"config": dataclasses.asdict(config)})
         loaded, loaded_params, _ = cli_mod._load_model(ckpt)
@@ -706,6 +707,33 @@ class TestBench:
         assert flag[2:].replace("-", "_") in captured.err
 
 
+class TestOutDirectory:
+    @pytest.mark.parametrize("command, flags", [
+        ("gen", ["--task", "min-cycle-class", "--size", "5"]),
+        ("train", ["--data", "d.jsonl", "--conv", "gine"]),
+        ("eval", ["--checkpoint", "m.ckpt", "--data", "d.jsonl"]),
+        ("counterexample", ["--data", "d.jsonl", "--edge", "0,1"]),
+        ("bench", ["--data", "d.jsonl"]),
+    ])
+    def test_missing_directory_exits_one_before_any_work(self, command, flags, tmp_path, monkeypatch, capsys):
+        # each of these runs before the first write, so a missing directory must be found before them
+        def never(name):
+            return lambda *args, **kwargs: pytest.fail(f"{name} ran")
+
+        for name in ("cli.load_dataset", "cli.load_checkpoint", "synth.gen_synthetic_dataset",
+                     "train.train_model", "train.train_epoch"):
+            monkeypatch.setattr("cyclegnn." + name, never(name))
+        missing = str(tmp_path / "missing")
+        assert main([command, *flags, "--out", os.path.join(missing, "out")]) == 1
+        assert capsys.readouterr().err == f"error: the --out directory {missing} does not exist\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_out_without_a_directory_is_written_in_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen", "--task", "min-cycle-class", "--size", "5", "--out", "d.jsonl"]) == 0
+        assert os.listdir(tmp_path) == ["d.jsonl"]
+
+
 class TestConfigFile:
     def test_file_overrides_defaults_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -785,11 +813,8 @@ class TestOutOfMemory:
         manifest = data_mod.DatasetManifest((1,), (1,), ("task",))
         dataset = Dataset([gen_cycle_union([3])], np.ones((1, 1)), manifest)
         options = {"conv": conv, "hidden": 64, "layers": 3, "radius": 2, "virtual_node": False, "dropout": 0.0}
-        # float32 bytes of rows 64 wide: per layer, the gcn matrix (64 rows) or the GIN MLP (256), a bias or
-        # eps vector per distance the layer reads (1, or 2 for the wide convs), and the edge table (1 row);
-        # then the node table (1 row) and the classifier (1 column)
-        rows = {"gcn": 64 + 1, "gine": 256 + 1}.get(conv, 256 + 2) + 1
-        weights = 4 * 64 * (3 * rows + 1 + 1)
+        config = ModelConfig(conv, (1,), (1,), 1, hidden=64, num_layers=3, radius=2, dropout=0.0)
+        weights = 4 * nn_mod.param_count(config)  # the exact float32 bytes of the model's weights
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: weights)
         assert cli_mod._model_config(options, dataset).num_layers == 3
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: weights - 1)
@@ -797,6 +822,20 @@ class TestOutOfMemory:
             cli_mod._model_config(options, dataset)
         monkeypatch.setattr(cli_mod, "_physical_memory", lambda: None)  # unknown: no bound
         assert cli_mod._model_config({**options, "layers": 2**63}, dataset).num_layers == 2**63
+
+    def test_virtual_node_weights_count_against_physical_memory(self, cycle_file, tmp_path, monkeypatch, capsys):
+        # 300,000 bytes lies between this model's weights without its virtual-node MLPs counted, 199,424 bytes
+        # by a row count of 4·64·(3·(256 + 2 + 1) + 1 + 1), and its exact weights, 409,860 bytes
+        config = ModelConfig("gine+", (1,), (1,), 1, hidden=64, num_layers=3, radius=2, virtual_node=True)
+        assert 4 * nn_mod.param_count(config) == 409_860
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: 300_000)
+        monkeypatch.setattr(nn_mod, "init_params", lambda *args, **kwargs: pytest.fail("the model was built"))
+        code = main(["train", "--data", cycle_file, "--out", str(tmp_path / "run"), "--conv", "gine+", "--radius", "2",
+                     "--layers", "3", "--hidden", "64", "--virtual-node"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "weights alone" in err
+        assert os.listdir(tmp_path) == ["c6.jsonl"]
 
     def test_bare_memory_error_still_prints_a_message(self, cycle_file, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):

@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 from conftest import permute_graph, plain, random_graph, reference_model_forward
 
-from cyclegnn.data import collate
+from cyclegnn import cli
+from cyclegnn.data import collate, save_dataset
 from cyclegnn.graph import LabeledGraph, bfs_distances
 from cyclegnn.nn import (
     CONV_GINE,
@@ -30,7 +32,7 @@ from cyclegnn.nn import (
     parameters,
     virtual_node_update,
 )
-from cyclegnn.synth import gen_cycle_union, random_tree
+from cyclegnn.synth import gen_cycle_union, gen_synthetic_dataset, random_tree
 from cyclegnn.tensor import (
     EVAL,
     TRAIN,
@@ -450,7 +452,46 @@ def walk_params(node, tensors, states):
             walk_params(item, tensors, states)
 
 
+def built_count(cfg) -> int:
+    """The reference for ``param_count``: the scalars of the model ``init_params`` builds."""
+    return sum(t.data.size for t in parameters(init_params(cfg, 0)))
+
+
 class TestParamCount:
+    @pytest.mark.parametrize("conv", CONV_TYPES)
+    @pytest.mark.parametrize("vn", [False, True])
+    def test_closed_form_equals_the_built_model(self, conv, vn):
+        fields = [((1,), (1,)), ((3, 2, 5), (1,)), ((1,), (2, 4)), ((4, 1), (3, 2))]
+        for h, layers, k, (nodes, edges), tasks in itertools.product((1, 3, 8), (1, 3), (1, 2, 3), fields, (1, 4)):
+            cfg = make_config(conv, node_field_cards=nodes, edge_field_cards=edges, num_tasks=tasks, hidden=h,
+                              num_layers=layers, radius=k, virtual_node=vn)
+            assert param_count(cfg) == built_count(cfg), cfg
+
+    def test_counts_without_building_and_without_wrapping(self, monkeypatch):
+        monkeypatch.setattr("cyclegnn.nn.init_params", lambda *args, **kwargs: pytest.fail("the model was built"))
+        h, layers = 2**40, 2**63
+        huge = make_config("gine+", hidden=h, num_layers=layers, radius=3, virtual_node=True)
+        mlp = 4 * h * h + 7 * h
+        layer = (mlp + 4 * h) + 2 * h + 2 * h + (h + mlp)  # conv with 4 eps vectors, edge table, norm, virtual node
+        assert param_count(huge) == 3 * h + layers * layer + (h + 1) * 2
+        # numpy integer fields count as Python ints would, where int64 arithmetic would wrap
+        as_numpy = make_config("gine+", hidden=np.int64(h), num_layers=np.int64(2**62), radius=np.int64(3))
+        assert param_count(as_numpy) == param_count(make_config("gine+", hidden=h, num_layers=2**62, radius=3))
+
+    def test_bench_builds_each_model_once(self, tmp_path, monkeypatch, capsys):
+        data = str(tmp_path / "d.jsonl")
+        save_dataset(gen_synthetic_dataset("min-cycle-class", 9, seed=2), data)
+        calls = []
+
+        def counted(cfg, *args, **kwargs):
+            calls.append((cfg.conv_type, cfg.radius))
+            return init_params(cfg, *args, **kwargs)
+
+        monkeypatch.setattr("cyclegnn.nn.init_params", counted)
+        assert cli.main(["bench", "--data", data, "--radii", "1,2", "--layers", "1", "--hidden", "4",
+                         "--batch-size", "9"]) == 0
+        assert calls == [("gine", 1), ("gine+", 1), ("gine+", 2)]
+
     @pytest.mark.parametrize("conv", CONV_TYPES)
     @pytest.mark.parametrize("vn", [False, True])
     @pytest.mark.parametrize("radius", [1, 3])
