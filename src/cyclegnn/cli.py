@@ -243,10 +243,10 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _model_config(options: dict, dataset: Dataset) -> nn.ModelConfig:
+def _model_config(options: dict, dataset: Dataset, dtype=np.float32) -> nn.ModelConfig:
     """The model ``options`` describe for ``dataset``. Raises CliError, before
-    any parameter is built, when its float32 weights alone, ``4 *
-    nn.param_count(config)`` bytes, would not fit in the machine's physical memory."""
+    any parameter is built, when its weights alone, ``nn.param_count(config)``
+    scalars of the ``dtype`` it is built in, would not fit in physical memory."""
     config = nn.ModelConfig(
         conv_type=options["conv"],
         node_field_cards=dataset.manifest.node_field_cardinalities,
@@ -258,7 +258,7 @@ def _model_config(options: dict, dataset: Dataset) -> nn.ModelConfig:
         virtual_node=options["virtual_node"],
         dropout=options["dropout"],
     )
-    h, layers, weight_bytes = config.hidden, config.num_layers, 4 * nn.param_count(config)
+    h, layers, weight_bytes = config.hidden, config.num_layers, np.dtype(dtype).itemsize * nn.param_count(config)
     memory = _physical_memory()
     if memory is not None and weight_bytes > memory:
         raise CliError(
@@ -382,8 +382,8 @@ def cmd_counterexample(runspec: RunSpec) -> int:
 
     radius = max(o["radius"], 2)  # shell sizes of a c-cycle and its doubled twin differ only from radius c/2 on
     probe = {**o, "virtual_node": False, "dropout": 0.0}  # both configs are checked before any file is written
-    gine = _model_config({**probe, "conv": "gine", "radius": 1}, dataset)
-    plus = _model_config({**probe, "conv": "gine+", "radius": radius}, dataset)
+    gine = _model_config({**probe, "conv": "gine", "radius": 1}, dataset, np.float64)
+    plus = _model_config({**probe, "conv": "gine+", "radius": radius}, dataset, np.float64)
 
     twin = Dataset([paired], np.full((1, dataset.manifest.num_tasks), np.nan), dataset.manifest)
     save_dataset(dataset.subset([o["index"]]), o["out"] + ".orig.jsonl", header=runspec.header())

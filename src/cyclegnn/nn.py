@@ -200,7 +200,9 @@ def _wide_conv(
     for source, (dst, src) in zip(far, batch.shells):
         terms.append(segment_sum(relu(gather_rows(source, src)), dst))
     terms[: len(layer.eps)] = [mul(t, _one_plus(e)) for t, e in zip(terms, layer.eps)]
-    return mlp_forward(layer.mlp, functools.reduce(add, terms), mode, drop, rng)
+    summed = functools.reduce(add, terms)
+    del terms  # no gradient reads the scaled terms, so they are freed before the MLP runs
+    return mlp_forward(layer.mlp, summed, mode, drop, rng)
 
 
 def gineplus_conv(

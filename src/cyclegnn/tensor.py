@@ -498,7 +498,7 @@ class BatchNormState:
     appends each input's float64 column sums, column sums of squares and row
     count to, before it raises ``_Pooled``. The sums are read from the float32
     input with no float64 copy of it, so a recalibration pass holds no more
-    than its forward's activations and peaks below a training step.
+    than its forward's activations, over one scoring batch at a time.
     """
 
     running_mean: np.ndarray

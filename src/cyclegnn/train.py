@@ -29,7 +29,6 @@ METRIC_PRC = "prc"
 METRICS = (METRIC_ROC, METRIC_PRC)
 
 _EVAL_BATCH = 256
-_RECAL_BATCH = 512  # the float64 accumulation order of recalibrated statistics depends on it
 
 
 def _tie_ends(sorted_scores: np.ndarray) -> np.ndarray:
@@ -174,20 +173,20 @@ def recalibrate_norm_stats(config: ModelConfig, params: ModelParams, dataset: Da
     drift, and on features whose within-batch variance is near zero the
     eval-mode normalizer amplifies that lag by 1/sqrt(eps), compounding per
     layer. Normalizers are therefore recalibrated one at a time, in network
-    order (the order of ``norm_states``): each pools exact float64 statistics
-    of its input over one pass while the data propagates through the eval
-    path of the already-recalibrated ones. Each pass ends at the normalizer
-    it records, since nothing after it can change that normalizer's
-    statistics, so nothing downstream is run or needs resetting first. The
-    result is a self-consistent eval forward; deterministic, no rng, and no
-    tape is recorded. Raises ValueError on an empty dataset.
+    order: each pools exact float64 statistics of its input over one pass, in
+    scoring batches of ``_EVAL_BATCH`` graphs, through the eval path of the
+    already-recalibrated ones. Each pass ends at the normalizer it records,
+    since nothing after it can change its statistics, so nothing downstream
+    is run or needs resetting first. The result is a self-consistent eval
+    forward; deterministic, no rng, and no tape is recorded. Raises
+    ValueError on an empty dataset.
     """
     if len(dataset) == 0:
         raise ValueError("recalibration needs a non-empty dataset")
     with no_grad():
         for state in norm_states(params):
             state.pool = []
-            for _, batch in _batches(dataset, config.required_radius, _RECAL_BATCH):
+            for _, batch in _batches(dataset, config.required_radius, _EVAL_BATCH):
                 with suppress(_Pooled):
                     forward_node_embeddings(config, params, batch, RECAL)
             col_sums, col_sumsqs, rows = zip(*state.pool)
@@ -195,8 +194,7 @@ def recalibrate_norm_stats(config: ModelConfig, params: ModelParams, dataset: Da
             count = sum(rows)
             mean = sum(col_sums) / count  # sum() adds in batch order, so the float64 result is reproducible
             state.running_mean = mean.astype(state.running_mean.dtype)
-            var = np.maximum(sum(col_sumsqs) / count - mean * mean, 0.0)
-            state.running_var = var.astype(state.running_var.dtype)
+            state.running_var = np.maximum(sum(col_sumsqs) / count - mean * mean, 0.0).astype(state.running_var.dtype)
 
 
 def train_epoch(

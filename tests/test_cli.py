@@ -837,6 +837,22 @@ class TestOutOfMemory:
         assert err.count("\n") == 1 and "weights alone" in err
         assert os.listdir(tmp_path) == ["c6.jsonl"]
 
+    def test_counterexample_counts_float64_weights_against_physical_memory(
+        self, cycle_file, tmp_path, monkeypatch, capsys
+    ):
+        # both probes are built in float64: memory that holds 4 bytes per weight of each, but not 8, must not pass
+        gine = ModelConfig("gine", (1,), (1,), 1, hidden=32, num_layers=3, radius=1)
+        plus = ModelConfig("gine+", (1,), (1,), 1, hidden=32, num_layers=3, radius=3)
+        memory = 4 * nn_mod.param_count(plus)
+        assert 4 * nn_mod.param_count(gine) < memory < 8 * nn_mod.param_count(gine)
+        monkeypatch.setattr(cli_mod, "_physical_memory", lambda: memory)
+        monkeypatch.setattr(nn_mod, "init_params", lambda *args, **kwargs: pytest.fail("a probe was built"))
+        code = main(["counterexample", "--data", cycle_file, "--edge", "0,1", "--out", str(tmp_path / "pair")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "weights alone" in err
+        assert os.listdir(tmp_path) == ["c6.jsonl"]
+
     def test_bare_memory_error_still_prints_a_message(self, cycle_file, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
             raise MemoryError()

@@ -1,10 +1,13 @@
+import contextlib
 import dataclasses
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from conftest import permute_graph, plain, random_graph, reference_model_forward
 
+import cyclegnn.nn as nn_mod
 from cyclegnn import cli
 from cyclegnn.data import collate, save_dataset
 from cyclegnn.graph import LabeledGraph, bfs_distances
@@ -40,6 +43,7 @@ from cyclegnn.tensor import (
     Tensor,
     bce_with_logits_masked,
     gradcheck,
+    no_grad,
     tsum,
 )
 
@@ -250,6 +254,34 @@ class TestWideConvs:
             out[name] = gineplus_conv(wide, [h0, h_prev], batch, EVAL).data
         # identical 1-hop environments, so the gap is exactly the k=2 shell sum
         np.testing.assert_allclose(out["c6"] - out["c33"], np.full((6, 2), 1.0))
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("conv", [CONV_GINE, CONV_NAIVE_GINE_PLUS, CONV_GINE_PLUS])
+    def test_no_scaled_term_is_alive_when_the_mlp_runs(self, conv, taped, monkeypatch):
+        # the (1+eps_k)-scaled terms are the conv's mul outputs; no gradient reads them once summed
+        terms, alive = [], []
+        mul, mlp = nn_mod.mul, nn_mod.mlp_forward
+
+        def mul_spy(a, b):
+            out = mul(a, b)
+            terms.append(weakref.ref(out.data))
+            return out
+
+        def mlp_spy(*args, **kwargs):
+            alive.append((len(terms), sum(ref() is not None for ref in terms)))
+            terms.clear()
+            return mlp(*args, **kwargs)
+
+        monkeypatch.setattr(nn_mod, "mul", mul_spy)
+        monkeypatch.setattr(nn_mod, "mlp_forward", mlp_spy)
+        cfg = make_config(conv, num_layers=3, radius=3)
+        params = init_params(cfg, 0)
+        batch = collate([gen_cycle_union([3, 6])], k_max=3)
+        with contextlib.nullcontext() if taped else no_grad():
+            out = model_forward(cfg, params, batch, EVAL)
+        assert out.requires_grad == taped
+        scaled = {CONV_GINE: [1, 1, 1], CONV_NAIVE_GINE_PLUS: [4, 4, 4], CONV_GINE_PLUS: [2, 3, 4]}[conv]
+        assert alive == [(n, 0) for n in scaled]
 
     def test_missing_khop_index_rejected(self):
         batch = collate([gen_cycle_union([6])], k_max=1)

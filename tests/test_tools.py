@@ -143,7 +143,8 @@ def test_recal_section_times_both_workloads_training_splits(tools, monkeypatch):
     (cycles, cycles_timings), (multitask, _) = cases["cycles-gineplus"], cases["multitask-score"]
     assert (cycles["graphs"], cycles["normalizers"]) == (480, 6)  # L=3 conv norms and MLP norms
     assert (multitask["graphs"], multitask["normalizers"]) == (256, 9)  # plus one virtual-node MLP norm per layer
-    assert set(cycles_timings) == {"call_ms", "peak_bytes"} and cycles_timings["peak_bytes"] > 0
+    assert set(cycles_timings) == {"call_ms", "peak_bytes", "score_peak_bytes"}
+    assert cycles_timings["peak_bytes"] > 0 and cycles_timings["score_peak_bytes"] > 0
 
 
 def test_step_section_times_and_weighs_a_step_of_both_workload_models(tools, monkeypatch):

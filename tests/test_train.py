@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,7 +415,7 @@ class TestEvaluate:
 class TestRecalibrateNormStats:
     @pytest.mark.parametrize("conv, virtual_node", [("gine+", True), ("gcn", False)])
     def test_running_stats_are_population_stats_of_the_eval_inputs(self, conv, virtual_node, monkeypatch):
-        monkeypatch.setattr(train_mod, "_RECAL_BATCH", 7)  # several batches per pass
+        monkeypatch.setattr(train_mod, "_EVAL_BATCH", 7)  # several batches per pass
         ds = gen_synthetic_dataset("random-multitask", 40, seed=2)
         m = ds.manifest
         cfg = ModelConfig(
@@ -450,9 +451,25 @@ class TestRecalibrateNormStats:
             np.testing.assert_allclose(state.running_mean, x.mean(axis=0), rtol=1e-5)
             np.testing.assert_allclose(state.running_var, x.var(axis=0), rtol=1e-4)
 
+    def test_peaks_no_higher_than_scoring_the_same_split(self):
+        # the acceptance model on 400 graphs: more than one scoring batch
+        ds = gen_synthetic_dataset("min-cycle-class", 400, seed=7)
+        m = ds.manifest
+        cfg = ModelConfig("gine+", m.node_field_cardinalities, m.edge_field_cardinalities, m.num_tasks, hidden=32,
+                          num_layers=3, radius=3)
+        params = init_params(cfg, 0)
+        peaks = {}
+        for run in (recalibrate_norm_stats, predict_logits):
+            run(cfg, params, ds)  # builds the k-hop memos
+            tracemalloc.start()
+            run(cfg, params, ds)
+            peaks[run.__name__] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks["recalibrate_norm_stats"] <= 1.05 * peaks["predict_logits"], peaks
+
     @pytest.mark.parametrize("conv, virtual_node", [("gine+", True), ("gcn", False)])
     def test_each_pass_runs_only_up_to_the_normalizer_it_records(self, conv, virtual_node, monkeypatch):
-        monkeypatch.setattr(train_mod, "_RECAL_BATCH", 7)
+        monkeypatch.setattr(train_mod, "_EVAL_BATCH", 7)
         ds, cfg, params = stale_recal_case(conv, virtual_node)
         states = norm_states(params)
         position = {id(s): i for i, s in enumerate(states)}
@@ -470,7 +487,7 @@ class TestRecalibrateNormStats:
 
     @pytest.mark.parametrize("conv, virtual_node", [("gine+", True), ("gcn", False)])
     def test_statistics_are_byte_equal_to_full_pass_statistics(self, conv, virtual_node, monkeypatch):
-        monkeypatch.setattr(train_mod, "_RECAL_BATCH", 7)
+        monkeypatch.setattr(train_mod, "_EVAL_BATCH", 7)
         ds, cfg, params = stale_recal_case(conv, virtual_node)
         _, _, reference = stale_recal_case(conv, virtual_node)
         recalibrate_norm_stats(cfg, params, ds)

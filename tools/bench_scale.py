@@ -73,7 +73,10 @@ workloads draw it: ``cycles-gineplus``, the acceptance model on the
 workload's model on the 256-graph split of the first 320 graphs of
 ``random-multitask-4000``. ``call_ms`` is the median of at least
 ``MIN_LOADS`` calls and ``peak_bytes`` the ``tracemalloc`` peak of one call
-after a first; the result goes under ``recal_per_call``.
+after a first. ``score_peak_bytes`` is the same peak of one
+``train.predict_logits`` scoring pass over the same split with the same
+parameters, the peak a recalibration pass is measured against; the result
+goes under ``recal_per_call``.
 
 One training step (train-mode forward, masked loss, ``zero_grad``,
 ``backward`` and Adam's ``step``) is timed on a 64-graph batch of each of
@@ -324,8 +327,8 @@ def _config(dataset, dims: dict):
 
 def measure_recal() -> dict:
     """Per-call medians, in ms, and ``tracemalloc`` peaks of
-    ``recalibrate_norm_stats`` on each fixed model's training split, in this
-    process's cyclegnn."""
+    ``recalibrate_norm_stats`` on each fixed model's training split, and the
+    peak of scoring that split, in this process's cyclegnn."""
     from cyclegnn import data, nn, synth, train
 
     cycles = _dataset(synth.TASK_MIN_CYCLE, 600)
@@ -343,13 +346,18 @@ def measure_recal() -> dict:
         def recal():
             train.recalibrate_norm_stats(config, params, train_set)
 
-        recal()  # builds the k-hop memos
-        tracemalloc.start()
-        recal()
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        def score():
+            train.predict_logits(config, params, train_set)
+
+        peaks = {}
+        for key, fn in (("peak_bytes", recal), ("score_peak_bytes", score)):
+            fn()  # builds the k-hop memos
+            tracemalloc.start()
+            fn()
+            peaks[key] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
         sizes = {**_counts(train_set.graphs), "normalizers": len(nn.norm_states(params))}
-        out[name] = sizes, {"call_ms": _median_ms(recal, MIN_LOADS), "peak_bytes": peak}
+        out[name] = sizes, {"call_ms": _median_ms(recal, MIN_LOADS), **peaks}
     return out
 
 

@@ -11,7 +11,8 @@ file beside the outputs. The recipe covers every convolution: ``gine``,
 ``naive-gine+`` at K=3, ``gine+`` at K=2 and K=3, the same-seed run of CI
 (``--patience 1``, so a restore runs), a random-multitask ``gine+`` K=2
 virtual-node run with its ``eval``, a random-multitask ``gcn`` run with its
-``eval``, and a ``counterexample``.
+``eval``, a ``counterexample``, and a ``gine+`` K=3 run on 400 graphs, whose
+320-graph training split is recalibrated in more than one scoring batch.
 
 For each file, one line is printed: its name, a tab, and ``identical`` or
 ``differs``. For each checkpoint a second line gives ``tools/ckpt_diff.py``'s
@@ -49,6 +50,9 @@ RECIPE = (
     ("train", "--data", "{run}/multitask.jsonl", "--out", "{run}/gcn", "--conv", "gcn", *SMALL),
     ("eval", "--checkpoint", "{run}/gcn.ckpt", "--data", "{run}/multitask.jsonl", "--out", "{run}/gcn.eval.tsv"),
     ("counterexample", "--data", "{run}/cycles.jsonl", "--index", "0", "--edge", "{edge}", "--out", "{run}/ce"),
+    ("gen", "--task", "min-cycle-class", "--size", "400", "--out", "{run}/cycles400.jsonl"),
+    ("train", "--data", "{run}/cycles400.jsonl", "--out", "{run}/plus3_400", "--conv", "gine+", "--radius", "3",
+     "--hidden", "16", "--epochs", "2", "--replicates", "1"),
 )
 
 
