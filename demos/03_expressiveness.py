@@ -3,7 +3,9 @@
 1-hop convolutions (gine, gcn) give identical graph embeddings to C3+C3 and
 C6 for any weights. Widening the kernel to radius 2 separates them, because
 a triangle has an empty distance-2 shell. The wide kernel still keeps the
-receptive distance equal to the depth, unlike the naive variant.
+receptive distance equal to the depth, unlike the naive variant. Last, a
+table of which cycle lengths each setting tells apart, read off the model's
+own node embeddings.
 """
 
 import numpy as np
@@ -58,3 +60,26 @@ perturbed.node_feats[target, 0] = 1
 for conv, layers in (("gine+", 3), ("naive-gine+", 2)):
     gap = np.abs(probe(conv, tree, layers=layers) - probe(conv, perturbed, layers=layers)).max()
     print(f"{conv:12s} L={layers}: probe change after distance-4 perturbation = {gap:.2e}")
+
+
+# A node's embedding on a c-cycle depends only on min(c, 2R+1), where the radius
+# R is min(K, L) under gine+, K under naive-gine+ and 1 under gine.
+def cycle_classes(conv, radius, layers, longest=9):
+    """Cycle lengths 3..longest grouped by the node embedding each gives."""
+    cfg = ModelConfig(
+        conv_type=conv, node_field_cards=(1,), edge_field_cards=(1,), num_tasks=1,
+        hidden=16, num_layers=layers, radius=radius, dropout=0.0,
+    )
+    params = init_params(cfg, 3, dtype=np.float64)
+    groups = {}
+    for c in range(3, longest + 1):
+        batch = collate([gen_cycle_union([c])], cfg.required_radius)
+        node = forward_node_embeddings(cfg, params, batch, "eval")[-1].data[0]
+        groups.setdefault(node.tobytes(), []).append(c)
+    return ", ".join(f"≥{g[0]}" if g[-1] == longest else ", ".join(map(str, g)) for g in groups.values())
+
+
+print("cycle lengths each setting tells apart:")
+for conv, radius, layers in (("gine", 1, 3), ("gine+", 2, 2), ("gine+", 3, 3), ("gine+", 3, 2), ("gine+", 3, 1),
+                             ("naive-gine+", 3, 1)):
+    print(f"  {conv:12s} K={radius} L={layers}: {cycle_classes(conv, radius, layers)}")

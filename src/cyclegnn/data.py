@@ -357,9 +357,8 @@ def collate(graphs: list[LabeledGraph], k_max: int = 1) -> BatchedGraph:
         build_khop_shells(graphs, k_max)
         per_graph = [build_khop_index(g, k_max).pairs for g in graphs]
         for k in range(1, k_max):  # distances 2..k_max; the arcs are distance 1
-            shift = np.repeat(offsets, [p[k][0].size for p in per_graph])
-            dst = np.concatenate([p[k][0] for p in per_graph]) + shift
-            src = np.concatenate([p[k][1] for p in per_graph]) + shift
+            block = np.concatenate([p[k] for p in per_graph], axis=1)  # (2, pairs): each graph's dst and src rows
+            dst, src = block + np.repeat(offsets, [p[k].shape[1] for p in per_graph])
             shells += ((Segments(dst, total), Segments(src, total)),)
     return BatchedGraph(
         num_graphs=len(graphs),

@@ -7,13 +7,12 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)  # over arrays: compares and hashes by identity
+@dataclass(frozen=True, eq=False, slots=True)  # over arrays: compares and hashes by identity
 class LabeledGraph:
     """Undirected graph with categorical node and edge feature vectors.
 
@@ -21,12 +20,17 @@ class LabeledGraph:
     Construction checks these with :func:`find_graph_fault`. Arrays are
     treated as immutable after construction; graphs made by
     :func:`graphs_from_flat` are row slices (views) of arrays they share.
+    Graphs have slots and no instance dict, since a dataset holds many:
+    besides the four fields, one caches ``adjacency`` and one holds the
+    k-hop memo of :func:`build_khop_shells`.
     """
 
     num_nodes: int
     node_feats: np.ndarray  # (num_nodes, node fields) small non-negative ints
     edges: np.ndarray  # (num_edges, 2) unordered pairs, each stored once
     edge_feats: np.ndarray  # (num_edges, edge fields)
+    _adjacency: tuple | None = field(default=None, init=False, repr=False)
+    _khop_pairs: tuple = field(default=(), init=False, repr=False)  # one (2, pairs) array per distance
 
     def __post_init__(self):
         object.__setattr__(self, "node_feats", np.ascontiguousarray(self.node_feats, dtype=np.int64))
@@ -45,13 +49,16 @@ class LabeledGraph:
     def num_edges(self) -> int:
         return self.edges.shape[0]
 
-    @cached_property
+    @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.num_nodes)]
-        for u, v in self.edges.tolist():
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
+        """Each node's sorted neighbours, built on first access and kept."""
+        if self._adjacency is None:
+            nbrs: list[list[int]] = [[] for _ in range(self.num_nodes)]
+            for u, v in self.edges.tolist():
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+            object.__setattr__(self, "_adjacency", tuple(tuple(sorted(a)) for a in nbrs))
+        return self._adjacency
 
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
@@ -114,17 +121,20 @@ def graphs_from_flat(node_counts, node_feats, edge_counts, edges, edge_feats) ->
     each made of row slices (views) of them and not checked again: the
     caller has checked them all at once with :func:`find_graph_fault`. The
     arrays must be C-contiguous int64 with ``edges`` of shape (M, 2)."""
+    slot = lambda name: getattr(LabeledGraph, name).__set__  # a slot's setter, which skips the frozen __setattr__
+    set_n, set_nodes, set_edges, set_edge_feats = map(slot, ("num_nodes", "node_feats", "edges", "edge_feats"))
+    set_adjacency, set_memo = slot("_adjacency"), slot("_khop_pairs")
     graphs = []
     node_start = edge_start = 0
     for n, m in zip(node_counts, edge_counts):
         node_end, edge_end = node_start + n, edge_start + m
         g = object.__new__(LabeledGraph)
-        g.__dict__.update(
-            num_nodes=n,
-            node_feats=node_feats[node_start:node_end],
-            edges=edges[edge_start:edge_end],
-            edge_feats=edge_feats[edge_start:edge_end],
-        )
+        set_n(g, n)
+        set_nodes(g, node_feats[node_start:node_end])
+        set_edges(g, edges[edge_start:edge_end])
+        set_edge_feats(g, edge_feats[edge_start:edge_end])
+        set_adjacency(g, None)
+        set_memo(g, ())
         graphs.append(g)
         node_start, edge_start = node_end, edge_end
     return graphs
@@ -134,13 +144,15 @@ def graphs_from_flat(node_counts, node_feats, edge_counts, edges, edge_feats) ->
 class KHopIndex:
     """For every node, the nodes at shortest-path distance exactly k, k=1..k_max.
 
-    ``pairs[k-1]`` is a pair of aligned int arrays (dst, src): node ``src`` is
-    at distance k from node ``dst``. Both are int64 and sorted by dst then
-    src; arrays from :func:`build_khop_index` are shared, hence read-only.
-    The depth ``k_max`` is the number of shells.
+    ``pairs[k-1]`` is a (2, pairs) int64 array whose rows (dst, src) align:
+    node ``src`` is at distance k from node ``dst``, sorted by dst then src.
+    It unpacks as ``dst, src = pairs[k-1]``. Arrays from
+    :func:`build_khop_index` are the graph's memo, one column slice per
+    distance of an array its whole build shares, hence read-only. The depth
+    ``k_max`` is the number of shells.
     """
 
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    pairs: tuple[np.ndarray, ...]
 
     @property
     def k_max(self) -> int:
@@ -172,7 +184,9 @@ def bfs_distances(g: LabeledGraph, start: int) -> np.ndarray:
 
 
 def build_khop_shells(graphs: Sequence[LabeledGraph], k_max: int) -> None:
-    """Memoise every graph's exact-distance shells 1..``k_max`` on it.
+    """Memoise every graph's exact-distance shells 1..``k_max`` on it, as one
+    read-only int64 (2, pairs) array per distance (see :class:`KHopIndex`):
+    a column slice of the one array per distance that the whole build shares.
 
     Graphs whose memo already reaches ``k_max`` are skipped, a graph listed
     twice is built once, and one with a shallower memo is rebuilt. The rest
@@ -199,7 +213,7 @@ def build_khop_shells(graphs: Sequence[LabeledGraph], k_max: int) -> None:
     dst = src = np.arange(counts.sum())
     shell, older = dst * (n + 1), dst[:0]  # distance 0: each node with itself
     unseen = np.repeat(counts - 1, counts)  # per node, the nodes of its graph not yet reached from it
-    shells = []  # per distance, each graph's (dst, src) slices
+    shells = []  # per distance, each graph's (2, pairs) slice
     for _ in range(k_max):
         fan = degree[src] * (unseen[dst] > 0)  # each pair's candidates: (dst, w) for each arc (src, w)
         budget, reach = max(1, len(shell), len(nbr)), np.cumsum(fan)  # a piece ends at the dst run of each budget multiple
@@ -219,7 +233,7 @@ def build_khop_shells(graphs: Sequence[LabeledGraph], k_max: int) -> None:
         cuts = np.searchsorted(shell, np.append(first, n) * n).tolist()
         local = np.stack([dst, src]) - np.repeat(first, np.diff(cuts))  # rows: graph-local dst, src
         local.setflags(write=False)
-        shells.append([(local[0, a:b], local[1, a:b]) for a, b in zip(cuts, cuts[1:])])
+        shells.append([local[:, a:b] for a, b in zip(cuts, cuts[1:])])
     for g, pairs in zip(cold, zip(*shells)):
         object.__setattr__(g, "_khop_pairs", pairs)
 

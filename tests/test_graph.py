@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from itertools import permutations
 
@@ -17,7 +18,8 @@ from cyclegnn.graph import (
     wl_graph_hash,
     wl_refine,
 )
-from cyclegnn.synth import gen_cycle_union
+from cyclegnn.data import load_dataset, save_dataset
+from cyclegnn.synth import TASK_RANDOM_MULTITASK, gen_cycle_union, gen_synthetic_dataset
 from conftest import _reference_graph_checks, permute_graph, plain, random_graph
 
 
@@ -125,6 +127,28 @@ class TestLabeledGraph:
     def test_adjacency(self):
         g = plain(4, [(0, 1), (0, 2)])
         assert g.adjacency == ((1, 2), (0,), (0,), ())
+
+    @staticmethod
+    def made_both_ways():
+        edges = np.asarray([[0, 1], [1, 2]], dtype=np.int64)
+        direct = LabeledGraph(3, np.zeros((3, 1)), edges, np.zeros((2, 1)))
+        (flat,) = graphs_from_flat([3], np.zeros((3, 1), np.int64), [2], edges, np.zeros((2, 1), np.int64))
+        return direct, flat
+
+    def test_graphs_have_slots_and_stay_frozen(self):
+        for g in self.made_both_ways():
+            assert not hasattr(g, "__dict__")
+            for name in ("num_nodes", "edges", "_adjacency", "_khop_pairs"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(g, name, None)
+            with pytest.raises((AttributeError, TypeError)):  # no such slot; Python 3.11 raises TypeError
+                g.other = None
+            assert (g._adjacency, g._khop_pairs) == (None, ())
+
+    def test_adjacency_is_built_once_and_kept(self):
+        for g in self.made_both_ways():
+            adjacency = g.adjacency
+            assert adjacency == ((1,), (0, 2), (1,)) and g.adjacency is adjacency
 
 
 class TestBfs:
@@ -309,12 +333,12 @@ class TestKHopIndex:
         again = build_khop_index(g, 3)
         assert shallow.k_max == 2 and len(shallow.pairs) == 2 and again.k_max == 3
         for got, want in zip(shallow.pairs + again.pairs, deep.pairs[:2] + deep.pairs):
-            assert got[0] is want[0] and got[1] is want[1]
+            assert got is want  # each distance's (2, pairs) block is shared
         batched = [random_graph(np.random.default_rng(4), 12) for _ in range(3)]
         build_khop_shells(batched, 3)
         for h in batched:  # a memo a batch built reads the same way
             for got, want in zip(build_khop_index(h, 2).pairs, h._khop_pairs[:2]):
-                assert got[0] is want[0] and got[1] is want[1]
+                assert got is want
 
     def test_deeper_request_rebuilds_like_a_fresh_graph(self):
         g = random_graph(np.random.default_rng(5), 12)
@@ -325,6 +349,30 @@ class TestKHopIndex:
         for (dst, src), (want_dst, want_src) in zip(grown.pairs, fresh.pairs):
             np.testing.assert_array_equal(dst, want_dst)
             np.testing.assert_array_equal(src, want_src)
+
+    def test_memo_holds_one_block_per_distance_of_its_build(self):
+        graphs = [gen_cycle_union([3, 5]), gen_cycle_union([6]), plain(4, [])]
+        build_khop_shells(graphs, 3)
+        for k in range(3):
+            blocks = [g._khop_pairs[k] for g in graphs]
+            for g, block in zip(graphs, blocks):
+                assert type(block) is np.ndarray and block.dtype == np.int64 and not block.flags.writeable
+                assert block.shape == (2, len(khop_by_bfs(g, 3)[k][0]))
+            assert len({id(block.base) for block in blocks}) == 1  # one array per distance for the build
+            assert blocks[0].base.shape == (2, sum(block.shape[1] for block in blocks))
+
+    def test_held_bytes_per_memoised_graph(self, tmp_path):
+        # slotted graphs, their row views and a K=2 memo of one view per distance hold about 2,050 bytes a
+        # graph; an instance dict per graph and two row views per distance would make it about 2,470
+        path = str(tmp_path / "multitask.jsonl")
+        size = 300
+        save_dataset(gen_synthetic_dataset(TASK_RANDOM_MULTITASK, size, 3), path)
+        tracemalloc.start()
+        dataset = load_dataset(path)
+        build_khop_shells(dataset.graphs, 2)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert held / size < 2250
 
     def test_shared_shells_are_read_only(self):
         idx = build_khop_index(gen_cycle_union([6]), 2)

@@ -25,6 +25,7 @@ from cyclegnn.nn import (
     gcn_conv,
     gine_conv,
     gineplus_conv,
+    graph_embeddings,
     init_params,
     mlp_forward,
     model_forward,
@@ -37,6 +38,7 @@ from cyclegnn.nn import (
 )
 from cyclegnn.synth import gen_cycle_union, gen_synthetic_dataset, random_tree
 from cyclegnn.tensor import (
+    _COLUMN_LIMIT,
     EVAL,
     TRAIN,
     BatchNormState,
@@ -44,6 +46,7 @@ from cyclegnn.tensor import (
     bce_with_logits_masked,
     gradcheck,
     no_grad,
+    segment_mean,
     tsum,
 )
 
@@ -429,6 +432,92 @@ class TestModelForward:
             np.testing.assert_array_equal(state.running_var, var)
 
 
+class TestGraphEmbeddings:
+    @pytest.mark.parametrize("conv", CONV_TYPES)
+    def test_untaped_pooled_eval_embeddings_are_the_classifier_input(self, conv, monkeypatch):
+        rng = np.random.default_rng(41)
+        cfg = make_config(conv, radius=2, num_layers=2, virtual_node=True)
+        params = init_params(cfg, 42, dtype=np.float64)
+        graphs = [features_graph(rng, n, random_graph(rng, n).edges) for n in (3, 7, 5)]
+        batch = collate(graphs, cfg.required_radius)
+        want = segment_mean(forward_node_embeddings(cfg, params, batch, EVAL)[-1], batch.graph_ids)
+        assert want.requires_grad  # taped outside graph_embeddings
+        pooled, fed, linear = [], [], nn_mod.linear
+
+        def mean_spy(values, plan):
+            pooled.append(segment_mean(values, plan))
+            return pooled[-1]
+
+        def linear_spy(p, x):
+            if p is params.classifier:
+                fed.append(x)
+            return linear(p, x)
+
+        monkeypatch.setattr(nn_mod, "segment_mean", mean_spy)
+        monkeypatch.setattr(nn_mod, "linear", linear_spy)
+        got = graph_embeddings(cfg, params, batch)
+        np.testing.assert_array_equal(got, want.data)
+        assert [t.requires_grad for t in pooled] == [False]
+        model_forward(cfg, params, batch, EVAL)
+        assert len(fed) == 1
+        np.testing.assert_array_equal(fed[0].data, got)
+
+
+def cycle_partitions(n: int, shortest: int = 3):
+    """Every multiset of cycle lengths of at least ``shortest`` that sums to
+    ``n``, as an ascending tuple."""
+    if n == 0:
+        yield ()
+    for c in range(shortest, n + 1):
+        for rest in cycle_partitions(n - c, c):
+            yield (c, *rest)
+
+
+class TestCycleUnionLaw:
+    """Which disjoint unions of cycles, featureless, each conv tells apart.
+
+    A node on a c-cycle has 2 nodes at each distance k < c/2, 1 at k = c/2
+    when c is even, and none beyond, so its shells up to distance R are the
+    same on every cycle longer than 2R. Layer l of ``gine+`` reads distances
+    up to min(K, l), so its radius is R = min(K, L); ``naive-gine+`` reads
+    distance K at every layer, R = K; ``gine`` has R = 1. A node's embedding
+    depends only on min(c, 2R + 1), and two unions of the same size look
+    alike exactly when they hold as many c-cycles for every c <= 2R."""
+
+    @pytest.mark.parametrize("conv, radius, layers, reach", [
+        (CONV_GINE, 1, 3, 1),
+        (CONV_GINE_PLUS, 2, 3, 2),
+        (CONV_GINE_PLUS, 3, 3, 3),
+        (CONV_GINE_PLUS, 3, 2, 2),
+        (CONV_GINE_PLUS, 3, 1, 1),
+        (CONV_GINE_PLUS, 2, 1, 1),
+        (CONV_NAIVE_GINE_PLUS, 3, 3, 3),
+        (CONV_NAIVE_GINE_PLUS, 3, 1, 3),
+    ])
+    def test_same_size_unions_look_alike_exactly_when_their_short_cycles_agree(self, conv, radius, layers, reach):
+        cfg = make_config(conv, node_field_cards=(1,), edge_field_cards=(1,), num_tasks=1, hidden=16,
+                          num_layers=layers, radius=radius)
+        params = init_params(cfg, 51, dtype=np.float64)
+        rng = np.random.default_rng(52)
+        for t in parameters(params):
+            t.data[...] = rng.normal(0.0, 0.5, t.data.shape)
+        looks = lambda lengths: np.repeat(np.minimum(lengths, 2 * reach + 1), lengths)  # what each node can tell
+        pairs = 0
+        for n in range(6, 15):
+            unions = []
+            for lengths in cycle_partitions(n):
+                batch = collate([gen_cycle_union(lengths)], cfg.required_radius)
+                nodes = forward_node_embeddings(cfg, params, batch, EVAL)[-1].data
+                unions.append((lengths, nodes[np.lexsort(nodes.T[::-1])], graph_embeddings(cfg, params, batch)))
+            for (a, nodes_a, graph_a), (b, nodes_b, graph_b) in itertools.combinations(unions, 2):
+                same = all(a.count(c) == b.count(c) for c in range(3, 2 * reach + 1))
+                assert np.array_equal(nodes_a, nodes_b) == same, (a, b)
+                if np.array_equal(looks(a), looks(b)):  # mean pooling adds in node order
+                    assert np.array_equal(graph_a, graph_b), (a, b)
+                pairs += 1
+        assert pairs == 195
+
+
 class TestLocality:
     def probe_embedding(self, cfg, params, g, probe):
         batch = collate([g], cfg.required_radius)
@@ -671,16 +760,24 @@ class TestFullModelGradcheck:
         assert gradcheck(f, parameters(params)) < 1e-4
 
 
+def every_reference_setting(test):
+    """Parametrize ``test`` over conv, radius, virtual node and mode."""
+    for name, values in (("conv", [CONV_GINE, CONV_NAIVE_GINE_PLUS, CONV_GINE_PLUS]), ("radius", [1, 2, 3]),
+                         ("virtual_node", [False, True]), ("mode", [TRAIN, EVAL])):
+        test = pytest.mark.parametrize(name, values)(test)
+    return test
+
+
 class TestReferenceModel:
     """``model_forward`` against the float64 reference of the paper's update
     rule, with every term live: random nonzero eps, biases, edge tables and
-    running statistics, on a batch of graphs of mixed sizes."""
+    running statistics, on a batch of graphs of mixed sizes and on one of
+    unusual inputs."""
 
-    @pytest.mark.parametrize("mode", [TRAIN, EVAL])
-    @pytest.mark.parametrize("virtual_node", [False, True])
-    @pytest.mark.parametrize("radius", [1, 2, 3])
-    @pytest.mark.parametrize("conv", [CONV_GINE, CONV_NAIVE_GINE_PLUS, CONV_GINE_PLUS])
-    def test_logits_and_running_statistics_match(self, conv, radius, virtual_node, mode):
+    @staticmethod
+    def check(conv, radius, virtual_node, mode, shapes):
+        """Compare on the graphs ``shapes(rng)`` yields, each given random
+        features as it is drawn; returns the batch."""
         rng = np.random.default_rng(31)
         cfg = make_config(conv, node_field_cards=(3, 2), edge_field_cards=(2, 4), hidden=5, num_layers=3,
                           radius=radius, virtual_node=virtual_node)
@@ -690,16 +787,30 @@ class TestReferenceModel:
         for state in norm_states(params):
             state.running_mean = rng.normal(0.0, 0.5, state.running_mean.shape)
             state.running_var = rng.uniform(0.5, 2.0, state.running_var.shape)
-        graphs = []
-        for n in (1, 6, 9, 13):
-            g = random_graph(rng, n)
-            graphs.append(features_graph(rng, n, g.edges, cfg.node_field_cards, cfg.edge_field_cards))
+        graphs = [features_graph(rng, g.num_nodes, g.edges, cfg.node_field_cards, cfg.edge_field_cards)
+                  for g in shapes(rng)]
         before = {id(s): (s.running_mean, s.running_var) for s in norm_states(params)}
         want, stats = reference_model_forward(cfg, params, graphs, train=mode == TRAIN)
-        got = model_forward(cfg, params, collate(graphs, cfg.required_radius), mode)
+        batch = collate(graphs, cfg.required_radius)
+        got = model_forward(cfg, params, batch, mode)
         np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
         assert np.abs(want).max() > 0.1
         for s in norm_states(params):
             mean, var = stats[id(s)] if mode == TRAIN else before[id(s)]
             np.testing.assert_allclose(s.running_mean, mean, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(s.running_var, var, rtol=1e-12, atol=1e-12)
+        return batch
+
+    @every_reference_setting
+    def test_logits_and_running_statistics_match(self, conv, radius, virtual_node, mode):
+        self.check(conv, radius, virtual_node, mode, lambda rng: (random_graph(rng, n) for n in (1, 6, 9, 13)))
+
+    @every_reference_setting
+    def test_star_clique_and_large_sparse_graph_match(self, conv, radius, virtual_node, mode):
+        def shapes(rng):
+            yield plain(70, [(0, i) for i in range(1, 70)])
+            yield plain(40, list(itertools.combinations(range(40), 2)))
+            yield random_graph(rng, 150, p=0.02)
+
+        batch = self.check(conv, radius, virtual_node, mode, shapes)
+        assert batch.arc_dst.counts.max() > _COLUMN_LIMIT  # the hub's and the clique's buckets take the sorted layout

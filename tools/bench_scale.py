@@ -284,8 +284,11 @@ def measure_khop() -> dict:
             call, fn = "build_khop_index", lambda: build_khop_index(graphs[0], k_max)
 
         def forget():
-            for g in graphs:
-                g.__dict__.pop("_khop_pairs", None)  # the memo, named alike in both checkouts
+            for g in graphs:  # the memo, named alike in both checkouts: an instance-dict entry or a slot
+                try:
+                    object.__delattr__(g, "_khop_pairs")
+                except AttributeError:
+                    pass
 
         forget()
         tracemalloc.start()
